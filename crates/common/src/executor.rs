@@ -2,7 +2,7 @@
 //! workspace: [`block_on`], the batch multiplexer [`drive_all`], and the
 //! dynamic [`Multiplexer`] the network server drives connections with.
 //!
-//! The serving futures (`QueryFuture`, `QueryStream::poll_next_batch`) are
+//! The serving futures (`QueryHandle`, `QueryStream::poll_next_batch`) are
 //! executor-agnostic — each poll registers the caller's waker on the
 //! query's completion latch or the stream channel's waker slot, and the
 //! pool wakes it when something happens. Nothing here spawns threads or
@@ -88,7 +88,7 @@ impl Wake for TaskWaker {
 /// polling only tasks whose wakers fired (after one seeding poll each).
 /// Returns the outputs in submission order plus the total number of polls.
 ///
-/// With wake-exactly-once futures (like `QueryFuture`) this settles at
+/// With wake-exactly-once futures (like `QueryHandle`) this settles at
 /// roughly two polls per task: the seed and the completion.
 ///
 /// # Examples

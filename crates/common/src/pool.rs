@@ -68,8 +68,8 @@
 //! submitting `run_morsels` frame re-raises the unwind with the **original
 //! payload string** once the latch fires. The serving layer catches that
 //! unwind at the query boundary and surfaces it as a per-query
-//! `MrqError::Internal(payload)` through `QueryHandle::join` /
-//! `QueryFuture` — one query fails, its neighbours and the pool itself
+//! `MrqError::Internal(payload)` through the query's `QueryHandle`,
+//! joined or polled — one query fails, its neighbours and the pool itself
 //! stay serviceable.
 //!
 //! ## Concurrency capping

@@ -1,34 +1,24 @@
-//! The executor-agnostic async front end: [`QueryFuture`] and the
-//! waker-slot + condvar completion latch behind it.
+//! The waker-slot + condvar completion latch behind
+//! [`QueryHandle`](crate::QueryHandle) and
+//! [`QueryStream`](crate::QueryStream).
 //!
-//! A submitted query completes exactly once, on a pool worker. Before this
-//! module, the only way to observe that completion was the latch's condvar
-//! (block in `join`) or polling `is_finished` in a loop. [`QueryState`] is
-//! the same latch extended with a *waker slot*: an async caller's
-//! [`Waker`], registered by [`QueryFuture::poll`], is stored next to the
-//! condvar and woken exactly once when the task completes. Blocking `join`
-//! and async `poll` therefore coexist on one latch — a future can be polled
-//! a few times from a mini-executor and then `join`ed synchronously, or the
-//! other way round — and one serving thread can multiplex thousands of
-//! in-flight queries without a blocked OS thread per query.
-//!
-//! Nothing here depends on an executor: [`QueryFuture`] is a plain
-//! [`Future`] + [`Unpin`] type driven by whatever polls it — tokio,
-//! async-std, or the dependency-free `block_on` mini-executor shipped in
-//! `examples/async_server.rs`. See `docs/SERVING.md` for the waker
-//! lifecycle in full.
+//! A submitted query completes exactly once, on a pool worker.
+//! [`QueryState`] is a condvar latch extended with a *waker slot*: an async
+//! caller's [`Waker`], registered by `QueryHandle::poll`, is stored next to
+//! the condvar and woken exactly once when the task completes. Blocking
+//! `join` and async `poll` therefore coexist on one latch — a handle can be
+//! polled a few times from a mini-executor and then `join`ed synchronously,
+//! or the other way round — and one serving thread can multiplex thousands
+//! of in-flight queries without a blocked OS thread per query. See
+//! `docs/SERVING.md` for the waker lifecycle in full.
 
 use mrq_codegen::exec::QueryOutput;
-use mrq_common::cancel::CancelToken;
 use mrq_common::{Result, WakerSlot};
-use std::future::Future;
-use std::marker::PhantomData;
-use std::pin::Pin;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::task::{Context, Poll, Waker};
+use std::task::{Poll, Waker};
 
 /// Completion channel between a submitted query task and its handle or
-/// future: a condvar latch (blocking `join`) plus a waker slot (async
+/// stream: a condvar latch (blocking `join`) plus a waker slot (async
 /// `poll`), completed exactly once by the pool task.
 pub(crate) struct QueryState {
     slot: Mutex<QuerySlot>,
@@ -60,7 +50,7 @@ impl QueryState {
     }
 
     /// A latch that is already resolved to `result`: what a shed
-    /// submission's handle or future wraps. No task exists; `join`/`poll`
+    /// submission's handle or stream wraps. No task exists; `join`/`poll`
     /// return immediately and drop-waits are trivially satisfied.
     pub(crate) fn completed(result: Result<QueryOutput>) -> Arc<QueryState> {
         Arc::new(QueryState {
@@ -137,13 +127,13 @@ impl QueryState {
 
     /// One async poll step: takes the result if the task finished, else
     /// registers (or refreshes) `waker` to be woken on completion.
-    fn poll_take(&self, waker: &Waker) -> Poll<Result<QueryOutput>> {
+    pub(crate) fn poll_take(&self, waker: &Waker) -> Poll<Result<QueryOutput>> {
         let mut slot = self.lock();
         if slot.finished {
             return Poll::Ready(
                 slot.result
                     .take()
-                    .expect("a QueryFuture must not be polled after it returned Ready"),
+                    .expect("a QueryHandle must not be polled after it returned Ready"),
             );
         }
         // Re-registration across polls: the slot keeps an equivalent waker,
@@ -153,197 +143,9 @@ impl QueryState {
         Poll::Pending
     }
 
-    /// Drops any registered waker (called when a future is dropped before
+    /// Drops any registered waker (called when a handle is dropped before
     /// completion, so the completing task does not wake a dead task slot).
-    fn clear_waker(&self) {
+    pub(crate) fn clear_waker(&self) {
         self.lock().waker.clear();
-    }
-}
-
-/// A query in flight on the worker pool, as a [`Future`].
-///
-/// Returned by `Provider::submit_async` (borrowed — the future cannot
-/// outlive the provider) and `OwnedProvider::submit_async` (`'static` — the
-/// future can escape the binding scope and be driven from any thread). The
-/// output is exactly what `Provider::execute` would have returned for the
-/// same statement and strategy: `Ok(QueryOutput)` bit-identical to the
-/// sequential engines, or the error — including
-/// [`QueryError::Cancelled`](crate::QueryError::Cancelled) after
-/// [`QueryFuture::cancel`] and
-/// [`QueryError::DeadlineExceeded`](crate::QueryError::DeadlineExceeded)
-/// when the submission's deadline lapses.
-///
-/// The future is [`Unpin`] and executor-agnostic: poll it from any
-/// executor, or skip executors entirely — [`QueryFuture::join`] blocks on
-/// the same completion latch the waker hangs off. Polling it after it
-/// returned [`Poll::Ready`] panics (the result is moved out), like most
-/// one-shot futures.
-///
-/// # Waker lifecycle
-///
-/// Each `poll` stores the caller's [`Waker`] in the completion latch
-/// (replacing a stale one, so re-registration across polls and executor
-/// migrations is safe). The pool task wakes it **exactly once**, when the
-/// query completes — normally, with an error, cancelled, or past its
-/// deadline. Cancelled queries complete within ~4096 rows (the intra-morsel
-/// checkpoint cadence): remaining morsels retire unrun and the retirement
-/// itself fires the latch, so the waker is not left waiting on work that
-/// will never run. Dropping the future unregisters its waker.
-///
-/// # Drop semantics
-///
-/// Dropping an *owned* future (from `OwnedProvider::submit_async`) is
-/// non-blocking and never leaks: the in-flight task holds its own provider
-/// handle, finishes in the background, and releases everything it holds.
-/// Dropping a *borrowed* future blocks until the query finished, exactly
-/// like `QueryHandle` — that wait is what lets the pool task borrow the
-/// provider safely. Either way `Provider::drop` still waits for every
-/// in-flight submission, so teardown can never race a running query.
-///
-/// # Examples
-///
-/// A future driven without any async runtime — a ~15-line `block_on` built
-/// on [`std::task::Wake`] and thread parking (the same mini-executor
-/// `examples/async_server.rs` uses to multiplex many of these on one
-/// thread):
-///
-/// ```
-/// # use mrq_common::{DataType, Field, Schema, Value};
-/// # use mrq_core::{Provider, QueryOptions, Strategy};
-/// # use mrq_engine_native::RowStore;
-/// # use mrq_expr::{col, lam, lit, BinaryOp, Expr, Query, SourceId};
-/// # use std::future::Future;
-/// # use std::pin::pin;
-/// # use std::sync::Arc;
-/// # use std::task::{Context, Poll, Wake, Waker};
-/// # struct Unpark(std::thread::Thread);
-/// # impl Wake for Unpark {
-/// #     fn wake(self: Arc<Self>) {
-/// #         self.0.unpark();
-/// #     }
-/// # }
-/// fn block_on<F: Future>(future: F) -> F::Output {
-///     let waker = Waker::from(Arc::new(Unpark(std::thread::current())));
-///     let mut context = Context::from_waker(&waker);
-///     let mut future = pin!(future);
-///     loop {
-///         match future.as_mut().poll(&mut context) {
-///             Poll::Ready(output) => return output,
-///             Poll::Pending => std::thread::park(),
-///         }
-///     }
-/// }
-///
-/// # let schema = Schema::new("N", vec![Field::new("n", DataType::Int64)]);
-/// # let rows: Vec<Vec<Value>> = (0..100).map(|i| vec![Value::Int64(i)]).collect();
-/// # let store = RowStore::from_rows(schema, &rows);
-/// # let mut provider = Provider::new();
-/// # provider.bind_native(SourceId(0), &store);
-/// # let stmt = Query::from_source(SourceId(0))
-/// #     .where_(lam("x", Expr::binary(BinaryOp::Lt, col("x", "n"), lit(10i64))))
-/// #     .select(lam("x", col("x", "n")))
-/// #     .into_expr();
-/// let future = provider.submit_async(stmt, Strategy::CompiledNative, QueryOptions::new());
-/// let out = block_on(future)?;
-/// assert_eq!(out.rows.len(), 10);
-/// # Ok::<(), mrq_core::QueryError>(())
-/// ```
-///
-/// Futures from a prepared plan: the statement compiles once
-/// ([`Provider::prepare`](crate::Provider::prepare)), then each
-/// `submit_async` binds fresh parameter values — here the filter cutoff —
-/// and skips straight to execution. Every option (deadline, QoS class,
-/// cancellation) works identically to an ad-hoc submission:
-///
-/// ```
-/// # use mrq_common::{DataType, Field, Schema, Value};
-/// # use mrq_core::{Provider, QueryOptions, Strategy};
-/// # use mrq_engine_native::RowStore;
-/// # use mrq_expr::{col, lam, lit, BinaryOp, Expr, Query, SourceId};
-/// # let schema = Schema::new("N", vec![Field::new("n", DataType::Int64)]);
-/// # let rows: Vec<Vec<Value>> = (0..100).map(|i| vec![Value::Int64(i)]).collect();
-/// # let store = RowStore::from_rows(schema, &rows);
-/// # let mut provider = Provider::new();
-/// # provider.bind_native(SourceId(0), &store);
-/// # let stmt = Query::from_source(SourceId(0))
-/// #     .where_(lam("x", Expr::binary(BinaryOp::Lt, col("x", "n"), lit(10i64))))
-/// #     .select(lam("x", col("x", "n")))
-/// #     .into_expr();
-/// let prepared = provider.prepare(stmt, Strategy::CompiledNative)?;
-/// for cutoff in [10i64, 25, 50] {
-///     let future = prepared.submit_async(&[Value::Int64(cutoff)], QueryOptions::new());
-///     assert_eq!(future.join()?.rows.len(), cutoff as usize);
-/// }
-/// assert_eq!(provider.plan_cache_stats().entries, 1);
-/// # Ok::<(), mrq_core::QueryError>(())
-/// ```
-pub struct QueryFuture<'p> {
-    state: Arc<QueryState>,
-    token: Arc<CancelToken>,
-    /// `Some` for futures from an `OwnedProvider`: the task keeps its own
-    /// provider handle alive, so dropping the future is non-blocking; this
-    /// clone only marks the future as owned (and is released on drop —
-    /// nothing leaks). `None` for borrowed futures, whose drop must block
-    /// exactly like `QueryHandle`'s.
-    owner: Option<Arc<crate::Provider<'static>>>,
-    _provider: PhantomData<&'p ()>,
-}
-
-impl<'p> QueryFuture<'p> {
-    pub(crate) fn new(
-        state: Arc<QueryState>,
-        token: Arc<CancelToken>,
-        owner: Option<Arc<crate::Provider<'static>>>,
-    ) -> QueryFuture<'p> {
-        QueryFuture {
-            state,
-            token,
-            owner,
-            _provider: PhantomData,
-        }
-    }
-
-    /// True once the query finished (successfully or not). Non-blocking.
-    pub fn is_finished(&self) -> bool {
-        self.state.is_finished()
-    }
-
-    /// Requests cooperative cancellation, exactly like
-    /// [`QueryHandle::cancel`](crate::QueryHandle::cancel): the token trips,
-    /// in-flight morsels stop at the next intra-morsel checkpoint (~4096
-    /// rows), unclaimed morsels retire unrun, and the future resolves to
-    /// [`QueryError::Cancelled`](crate::QueryError::Cancelled) — waking its
-    /// registered waker — unless the query completed first, in which case
-    /// the completed result stands. Idempotent and non-blocking.
-    pub fn cancel(&self) {
-        self.token.cancel();
-    }
-
-    /// Blocks until the query finished and returns its result — the
-    /// synchronous escape hatch on the same completion latch the waker
-    /// uses. A future polled a few times and then `join`ed behaves
-    /// identically to one driven to `Ready`.
-    pub fn join(self) -> Result<QueryOutput> {
-        self.state.wait_take()
-    }
-}
-
-impl Future for QueryFuture<'_> {
-    type Output = Result<QueryOutput>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        self.state.poll_take(cx.waker())
-    }
-}
-
-impl Drop for QueryFuture<'_> {
-    /// Unregisters the waker; a borrowed future then waits for the query
-    /// (the lifetime-erasure safety contract), while an owned future
-    /// returns immediately — its task self-keeps-alive.
-    fn drop(&mut self) {
-        self.state.clear_waker();
-        if self.owner.is_none() {
-            self.state.wait_finished();
-        }
     }
 }

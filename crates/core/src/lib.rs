@@ -38,15 +38,14 @@
 //!
 //! # Async serving
 //!
-//! [`Provider::submit_async`] returns the same submission as a
-//! [`QueryFuture`] — a plain, executor-agnostic [`std::future::Future`]
-//! whose waker hangs off the query's completion latch, so one driver
-//! thread can multiplex thousands of in-flight queries without blocking a
-//! thread per query. Bindings can be borrowed (futures confined to the
-//! binding scope) or shared (`Arc`-backed, via
+//! The same [`QueryHandle`] is also a plain, executor-agnostic
+//! [`std::future::Future`] whose waker hangs off the query's completion
+//! latch, so one driver thread can multiplex thousands of in-flight
+//! queries without blocking a thread per query. Bindings can be borrowed
+//! (handles confined to the binding scope) or shared (`Arc`-backed, via
 //! [`Provider::over_shared_heap`] / [`Provider::bind_native_shared`] /
 //! [`Provider::bind_values_shared`]); a fully shared provider seals into an
-//! [`OwnedProvider`] whose futures are `'static` and escape the scope
+//! [`OwnedProvider`] whose handles are `'static` and escape the scope
 //! entirely. See `docs/SERVING.md` for the async model and
 //! `examples/async_server.rs` for a dependency-free mini-executor driving
 //! it end to end.
@@ -70,9 +69,13 @@ use mrq_expr::optimize::{optimize, OptimizerConfig, Rewrite};
 use mrq_expr::{canonicalize, CanonicalQuery, Expr, QueryCache, SourceId};
 use mrq_mheap::{Heap, ListId};
 use parking_lot::Mutex;
+use std::future::Future;
 use std::marker::PhantomData;
+use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::pin::Pin;
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
 use crate::future::QueryState;
@@ -83,7 +86,6 @@ mod prepared;
 pub mod recycle;
 pub mod stream;
 
-pub use future::QueryFuture;
 pub use owned::OwnedProvider;
 pub use prepared::{OwnedPreparedQuery, PlanCache, PlanKey, PreparedQuery};
 pub use stream::QueryStream;
@@ -130,8 +132,8 @@ pub enum Strategy {
 }
 
 /// Per-query options for every submission front end —
-/// [`Provider::submit`] / [`Provider::submit_async`] /
-/// [`Provider::submit_stream`] and their prepared and owned mirrors: an
+/// [`Provider::submit`] / [`Provider::submit_stream`] and their prepared
+/// and owned mirrors: an
 /// optional deadline, the QoS class the query's pool tickets are scheduled
 /// under, and the streamed-batch size.
 ///
@@ -250,6 +252,11 @@ enum Job {
         params: Vec<Value>,
     },
 }
+
+/// What [`Provider::spawn`] hands a front end: the completion latch, the
+/// cancel token, and — for a streamed submission — the receiving end of
+/// its batch channel.
+type Submission = (Arc<QueryState>, Arc<CancelToken>, Option<StreamReceiver>);
 
 /// The compiled artefact cached per query pattern.
 pub struct CompiledQuery {
@@ -423,8 +430,8 @@ impl<'a> Provider<'a> {
     }
 
     /// Bounds concurrent submissions with an [`AdmissionConfig`]: once the
-    /// limit for a QoS class is reached, further `submit`/`submit_async`/
-    /// `submit_stream` calls (and their prepared/owned counterparts) of
+    /// limit for a QoS class is reached, further `submit`/`submit_stream`
+    /// calls (and their prepared/owned counterparts) of
     /// that class resolve immediately to [`QueryError::Overloaded`] — no
     /// task is spawned, nothing is compiled, and no plan-cache traffic
     /// happens for the shed statement. Shedding is QoS-aware: Maintenance
@@ -559,7 +566,7 @@ impl<'a> Provider<'a> {
     /// Binds a source id to a *shared* native row store. Unlike
     /// [`Provider::bind_native`], the binding does not borrow: a provider
     /// whose bindings are all shared (or managed) is `'static` and can seal
-    /// into an [`OwnedProvider`] whose futures escape the binding scope.
+    /// into an [`OwnedProvider`] whose handles escape the binding scope.
     pub fn bind_native_shared(&mut self, source: SourceId, store: Arc<RowStore>) -> &mut Self {
         self.bindings
             .push((source, Binding::Native(SourceRef::Shared(store))));
@@ -799,12 +806,15 @@ impl<'a> Provider<'a> {
     /// `options` carries the per-query lifecycle controls ([`QueryOptions`]
     /// — pass `QueryOptions::default()` for none); the same signature shape
     /// is mirrored on [`OwnedProvider`], [`PreparedQuery`] and
-    /// [`OwnedPreparedQuery`], and by the async ([`Provider::submit_async`])
-    /// and streaming ([`Provider::submit_stream`]) front ends.
+    /// [`OwnedPreparedQuery`], and by the streaming
+    /// ([`Provider::submit_stream`]) front end.
     ///
-    /// The handle borrows the provider: dropping it without joining blocks
-    /// until the query finished, so in-flight work never outlives the
-    /// provider or its bound collections.
+    /// The handle can be joined, polled as a [`Future`], or cancelled. It
+    /// borrows the provider: dropping it without joining blocks until the
+    /// query finished, so in-flight work never outlives the provider or its
+    /// bound collections. For `'static` handles that escape the binding
+    /// scope — and drop without blocking — seal the provider into an
+    /// [`OwnedProvider`].
     ///
     /// # Deadlines and scheduling class
     ///
@@ -863,78 +873,10 @@ impl<'a> Provider<'a> {
     /// # Ok::<(), mrq_common::MrqError>(())
     /// ```
     pub fn submit(&self, expr: Expr, strategy: Strategy, options: QueryOptions) -> QueryHandle<'_> {
-        let (state, token) = self.spawn_submitted(Job::Statement(expr), strategy, options);
-        QueryHandle {
-            state,
-            token,
-            _provider: PhantomData,
-        }
-    }
-
-    /// Queues a statement for execution on the persistent worker pool and
-    /// returns a [`QueryFuture`]: the async counterpart of
-    /// [`Provider::submit`], for waker-driven serving.
-    ///
-    /// The future registers its caller's [`std::task::Waker`] on the
-    /// query's completion latch each time it is polled and is woken exactly
-    /// once, when the query completes — normally, with an error, cancelled
-    /// ([`QueryFuture::cancel`]) or past the [`QueryOptions`] deadline. One
-    /// driver thread can therefore multiplex any number of in-flight
-    /// queries: the queries *run* on the pool's workers regardless of who
-    /// polls, so a mini-executor that just parks between wakes is enough
-    /// (see `examples/async_server.rs`). Blocking [`QueryFuture::join`] and
-    /// async polling coexist on the same latch.
-    ///
-    /// The future borrows the provider, exactly like a [`QueryHandle`]:
-    /// dropping it unresolved blocks until the query finished. For
-    /// `'static` futures that escape the binding scope — and drop without
-    /// blocking — seal the provider into an [`OwnedProvider`] and use
-    /// [`OwnedProvider::submit_async`].
-    ///
-    /// # Examples
-    ///
-    /// Polling by hand (no executor at all): a no-op waker, then a blocking
-    /// `join` on the same future — showing that the two paths coexist.
-    ///
-    /// ```
-    /// use mrq_common::{DataType, Field, Schema, Value};
-    /// use mrq_core::{Provider, QueryOptions, Strategy};
-    /// use mrq_engine_native::RowStore;
-    /// use mrq_expr::{col, lam, lit, BinaryOp, Expr, Query, SourceId};
-    /// use std::future::Future;
-    /// use std::pin::Pin;
-    /// use std::task::{Context, Poll, Waker};
-    ///
-    /// let schema = Schema::new("N", vec![Field::new("n", DataType::Int64)]);
-    /// let rows: Vec<Vec<Value>> = (0..100).map(|i| vec![Value::Int64(i)]).collect();
-    /// let store = RowStore::from_rows(schema, &rows);
-    /// let mut provider = Provider::new();
-    /// provider.bind_native(SourceId(0), &store);
-    /// let stmt = Query::from_source(SourceId(0))
-    ///     .where_(lam("x", Expr::binary(BinaryOp::Lt, col("x", "n"), lit(10i64))))
-    ///     .select(lam("x", col("x", "n")))
-    ///     .into_expr();
-    ///
-    /// let mut future =
-    ///     provider.submit_async(stmt, Strategy::CompiledNative, QueryOptions::new());
-    /// // Poll once; the query may still be queued (Pending) or already done
-    /// // (Ready). QueryFuture is Unpin, so Pin::new on a &mut works.
-    /// let mut context = Context::from_waker(Waker::noop());
-    /// match Pin::new(&mut future).poll(&mut context) {
-    ///     Poll::Ready(result) => assert_eq!(result?.rows.len(), 10),
-    ///     // Not done yet: fall back to the blocking path on the same latch.
-    ///     Poll::Pending => assert_eq!(future.join()?.rows.len(), 10),
-    /// }
-    /// # Ok::<(), mrq_core::QueryError>(())
-    /// ```
-    pub fn submit_async(
-        &self,
-        expr: Expr,
-        strategy: Strategy,
-        options: QueryOptions,
-    ) -> QueryFuture<'_> {
-        let (state, token) = self.spawn_submitted(Job::Statement(expr), strategy, options);
-        QueryFuture::new(state, token, None)
+        QueryHandle::new(
+            Self::spawn(self, Job::Statement(expr), strategy, options, false),
+            None,
+        )
     }
 
     /// Queues a statement and returns a [`QueryStream`] that yields its
@@ -993,8 +935,10 @@ impl<'a> Provider<'a> {
         strategy: Strategy,
         options: QueryOptions,
     ) -> QueryStream<'_> {
-        let (state, token, receiver) = self.spawn_streamed(Job::Statement(expr), strategy, options);
-        QueryStream::new(state, token, receiver, None)
+        QueryStream::new(
+            Self::spawn(self, Job::Statement(expr), strategy, options, true),
+            None,
+        )
     }
 
     /// Arms a submission's cancel token (deadline measured from now — queue
@@ -1070,80 +1014,79 @@ impl<'a> Provider<'a> {
         }
     }
 
-    /// The in-flight accounting latch (shared with [`OwnedProvider`]'s
-    /// spawn path, which lives in a sibling module).
-    fn in_flight_guard(&self) -> &InFlight {
-        &self.in_flight
-    }
-
-    /// The admission check shared by the borrowed and owned spawn paths:
-    /// `Ok` takes a slot the finished task must release; `Err` is the
-    /// [`QueryError::Overloaded`] error a shed submission's handle, future
-    /// or stream resolves to (each caller packages it — a pre-completed
-    /// state, a closed channel — without queueing any task). Runs before
-    /// [`Provider::arm`], before any compilation, and before any cache
-    /// traffic — shedding must stay cheap under exactly the load that
-    /// makes it necessary.
-    pub(crate) fn admit_submission(
-        &self,
-        options: &QueryOptions,
-    ) -> std::result::Result<(), MrqError> {
-        self.admission.try_admit(options.class)
-    }
-
-    /// Packages an admission rejection as the pre-completed latch + inert
-    /// token a shed handle or future resolves from.
-    pub(crate) fn shed(error: MrqError) -> (Arc<QueryState>, Arc<CancelToken>) {
-        (
-            QueryState::completed(Err(error)),
-            Arc::new(CancelToken::new()),
-        )
-    }
-
-    /// Releases the admission slot taken by [`Provider::admit_submission`]
-    /// (called from the task bodies in both spawn paths).
-    pub(crate) fn release_submission(&self) {
-        self.admission.release();
-    }
-
-    /// The borrowed spawn path shared by [`Provider::submit`] and
-    /// [`Provider::submit_async`]: queues the task and returns the
-    /// completion latch + token the handle or future wraps. Over the
-    /// admission limits, no task is queued at all — the returned state is
-    /// already resolved to [`QueryError::Overloaded`].
-    fn spawn_submitted(
-        &self,
+    /// The one spawn path behind every `submit` and `submit_stream` front
+    /// end, borrowed (`provider` is `&Provider`) or owned (`provider` is
+    /// the task's own `Arc<Provider<'static>>` keep-alive). Returns the
+    /// [`Submission`] the front end wraps in a [`QueryHandle`] or
+    /// [`QueryStream`]; `streamed` decides whether the task runs inside a
+    /// stream scope wired to a bounded batch channel.
+    ///
+    /// Admission runs first — before [`Provider::arm`], any compilation or
+    /// any cache traffic, because shedding must stay cheap under exactly
+    /// the load that makes it necessary. A shed submission queues no task:
+    /// its state is already resolved to [`QueryError::Overloaded`] and, when
+    /// streamed, its channel is already closed with that error.
+    fn spawn<'p, P>(
+        provider: P,
         job: Job,
         strategy: Strategy,
         options: QueryOptions,
-    ) -> (Arc<QueryState>, Arc<CancelToken>) {
-        if let Err(error) = self.admit_submission(&options) {
-            return Self::shed(error);
+        streamed: bool,
+    ) -> Submission
+    where
+        P: Deref<Target = Provider<'a>> + Send + 'p,
+    {
+        if let Err(error) = provider.admission.try_admit(options.class) {
+            let token = Arc::new(CancelToken::new());
+            let receiver = streamed.then(|| {
+                let (sink, receiver) = mrq_common::stream::channel(1, Arc::clone(&token));
+                sink.close(Some(error.clone()));
+                receiver
+            });
+            return (QueryState::completed(Err(error)), token, receiver);
         }
         let (token, control) = Self::arm(&options);
+        let (sink, receiver) = if streamed {
+            let (sink, receiver) =
+                mrq_common::stream::channel(options.stream_batch_rows, Arc::clone(&token));
+            (Some(sink), Some(receiver))
+        } else {
+            (None, None)
+        };
         let state = QueryState::new();
         let completion = Arc::clone(&state);
-        self.in_flight.increment();
-        let in_flight = Arc::clone(&self.in_flight);
-        let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-            let result = self.run_submitted(&control, job, strategy, None);
+        let in_flight = Arc::clone(&provider.in_flight);
+        in_flight.increment();
+        let task: Box<dyn FnOnce() + Send + 'p> = Box::new(move || {
+            let mut result = provider.run_submitted(&control, job, strategy, sink.as_ref());
+            if let Some(sink) = &sink {
+                result = provider.finish_stream(sink, result);
+            }
+            // Free the admission slot before the result becomes visible: a
+            // client woken by `complete` may re-submit at once and must not
+            // be shed by its own finished query.
+            provider.admission.release();
             completion.complete(result);
-            // Release the admission slot before the in-flight decrement:
-            // once the count hits zero `Provider::drop` may return and the
-            // borrow of `self` below would dangle.
-            self.release_submission();
+            // From here on the task never dereferences `provider`. The
+            // decrement goes through the task's own `Arc<InFlight>`, and the
+            // keep-alive `provider` drops when the task returns, after it:
+            // if that is the last `Arc` clone, `Provider::drop` then sees
+            // zero in flight instead of waiting on this very task.
             in_flight.decrement();
         });
         // SAFETY (lifetime erasure): the pool requires a `'static` task, but
-        // this closure borrows `self`. Two waits keep the borrow alive past
-        // every dereference the task makes: `QueryHandle`'s/`QueryFuture`'s
-        // `join`/`Drop` block until completion, and — if a handle is leaked
-        // without its destructor running (`mem::forget`) — `Provider::drop`
-        // itself waits for the in-flight count to reach zero before the
-        // provider (whose borrowed bindings outlive it) can be torn down.
+        // the task holds `provider: P`, which is only `'p`. For the owned
+        // path `P` is an `Arc<Provider<'static>>` and the erasure changes
+        // nothing. For the borrowed path `P` is `&Provider`: every
+        // dereference the task makes happens before `complete`, and a
+        // borrowed `QueryHandle` or `QueryStream` holds that borrow until
+        // `complete` — its `join` and `Drop` wait for it. If a handle is
+        // leaked (`mem::forget`) instead, `Provider::drop` still waits for
+        // the in-flight decrement before the provider and its borrowed
+        // bindings can go away.
         let task: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(task) };
         WorkerPool::global().spawn_as(options.class, task);
-        (state, token)
+        (state, token, receiver)
     }
 
     /// Finishes one streamed query: sends the residual rows the engine did
@@ -1176,45 +1119,6 @@ impl<'a> Provider<'a> {
         let mut tally = self.work.lock();
         tally.last.streamed(batches, rows);
         tally.cumulative.streamed(batches, rows);
-    }
-
-    /// The borrowed spawn path behind [`Provider::submit_stream`]: like
-    /// [`Provider::spawn_submitted`] but the task runs inside a stream
-    /// scope wired to a bounded channel, and the receiver half is returned
-    /// for the [`QueryStream`] to drain.
-    fn spawn_streamed(
-        &self,
-        job: Job,
-        strategy: Strategy,
-        options: QueryOptions,
-    ) -> (Arc<QueryState>, Arc<CancelToken>, StreamReceiver) {
-        if let Err(error) = self.admit_submission(&options) {
-            let (state, token) = Self::shed(error.clone());
-            let (sink, receiver) = mrq_common::stream::channel(1, Arc::clone(&token));
-            sink.close(Some(error));
-            return (state, token, receiver);
-        }
-        let (token, control) = Self::arm(&options);
-        let (sink, receiver) =
-            mrq_common::stream::channel(options.stream_batch_rows, Arc::clone(&token));
-        let state = QueryState::new();
-        let completion = Arc::clone(&state);
-        self.in_flight.increment();
-        let in_flight = Arc::clone(&self.in_flight);
-        let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-            let result = self.run_submitted(&control, job, strategy, Some(&sink));
-            let result = self.finish_stream(&sink, result);
-            completion.complete(result);
-            // Same release-before-decrement ordering as `spawn_submitted`.
-            self.release_submission();
-            in_flight.decrement();
-        });
-        // SAFETY (lifetime erasure): identical to `spawn_submitted` — the
-        // `QueryStream`'s `Drop` cancels and waits on the completion latch,
-        // and `Provider::drop` waits for the in-flight count regardless.
-        let task: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(task) };
-        WorkerPool::global().spawn_as(options.class, task);
-        (state, token, receiver)
     }
 
     /// The recycling identity of one statement instance: canonical shape,
@@ -1399,26 +1303,153 @@ impl DeferredQuery<'_> {
 }
 
 /// A query queued on the worker pool by [`Provider::submit`] and its
-/// prepared/owned counterparts.
+/// prepared/owned counterparts — the one unary result type, which can be
+/// joined, polled and cancelled.
 ///
-/// The handle borrows the provider for as long as it lives, which is what
-/// lets the queued task safely reference the provider and its bound
-/// collections from a pool worker. Joining consumes the handle; dropping it
-/// without joining blocks until the query finished (the result is then
-/// discarded), mirroring `std::thread::scope`'s completion guarantee. Even
-/// a handle leaked with `mem::forget` cannot outrun the provider: the
-/// provider's own `Drop` waits for every submitted query before returning.
+/// The result is exactly what [`Provider::execute`] would have returned for
+/// the same statement and strategy: `Ok(QueryOutput)` bit-identical to the
+/// sequential engines, or the error — including [`QueryError::Cancelled`]
+/// after [`QueryHandle::cancel`], [`QueryError::DeadlineExceeded`] when the
+/// submission's deadline lapses, and [`QueryError::Overloaded`] when the
+/// admission gate shed it. Three ways to observe it share one completion
+/// latch, so they can be mixed on the same handle:
 ///
-/// [`QueryHandle::cancel`] requests cooperative cancellation; the query
-/// abandons its remaining morsels and the handle resolves to
-/// [`QueryError::Cancelled`].
+/// * **Join** — [`QueryHandle::join`] blocks until the query finished.
+/// * **Try** — [`QueryHandle::try_join`] returns the result if it is ready
+///   and hands the handle back otherwise. Never blocks.
+/// * **Poll** — the handle is an [`Unpin`], executor-agnostic [`Future`]:
+///   drive it from any executor, or from a ~15-line `block_on` (below).
+///   Polling it, or joining it, after it returned [`Poll::Ready`] panics
+///   (the result is moved out), like most one-shot futures.
+///
+/// # Waker lifecycle
+///
+/// Each `poll` stores the caller's [`std::task::Waker`] in the completion
+/// latch (replacing a stale one, so re-registration across polls and
+/// executor migrations is safe). The pool task wakes it **exactly once**,
+/// when the query completes — normally, with an error, cancelled, or past
+/// its deadline. The task releases its admission slot *before* it
+/// completes the latch, so a waker that re-submits at once is admitted
+/// into the slot its own finished query freed. Cancelled queries complete
+/// within ~4096 rows (the intra-morsel checkpoint cadence): remaining
+/// morsels retire unrun and the retirement itself fires the latch, so the
+/// waker is not left waiting on work that will never run. Dropping the
+/// handle unregisters its waker.
+///
+/// # Drop semantics
+///
+/// A *borrowed* handle (from a [`Provider`] or [`PreparedQuery`]) borrows
+/// the provider for as long as it lives, which is what lets the queued task
+/// safely reference the provider and its bound collections from a pool
+/// worker: dropping it without joining blocks until the query finished (the
+/// result is then discarded), mirroring `std::thread::scope`'s completion
+/// guarantee. Even a handle leaked with `mem::forget` cannot outrun the
+/// provider: the provider's own `Drop` waits for every submitted query
+/// before returning.
+///
+/// An *owned* handle (from an [`OwnedProvider`] or [`OwnedPreparedQuery`])
+/// is `'static` and its drop does not block: the in-flight task holds its
+/// own provider clone, finishes in the background, and releases everything
+/// it holds.
+///
+/// # Examples
+///
+/// A handle driven without any async runtime — a ~15-line `block_on` built
+/// on [`std::task::Wake`] and thread parking (the same mini-executor
+/// `examples/async_server.rs` uses to multiplex many of these on one
+/// thread):
+///
+/// ```
+/// # use mrq_common::{DataType, Field, Schema, Value};
+/// # use mrq_core::{Provider, QueryOptions, Strategy};
+/// # use mrq_engine_native::RowStore;
+/// # use mrq_expr::{col, lam, lit, BinaryOp, Expr, Query, SourceId};
+/// # use std::future::Future;
+/// # use std::pin::pin;
+/// # use std::sync::Arc;
+/// # use std::task::{Context, Poll, Wake, Waker};
+/// # struct Unpark(std::thread::Thread);
+/// # impl Wake for Unpark {
+/// #     fn wake(self: Arc<Self>) {
+/// #         self.0.unpark();
+/// #     }
+/// # }
+/// fn block_on<F: Future>(future: F) -> F::Output {
+///     let waker = Waker::from(Arc::new(Unpark(std::thread::current())));
+///     let mut context = Context::from_waker(&waker);
+///     let mut future = pin!(future);
+///     loop {
+///         match future.as_mut().poll(&mut context) {
+///             Poll::Ready(output) => return output,
+///             Poll::Pending => std::thread::park(),
+///         }
+///     }
+/// }
+///
+/// # let schema = Schema::new("N", vec![Field::new("n", DataType::Int64)]);
+/// # let rows: Vec<Vec<Value>> = (0..100).map(|i| vec![Value::Int64(i)]).collect();
+/// # let store = RowStore::from_rows(schema, &rows);
+/// # let mut provider = Provider::new();
+/// # provider.bind_native(SourceId(0), &store);
+/// # let stmt = Query::from_source(SourceId(0))
+/// #     .where_(lam("x", Expr::binary(BinaryOp::Lt, col("x", "n"), lit(10i64))))
+/// #     .select(lam("x", col("x", "n")))
+/// #     .into_expr();
+/// let handle = provider.submit(stmt, Strategy::CompiledNative, QueryOptions::new());
+/// let out = block_on(handle)?;
+/// assert_eq!(out.rows.len(), 10);
+/// # Ok::<(), mrq_core::QueryError>(())
+/// ```
+///
+/// Handles from a prepared plan: the statement compiles once
+/// ([`Provider::prepare`]), then each `submit` binds fresh parameter values
+/// — here the filter cutoff — and skips straight to execution. Every option
+/// (deadline, QoS class, cancellation) works identically to an ad-hoc
+/// submission:
+///
+/// ```
+/// # use mrq_common::{DataType, Field, Schema, Value};
+/// # use mrq_core::{Provider, QueryOptions, Strategy};
+/// # use mrq_engine_native::RowStore;
+/// # use mrq_expr::{col, lam, lit, BinaryOp, Expr, Query, SourceId};
+/// # let schema = Schema::new("N", vec![Field::new("n", DataType::Int64)]);
+/// # let rows: Vec<Vec<Value>> = (0..100).map(|i| vec![Value::Int64(i)]).collect();
+/// # let store = RowStore::from_rows(schema, &rows);
+/// # let mut provider = Provider::new();
+/// # provider.bind_native(SourceId(0), &store);
+/// # let stmt = Query::from_source(SourceId(0))
+/// #     .where_(lam("x", Expr::binary(BinaryOp::Lt, col("x", "n"), lit(10i64))))
+/// #     .select(lam("x", col("x", "n")))
+/// #     .into_expr();
+/// let prepared = provider.prepare(stmt, Strategy::CompiledNative)?;
+/// for cutoff in [10i64, 25, 50] {
+///     let handle = prepared.submit(&[Value::Int64(cutoff)], QueryOptions::new());
+///     assert_eq!(handle.join()?.rows.len(), cutoff as usize);
+/// }
+/// assert_eq!(provider.plan_cache_stats().entries, 1);
+/// # Ok::<(), mrq_core::QueryError>(())
+/// ```
 pub struct QueryHandle<'p> {
     state: Arc<QueryState>,
     token: Arc<CancelToken>,
+    /// `Some` for handles from an `OwnedProvider`: the task keeps its own
+    /// provider clone alive, so dropping the handle is non-blocking; this
+    /// clone only marks the handle as owned. `None` for borrowed handles,
+    /// whose drop must wait for the query.
+    owner: Option<Arc<Provider<'static>>>,
     _provider: PhantomData<&'p ()>,
 }
 
 impl<'p> QueryHandle<'p> {
+    fn new((state, token, _): Submission, owner: Option<Arc<Provider<'static>>>) -> Self {
+        QueryHandle {
+            state,
+            token,
+            owner,
+            _provider: PhantomData,
+        }
+    }
+
     /// True once the query finished (successfully or not). Non-blocking.
     pub fn is_finished(&self) -> bool {
         self.state.is_finished()
@@ -1483,11 +1514,24 @@ impl<'p> QueryHandle<'p> {
     }
 }
 
+impl Future for QueryHandle<'_> {
+    type Output = Result<QueryOutput>;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        self.state.poll_take(cx.waker())
+    }
+}
+
 impl Drop for QueryHandle<'_> {
-    /// Waits for the in-flight query, so abandoning a handle can never leave
-    /// a pool task referencing a dead provider.
+    /// Unregisters the waker; a borrowed handle then waits for the query,
+    /// so abandoning it can never leave a pool task referencing a dead
+    /// provider, while an owned handle returns at once — its task keeps
+    /// its own provider clone alive.
     fn drop(&mut self) {
-        self.state.wait_finished();
+        self.state.clear_waker();
+        if self.owner.is_none() {
+            self.state.wait_finished();
+        }
     }
 }
 
@@ -1924,11 +1968,11 @@ mod tests {
             // Dropping without joining blocks until done; the provider (and
             // heap) must outlive the in-flight query, which this exercises
             // under miri-visible rules by dropping immediately.
-            let _ = provider.submit(
+            drop(provider.submit(
                 statement("London"),
                 Strategy::CompiledCSharp,
                 QueryOptions::default(),
-            );
+            ));
         }
         let stats = provider.stats();
         assert_eq!(stats.cache_misses, 1, "pattern compiled once, then cached");

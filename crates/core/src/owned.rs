@@ -1,13 +1,13 @@
 //! The owned-provider handle: an `Arc`-based `'static` path into the
-//! serving layer, so queries — and especially [`QueryFuture`]s — can escape
-//! the binding scope.
+//! serving layer, so queries — and especially [`QueryHandle`]s polled as
+//! futures — can escape the binding scope.
 //!
-//! A borrowed [`Provider`] pins every handle and future to the stack frame
+//! A borrowed [`Provider`] pins every handle and stream to the stack frame
 //! that owns the bound collections; safe, but a server cannot hand such a
-//! future to another thread, park it in a connection table, or outlive the
+//! handle to another thread, park it in a connection table, or outlive the
 //! scope that built the provider. [`OwnedProvider`] lifts that limit: the
 //! provider and its bindings live behind one [`Arc`], every in-flight task
-//! holds its own clone, and the futures it returns are `'static` — drive
+//! holds its own clone, and the handles it returns are `'static` — drive
 //! them from any thread or mini-executor, drop them early without blocking,
 //! and let the last clone standing tear everything down.
 //!
@@ -19,14 +19,9 @@
 //! the provider. A provider with any non-`'static` borrow simply cannot be
 //! sealed — the escape hatch is compile-time-gated, not runtime-checked.
 
-use crate::future::{QueryFuture, QueryState};
 use crate::stream::QueryStream;
-use crate::{Job, Provider, QueryHandle, QueryOptions, Strategy};
-use mrq_common::cancel::CancelToken;
-use mrq_common::pool::WorkerPool;
-use mrq_common::stream::StreamReceiver;
+use crate::{Job, Provider, QueryHandle, QueryOptions, Strategy, Submission};
 use mrq_expr::Expr;
-use std::marker::PhantomData;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -52,11 +47,11 @@ impl Provider<'static> {
 /// the serving layer.
 ///
 /// Cloning is an `Arc` clone; every clone (and every in-flight
-/// [`OwnedProvider::submit_async`] task) keeps the provider and its bound
+/// [`OwnedProvider::submit`] task) keeps the provider and its bound
 /// collections alive. All of [`Provider`]'s read-side API is available
-/// through `Deref` — [`Provider::execute`], [`Provider::submit`],
-/// [`Provider::stats`], … — and `submit_async` here returns a
-/// `QueryFuture<'static>` instead of a borrowed one.
+/// through `Deref` — [`Provider::execute`], [`Provider::stats`], … — and
+/// `submit` here returns a `QueryHandle<'static>` instead of a borrowed
+/// one.
 ///
 /// Teardown is ordered by construction: the provider's own `Drop` waits for
 /// in-flight submissions, and a task drops its provider clone only *after*
@@ -65,8 +60,8 @@ impl Provider<'static> {
 ///
 /// # Examples
 ///
-/// A future that outlives the scope that built the provider and is driven
-/// from a different thread:
+/// A handle that outlives the scope that built the provider and is joined
+/// on a different thread:
 ///
 /// ```
 /// use mrq_common::{DataType, Field, Schema, Value};
@@ -90,10 +85,10 @@ impl Provider<'static> {
 ///     .where_(lam("x", Expr::binary(BinaryOp::Lt, col("x", "n"), lit(10i64))))
 ///     .select(lam("x", col("x", "n")))
 ///     .into_expr();
-/// let future = provider.submit_async(stmt, Strategy::CompiledNative, QueryOptions::new());
+/// let handle = provider.submit(stmt, Strategy::CompiledNative, QueryOptions::new());
 ///
-/// // `future` is 'static: hand it to another thread and join it there.
-/// let rows = std::thread::spawn(move || future.join())
+/// // `handle` is 'static: hand it to another thread and join it there.
+/// let rows = std::thread::spawn(move || handle.join())
 ///     .join()
 ///     .expect("driver thread")?
 ///     .rows;
@@ -110,42 +105,24 @@ impl OwnedProvider {
     /// [`QueryHandle`] that can escape this scope entirely.
     ///
     /// Same unified signature as [`Provider::submit`] and identical
-    /// semantics, except the spawned task carries its own provider clone —
-    /// so the handle can cross threads and outlive the sealing scope.
-    /// Dropping the handle without joining still blocks until the query
-    /// finished, like every `QueryHandle`.
+    /// semantics — same waker lifecycle, deadline arming at submission, QoS
+    /// class routing, and bit-identical results — with one difference: the
+    /// spawned task carries its own provider clone, so the handle can cross
+    /// threads and outlive the sealing scope, and its `Drop` is
+    /// non-blocking. Dropping an unresolved handle abandons the *result*,
+    /// not the provider: the task finishes (or retires, if cancelled) in
+    /// the background and releases its clone, and `Provider::drop` still
+    /// waits for it before the bindings go away.
     pub fn submit(
         &self,
         expr: Expr,
         strategy: Strategy,
         options: QueryOptions,
     ) -> QueryHandle<'static> {
-        let (state, token) = self.spawn_owned_parts(Job::Statement(expr), strategy, options);
-        QueryHandle {
-            state,
-            token,
-            _provider: PhantomData,
-        }
-    }
-
-    /// Queues a statement on the worker pool and returns a `'static`
-    /// [`QueryFuture`] that can escape this scope entirely.
-    ///
-    /// Semantics match [`Provider::submit_async`] — same waker lifecycle,
-    /// deadline arming at submission, QoS class routing, and bit-identical
-    /// results — with one difference: the spawned task carries its own
-    /// provider clone, so the future's `Drop` is non-blocking. Dropping an
-    /// unresolved future abandons the *result*, not the provider: the task
-    /// finishes (or retires, if cancelled) in the background and releases
-    /// its clone, and `Provider::drop` still waits for it before the
-    /// bindings go away.
-    pub fn submit_async(
-        &self,
-        expr: Expr,
-        strategy: Strategy,
-        options: QueryOptions,
-    ) -> QueryFuture<'static> {
-        self.spawn_owned(Job::Statement(expr), strategy, options)
+        QueryHandle::new(
+            self.spawn(Job::Statement(expr), strategy, options, false),
+            self.owner(),
+        )
     }
 
     /// Queues a statement and returns a `'static` [`QueryStream`] of
@@ -161,105 +138,32 @@ impl OwnedProvider {
         strategy: Strategy,
         options: QueryOptions,
     ) -> QueryStream<'static> {
-        let (state, token, receiver) =
-            self.spawn_streamed_owned(Job::Statement(expr), strategy, options);
-        QueryStream::new(state, token, receiver, Some(Arc::clone(&self.inner)))
+        QueryStream::new(
+            self.spawn(Job::Statement(expr), strategy, options, true),
+            self.owner(),
+        )
     }
 
-    /// The owned spawn path shared by [`OwnedProvider::submit_async`] and
-    /// [`crate::OwnedPreparedQuery::submit_async`]: the spawned task carries
-    /// its own provider clone, so the returned future is `'static` and its
-    /// `Drop` is non-blocking.
-    pub(crate) fn spawn_owned(
+    /// [`Provider::spawn`] with a provider clone as the task's keep-alive.
+    pub(crate) fn spawn(
         &self,
         job: Job,
         strategy: Strategy,
         options: QueryOptions,
-    ) -> QueryFuture<'static> {
-        let (state, token) = self.spawn_owned_parts(job, strategy, options);
-        QueryFuture::new(state, token, Some(Arc::clone(&self.inner)))
+        streamed: bool,
+    ) -> Submission {
+        Provider::spawn(Arc::clone(&self.inner), job, strategy, options, streamed)
     }
 
-    /// The owned spawn machinery behind [`OwnedProvider::submit`] and
-    /// [`OwnedProvider::spawn_owned`]: latch + token, with the task keeping
-    /// its own provider clone alive.
-    pub(crate) fn spawn_owned_parts(
-        &self,
-        job: Job,
-        strategy: Strategy,
-        options: QueryOptions,
-    ) -> (Arc<QueryState>, Arc<CancelToken>) {
-        // Admission first, like the borrowed path: a shed submission
-        // spawns no task and compiles nothing — the latch is already
-        // resolved to `Overloaded`.
-        if let Err(error) = self.inner.admit_submission(&options) {
-            return Provider::shed(error);
-        }
-        let (token, control) = Provider::arm(&options);
-        let state = QueryState::new();
-        let completion = Arc::clone(&state);
-        let provider = Arc::clone(&self.inner);
-        provider.in_flight_guard().increment();
-        let task: Box<dyn FnOnce() + Send + 'static> = Box::new(move || {
-            let result = provider.run_submitted(&control, job, strategy, None);
-            completion.complete(result);
-            provider.release_submission();
-            // Decrement before `provider` (this closure's own keep-alive
-            // clone) drops at the end of the body: if this is the last
-            // clone, `Provider::drop` then observes zero in-flight and
-            // returns instead of waiting on itself.
-            provider.in_flight_guard().decrement();
-        });
-        WorkerPool::global().spawn_as(options.class, task);
-        (state, token)
-    }
-
-    /// The owned streaming spawn path shared by
-    /// [`OwnedProvider::submit_stream`] and
-    /// [`crate::OwnedPreparedQuery::submit_stream`]: like
-    /// [`OwnedProvider::spawn_owned_parts`] but the task runs inside a
-    /// stream scope wired to a bounded channel.
-    pub(crate) fn spawn_streamed_owned(
-        &self,
-        job: Job,
-        strategy: Strategy,
-        options: QueryOptions,
-    ) -> (Arc<QueryState>, Arc<CancelToken>, StreamReceiver) {
-        if let Err(error) = self.inner.admit_submission(&options) {
-            let (state, token) = Provider::shed(error.clone());
-            let (sink, receiver) = mrq_common::stream::channel(1, Arc::clone(&token));
-            sink.close(Some(error));
-            return (state, token, receiver);
-        }
-        let (token, control) = Provider::arm(&options);
-        let (sink, receiver) =
-            mrq_common::stream::channel(options.stream_batch_rows, Arc::clone(&token));
-        let state = QueryState::new();
-        let completion = Arc::clone(&state);
-        let provider = Arc::clone(&self.inner);
-        provider.in_flight_guard().increment();
-        let task: Box<dyn FnOnce() + Send + 'static> = Box::new(move || {
-            let result = provider.run_submitted(&control, job, strategy, Some(&sink));
-            let result = provider.finish_stream(&sink, result);
-            completion.complete(result);
-            provider.release_submission();
-            // Same decrement-before-clone-drop ordering as
-            // `spawn_owned_parts`.
-            provider.in_flight_guard().decrement();
-        });
-        WorkerPool::global().spawn_as(options.class, task);
-        (state, token, receiver)
+    /// The marker an owned handle or stream stores to make its drop
+    /// non-blocking.
+    pub(crate) fn owner(&self) -> Option<Arc<Provider<'static>>> {
+        Some(Arc::clone(&self.inner))
     }
 
     /// The sealed provider itself (also reachable through `Deref`).
     pub fn provider(&self) -> &Provider<'static> {
         &self.inner
-    }
-
-    /// A clone of the keep-alive `Arc` — what an owned stream or future
-    /// stores to mark itself non-blocking on drop.
-    pub(crate) fn shared_arc(&self) -> Arc<Provider<'static>> {
-        Arc::clone(&self.inner)
     }
 }
 
@@ -272,16 +176,13 @@ impl Deref for OwnedProvider {
 }
 
 /// The owned serving path must stay fully thread-mobile: handles clone and
-/// cross threads, and the futures they mint are `'static` and `Send`. This
-/// fails to compile if any field regresses.
+/// cross threads, and the handles they mint are `'static`, `Send` and
+/// `Unpin`. This fails to compile if any field regresses.
 #[allow(dead_code)]
 fn _assert_owned_provider_is_send_sync() {
     fn assert_both<T: Send + Sync>() {}
     assert_both::<OwnedProvider>();
-    fn assert_send<T: Send>() {}
-    assert_send::<QueryFuture<'static>>();
-    assert_send::<QueryStream<'static>>();
-    fn assert_unpin<T: Unpin>() {}
-    assert_unpin::<QueryFuture<'static>>();
-    assert_unpin::<QueryStream<'static>>();
+    fn assert_send_unpin<T: Send + Unpin>() {}
+    assert_send_unpin::<QueryHandle<'static>>();
+    assert_send_unpin::<QueryStream<'static>>();
 }

@@ -16,20 +16,19 @@
 //!   `MRQ_PLAN_CACHE_SHARDS` / `MRQ_PLAN_CACHE_CAP`);
 //! * the returned [`PreparedQuery`] executes the plan with caller-supplied
 //!   bindings — blocking ([`PreparedQuery::execute`]), queued on the worker
-//!   pool ([`PreparedQuery::submit`]), as a waker-driven future
-//!   ([`PreparedQuery::submit_async`]) or as an incremental batch stream
-//!   ([`PreparedQuery::submit_stream`]) — under exactly the same
+//!   pool as a handle to join, poll or cancel ([`PreparedQuery::submit`]),
+//!   or as an incremental batch stream ([`PreparedQuery::submit_stream`])
+//!   — under exactly the same
 //!   [`QueryOptions`] lifecycle (cancel, deadline, QoS class) as ad-hoc
 //!   submission;
 //! * [`OwnedProvider::prepare`] is the `'static` counterpart for sealed
-//!   providers: its [`OwnedPreparedQuery`] mints futures that escape the
+//!   providers: its [`OwnedPreparedQuery`] mints handles that escape the
 //!   binding scope.
 //!
 //! Prepared execution is bit-identical to ad-hoc execution of the same
 //! statement — the equivalence suite in `tests/prepared_equivalence.rs`
 //! asserts this for every strategy × scheduler shape.
 
-use crate::future::QueryFuture;
 use crate::stream::QueryStream;
 use crate::{
     CompiledQuery, Job, OwnedProvider, Provider, ProviderCatalog, QueryHandle, QueryOptions,
@@ -43,7 +42,6 @@ use mrq_common::{MrqError, Result, Schema, Value};
 use mrq_expr::optimize::optimize;
 use mrq_expr::{canonicalize, Expr};
 use std::hash::{Hash, Hasher};
-use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -184,11 +182,60 @@ impl<'a> Provider<'a> {
         };
         Ok(PreparedQuery {
             provider: self,
-            plan,
-            strategy,
-            shape_hash: canonical.shape_hash,
-            defaults: canonical.params,
+            plan: PreparedPlan {
+                compiled: plan,
+                strategy,
+                shape_hash: canonical.shape_hash,
+                defaults: canonical.params,
+            },
         })
+    }
+}
+
+/// What a prepared statement carries, borrowed or owned: the shared plan,
+/// the strategy it was prepared for, its canonical shape, and the literal
+/// values captured at prepare time.
+#[derive(Clone)]
+struct PreparedPlan {
+    compiled: Arc<CompiledQuery>,
+    strategy: Strategy,
+    shape_hash: u64,
+    defaults: Vec<Value>,
+}
+
+impl PreparedPlan {
+    /// The parameter vector one execution uses: the caller's bindings, or
+    /// the prepare-time defaults when `bindings` is empty. Arity is
+    /// enforced downstream by [`QuerySpec::check_params`] so a submitted
+    /// under-binding resolves its handle to an error instead of panicking a
+    /// pool worker.
+    fn params_for(&self, bindings: &[Value]) -> Vec<Value> {
+        if bindings.is_empty() {
+            &self.defaults
+        } else {
+            bindings
+        }
+        .to_vec()
+    }
+
+    /// The job one submission carries: the shared plan plus its parameters.
+    fn job(&self, bindings: &[Value]) -> Job {
+        Job::Prepared {
+            shape_hash: self.shape_hash,
+            plan: Arc::clone(&self.compiled),
+            params: self.params_for(bindings),
+        }
+    }
+
+    /// One execution on the calling thread, through `provider`'s result
+    /// recycling.
+    fn execute(&self, provider: &Provider<'_>, bindings: &[Value]) -> Result<QueryOutput> {
+        provider.execute_plan(
+            self.shape_hash,
+            &self.compiled.spec,
+            &self.params_for(bindings),
+            self.strategy,
+        )
     }
 }
 
@@ -202,21 +249,18 @@ impl<'a> Provider<'a> {
 /// plan reads is an error, not a panic — every engine checks arity before
 /// touching a slot.
 ///
-/// All four front ends accept bindings:
+/// All three front ends accept bindings:
 /// [`execute`](PreparedQuery::execute) runs on the calling thread;
 /// [`submit`](PreparedQuery::submit) queues on the worker pool and returns
-/// a [`QueryHandle`]; [`submit_async`](PreparedQuery::submit_async) returns
-/// a [`QueryFuture`]; [`submit_stream`](PreparedQuery::submit_stream)
-/// returns a [`QueryStream`] of in-order row batches. The submitted paths
-/// skip compilation on the worker — the plan rides along — but are
-/// otherwise identical to ad-hoc submission, including [`QueryOptions`]
-/// deadlines, cancellation and QoS classes.
+/// a [`QueryHandle`] to join, poll or cancel;
+/// [`submit_stream`](PreparedQuery::submit_stream) returns a
+/// [`QueryStream`] of in-order row batches. The submitted paths skip
+/// compilation on the worker — the plan rides along — but are otherwise
+/// identical to ad-hoc submission, including [`QueryOptions`] deadlines,
+/// cancellation and QoS classes.
 pub struct PreparedQuery<'p, 'a> {
     provider: &'p Provider<'a>,
-    plan: Arc<CompiledQuery>,
-    strategy: Strategy,
-    shape_hash: u64,
-    defaults: Vec<Value>,
+    plan: PreparedPlan,
 }
 
 impl<'p, 'a> PreparedQuery<'p, 'a> {
@@ -224,50 +268,29 @@ impl<'p, 'a> PreparedQuery<'p, 'a> {
     /// supply at least this many values (an empty slice means "use the
     /// defaults").
     pub fn param_slots(&self) -> usize {
-        self.plan.spec.param_slots
+        self.plan.compiled.spec.param_slots
     }
 
     /// The literal values captured at prepare time, in slot order — what an
     /// empty bindings slice executes with.
     pub fn defaults(&self) -> &[Value] {
-        &self.defaults
+        &self.plan.defaults
     }
 
     /// The strategy the plan was prepared for.
     pub fn strategy(&self) -> Strategy {
-        self.strategy
+        self.plan.strategy
     }
 
     /// The lowered plan (shared with the cache; eviction never invalidates
     /// it).
     pub fn spec(&self) -> &QuerySpec {
-        &self.plan.spec
+        &self.plan.compiled.spec
     }
 
     /// The full compiled artefact, including the generated sources.
     pub fn compiled(&self) -> &CompiledQuery {
-        &self.plan
-    }
-
-    /// The parameter vector one execution uses: the caller's bindings, or
-    /// the prepare-time defaults when `bindings` is empty. Arity is
-    /// enforced downstream by [`QuerySpec::check_params`] so a submitted
-    /// under-binding resolves its handle to an error instead of panicking a
-    /// pool worker.
-    fn params_for(&self, bindings: &[Value]) -> Vec<Value> {
-        if bindings.is_empty() {
-            self.defaults.clone()
-        } else {
-            bindings.to_vec()
-        }
-    }
-
-    fn job(&self, bindings: &[Value]) -> Job {
-        Job::Prepared {
-            shape_hash: self.shape_hash,
-            plan: Arc::clone(&self.plan),
-            params: self.params_for(bindings),
-        }
+        &self.plan.compiled
     }
 
     /// Executes the prepared plan with the given bindings on the calling
@@ -276,39 +299,21 @@ impl<'p, 'a> PreparedQuery<'p, 'a> {
     /// (when enabled) applies with the bound parameter values as part of
     /// the key.
     pub fn execute(&self, bindings: &[Value]) -> Result<QueryOutput> {
-        self.provider.execute_plan(
-            self.shape_hash,
-            &self.plan.spec,
-            &self.params_for(bindings),
-            self.strategy,
-        )
+        self.plan.execute(self.provider, bindings)
     }
 
     /// Queues one execution with the given bindings on the worker pool and
     /// returns immediately with a [`QueryHandle`] — identical semantics to
     /// [`Provider::submit`] (deadline armed at submission, QoS class
-    /// routing), minus the compilation (the plan rides along with the
-    /// task). Pass `QueryOptions::default()` for no lifecycle controls.
+    /// routing, waker-driven polling), minus the compilation (the plan
+    /// rides along with the task). Pass `QueryOptions::default()` for no
+    /// lifecycle controls.
     pub fn submit(&self, bindings: &[Value], options: QueryOptions) -> QueryHandle<'p> {
-        let (state, token) =
-            self.provider
-                .spawn_submitted(self.job(bindings), self.strategy, options);
-        QueryHandle {
-            state,
-            token,
-            _provider: PhantomData,
-        }
-    }
-
-    /// Queues one execution with the given bindings and returns a
-    /// waker-driven [`QueryFuture`] — the async counterpart of
-    /// [`PreparedQuery::submit`], matching [`Provider::submit_async`]'s
-    /// lifecycle exactly.
-    pub fn submit_async(&self, bindings: &[Value], options: QueryOptions) -> QueryFuture<'p> {
-        let (state, token) =
-            self.provider
-                .spawn_submitted(self.job(bindings), self.strategy, options);
-        QueryFuture::new(state, token, None)
+        let job = self.plan.job(bindings);
+        QueryHandle::new(
+            Provider::spawn(self.provider, job, self.plan.strategy, options, false),
+            None,
+        )
     }
 
     /// Queues one execution with the given bindings and returns a
@@ -318,29 +323,23 @@ impl<'p, 'a> PreparedQuery<'p, 'a> {
     /// streamed execution bypasses result recycling (its rows leave through
     /// the channel, so there is no complete output to cache or recycle).
     pub fn submit_stream(&self, bindings: &[Value], options: QueryOptions) -> QueryStream<'p> {
-        let (state, token, receiver) =
-            self.provider
-                .spawn_streamed(self.job(bindings), self.strategy, options);
-        QueryStream::new(state, token, receiver, None)
+        let job = self.plan.job(bindings);
+        QueryStream::new(
+            Provider::spawn(self.provider, job, self.plan.strategy, options, true),
+            None,
+        )
     }
 }
 
 impl OwnedProvider {
     /// The `'static` counterpart of [`Provider::prepare`]: compiles through
     /// the sealed provider's [`PlanCache`] and returns an
-    /// [`OwnedPreparedQuery`] whose futures escape the binding scope (and
+    /// [`OwnedPreparedQuery`] whose handles escape the binding scope (and
     /// whose tasks each keep the provider alive with their own clone).
     pub fn prepare(&self, expr: Expr, strategy: Strategy) -> Result<OwnedPreparedQuery> {
-        let prepared = self.provider().prepare(expr, strategy)?;
-        let plan = Arc::clone(&prepared.plan);
-        let shape_hash = prepared.shape_hash;
-        let defaults = prepared.defaults.clone();
         Ok(OwnedPreparedQuery {
             provider: self.clone(),
-            plan,
-            strategy,
-            shape_hash,
-            defaults,
+            plan: self.provider().prepare(expr, strategy)?.plan,
         })
     }
 }
@@ -354,81 +353,40 @@ impl OwnedProvider {
 #[derive(Clone)]
 pub struct OwnedPreparedQuery {
     provider: OwnedProvider,
-    plan: Arc<CompiledQuery>,
-    strategy: Strategy,
-    shape_hash: u64,
-    defaults: Vec<Value>,
+    plan: PreparedPlan,
 }
 
 impl OwnedPreparedQuery {
     /// Number of parameter slots the plan reads.
     pub fn param_slots(&self) -> usize {
-        self.plan.spec.param_slots
+        self.plan.compiled.spec.param_slots
     }
 
     /// The literal values captured at prepare time, in slot order.
     pub fn defaults(&self) -> &[Value] {
-        &self.defaults
+        &self.plan.defaults
     }
 
     /// The strategy the plan was prepared for.
     pub fn strategy(&self) -> Strategy {
-        self.strategy
-    }
-
-    /// The job one submission carries: the shared plan plus the caller's
-    /// bindings (or the prepare-time defaults for an empty slice).
-    fn job(&self, bindings: &[Value]) -> Job {
-        let params = if bindings.is_empty() {
-            self.defaults.clone()
-        } else {
-            bindings.to_vec()
-        };
-        Job::Prepared {
-            shape_hash: self.shape_hash,
-            plan: Arc::clone(&self.plan),
-            params,
-        }
+        self.plan.strategy
     }
 
     /// Executes the prepared plan with the given bindings on the calling
     /// thread.
     pub fn execute(&self, bindings: &[Value]) -> Result<QueryOutput> {
-        let params = if bindings.is_empty() {
-            self.defaults.clone()
-        } else {
-            bindings.to_vec()
-        };
-        self.provider.provider().execute_plan(
-            self.shape_hash,
-            &self.plan.spec,
-            &params,
-            self.strategy,
-        )
+        self.plan.execute(&self.provider, bindings)
     }
 
     /// Queues one execution with the given bindings and returns a `'static`
     /// [`QueryHandle`] — the prepared counterpart of
     /// [`OwnedProvider::submit`], with the same unified
-    /// `(bindings, options)` signature as [`PreparedQuery::submit`].
+    /// `(bindings, options)` signature as [`PreparedQuery::submit`] and the
+    /// same non-blocking drop.
     pub fn submit(&self, bindings: &[Value], options: QueryOptions) -> QueryHandle<'static> {
-        let (state, token) =
-            self.provider
-                .spawn_owned_parts(self.job(bindings), self.strategy, options);
-        QueryHandle {
-            state,
-            token,
-            _provider: PhantomData,
-        }
-    }
-
-    /// Queues one execution with the given bindings and returns a `'static`
-    /// [`QueryFuture`] that can escape this scope entirely — the prepared
-    /// counterpart of [`OwnedProvider::submit_async`], with the same
-    /// non-blocking-drop semantics.
-    pub fn submit_async(&self, bindings: &[Value], options: QueryOptions) -> QueryFuture<'static> {
-        self.provider
-            .spawn_owned(self.job(bindings), self.strategy, options)
+        let job = self.plan.job(bindings);
+        let submission = self.provider.spawn(job, self.plan.strategy, options, false);
+        QueryHandle::new(submission, self.provider.owner())
     }
 
     /// Queues one execution with the given bindings and returns a `'static`
@@ -437,9 +395,8 @@ impl OwnedPreparedQuery {
     /// query without blocking, because the task keeps its own provider
     /// clone alive.
     pub fn submit_stream(&self, bindings: &[Value], options: QueryOptions) -> QueryStream<'static> {
-        let (state, token, receiver) =
-            self.provider
-                .spawn_streamed_owned(self.job(bindings), self.strategy, options);
-        QueryStream::new(state, token, receiver, Some(self.provider.shared_arc()))
+        let job = self.plan.job(bindings);
+        let submission = self.provider.spawn(job, self.plan.strategy, options, true);
+        QueryStream::new(submission, self.provider.owner())
     }
 }

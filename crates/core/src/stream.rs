@@ -20,6 +20,7 @@
 //! checkpoint interval of work.
 
 use crate::future::QueryState;
+use crate::Submission;
 use mrq_common::cancel::CancelToken;
 use mrq_common::stream::{RowBatch, StreamReceiver};
 use mrq_common::Result;
@@ -40,7 +41,7 @@ use std::task::{Context, Poll};
 /// * **Blocking, one batch at a time** — [`QueryStream::next_batch`].
 /// * **Async** — [`QueryStream::poll_next_batch`] registers the caller's
 ///   waker on the channel (same waker-slot design as
-///   [`QueryFuture`](crate::QueryFuture)) and wakes it when the next batch
+///   [`QueryHandle`](crate::QueryHandle)) and wakes it when the next batch
 ///   is published, the query fails, or the stream ends.
 ///
 /// Batch boundaries are deterministic: rows are re-chunked into
@@ -83,13 +84,11 @@ pub struct QueryStream<'p> {
 
 impl<'p> QueryStream<'p> {
     pub(crate) fn new(
-        state: Arc<QueryState>,
-        token: Arc<CancelToken>,
-        receiver: StreamReceiver,
+        (state, token, receiver): Submission,
         owner: Option<Arc<crate::Provider<'static>>>,
     ) -> QueryStream<'p> {
         QueryStream {
-            receiver: Some(receiver),
+            receiver,
             state,
             token,
             owner,

@@ -6,9 +6,9 @@
 //!
 //! The reader thread owns the request side: it parses frames, submits
 //! queries through the [`OwnedProvider`] (admission control runs inside
-//! `submit_async` / `submit_stream`, so shed requests are answered with an
+//! `submit` / `submit_stream`, so shed requests are answered with an
 //! `Overloaded` error frame without ever reaching the worker pool), and
-//! hands the resulting `'static` futures and streams to a
+//! hands the resulting `'static` handles and streams to a
 //! [`Multiplexer`] as poll closures. The
 //! driver thread runs the multiplexer: it parks until an engine waker fires
 //! and then writes `Rows` / `Batch` / `End` / `Error` frames. Both threads
@@ -28,7 +28,7 @@
 use crate::frame::{read_frame, write_frame, Request, Response, MAGIC, VERSION};
 use mrq_common::executor::{Multiplexer, MuxHandle};
 use mrq_common::MrqError;
-use mrq_core::{OwnedPreparedQuery, OwnedProvider, QueryStream};
+use mrq_core::{OwnedPreparedQuery, OwnedProvider, QueryHandle, QueryStream};
 use std::collections::HashMap;
 use std::future::Future;
 use std::io;
@@ -271,8 +271,8 @@ fn read_requests(
                     let stream = shared.provider.submit_stream(expr, strategy, options);
                     spawn_stream_task(handle, writer, id, stream);
                 } else {
-                    let future = shared.provider.submit_async(expr, strategy, options);
-                    spawn_unary_task(handle, writer, id, future);
+                    let query = shared.provider.submit(expr, strategy, options);
+                    spawn_unary_task(handle, writer, id, query);
                 }
             }
             Request::Prepare { id, strategy, expr } => {
@@ -306,8 +306,8 @@ fn read_requests(
                         let stream = prepared.submit_stream(&bindings, options);
                         spawn_stream_task(handle, writer, id, stream);
                     } else {
-                        let future = prepared.submit_async(&bindings, options);
-                        spawn_unary_task(handle, writer, id, future);
+                        let query = prepared.submit(&bindings, options);
+                        spawn_unary_task(handle, writer, id, query);
                     }
                 }
                 None => {
@@ -331,18 +331,18 @@ fn read_requests(
     }
 }
 
-/// Injects a poll task for a unary query: resolve the future, write one
+/// Injects a poll task for a unary query: resolve the handle, write one
 /// `Rows` (or `Error`) frame, done.
 fn spawn_unary_task(
     handle: &MuxHandle,
     writer: &Arc<Mutex<TcpStream>>,
     id: u64,
-    future: mrq_core::QueryFuture<'static>,
+    query: QueryHandle<'static>,
 ) {
     let writer = Arc::clone(writer);
-    let mut future = Some(future);
+    let mut query = Some(query);
     handle.spawn(Box::new(move |cx| {
-        let Some(inner) = future.as_mut() else {
+        let Some(inner) = query.as_mut() else {
             return Poll::Ready(());
         };
         match Pin::new(inner).poll(cx) {
@@ -357,7 +357,7 @@ fn spawn_unary_task(
                     Err(error) => Response::Error { id, error },
                 };
                 let _ = send(&writer, &reply);
-                future = None;
+                query = None;
                 Poll::Ready(())
             }
         }

@@ -1,5 +1,5 @@
 //! Async query serving: one driver thread multiplexing many in-flight
-//! `QueryFuture`s over the persistent worker pool.
+//! `QueryHandle`s, polled as futures, over the persistent worker pool.
 //!
 //! This is the full async stack end to end, with **zero dependencies
 //! beyond std**:
@@ -7,9 +7,9 @@
 //! 1. an `OwnedProvider` is built in an inner scope over `Arc`-shared row
 //!    stores and escapes it — the binding scope ends, the provider lives on;
 //! 2. N interleaved clients submit their statements with
-//!    `OwnedProvider::submit_async`, mixing QoS classes (Interactive
+//!    `OwnedProvider::submit`, mixing QoS classes (Interactive
 //!    probes, Batch analytics, a Maintenance sweep), a deadline, a
-//!    mid-flight cancel, and one future that is dropped unresolved;
+//!    mid-flight cancel, and one handle that is dropped unresolved;
 //! 3. the shared mini-executor ([`mrq_common::executor`]: `block_on` plus
 //!    the ready-queue multiplexer `drive_all`, both built on
 //!    [`std::task::Wake`]) drives all of them on **one** driver thread:
@@ -22,7 +22,7 @@
 //!    `Provider::execute` of the same statement;
 //! 5. a **prepared** Q1 (`OwnedProvider::prepare`, one plan in the sharded
 //!    plan cache) serves a sweep of shipdate cutoffs by re-binding the
-//!    cached plan per request — each future again bit-identical to the
+//!    cached plan per request — each handle again bit-identical to the
 //!    ad-hoc execution of the same statement;
 //! 6. the same provider serves a **streamed** scan through
 //!    `OwnedProvider::submit_stream`: batches are consumed asynchronously
@@ -32,7 +32,7 @@
 //!    second stream dropped mid-way cancels its query without blocking;
 //! 7. a second, admission-*bounded* provider takes a burst past its
 //!    `max_in_flight`: Maintenance sheds first, then Batch, Interactive
-//!    keeps its reserve — shed futures resolve immediately to
+//!    keeps its reserve — shed handles resolve immediately to
 //!    `Overloaded` without compiling anything, and every admitted query
 //!    still completes bit-identically (a `hold` fault at the dispatch
 //!    boundary makes the burst deterministic).
@@ -45,7 +45,7 @@ use mrq_common::executor::{block_on, drive_all};
 use mrq_common::fault::{self, FaultAction};
 use mrq_common::Value;
 use mrq_core::{
-    AdmissionConfig, OwnedProvider, ParallelConfig, Provider, QueryError, QueryFuture,
+    AdmissionConfig, OwnedProvider, ParallelConfig, Provider, QueryError, QueryHandle,
     QueryOptions, Strategy,
 };
 use mrq_engine_native::RowStore;
@@ -102,7 +102,7 @@ fn main() {
 
     // The binding scope: a provider bound over the shared stores, sealed
     // into an OwnedProvider. Only the Arcs escape — the borrow checker
-    // verifies nothing else does, which is exactly what makes the futures
+    // verifies nothing else does, which is exactly what makes the handles
     // below 'static.
     let provider: OwnedProvider = {
         let mut provider = Provider::new();
@@ -126,14 +126,11 @@ fn main() {
         })
         .collect();
 
-    // Warm-up: one future through the minimal block_on executor.
+    // Warm-up: one handle through the minimal block_on executor.
     let (name, stmt) = &workloads[0];
-    let out = block_on(provider.submit_async(
-        stmt.clone(),
-        Strategy::CompiledNative,
-        QueryOptions::new(),
-    ))
-    .expect("warm-up query");
+    let out =
+        block_on(provider.submit(stmt.clone(), Strategy::CompiledNative, QueryOptions::new()))
+            .expect("warm-up query");
     assert_eq!(&out, &references[0]);
     println!("block_on warm-up: {name} -> {} rows ✓\n", out.rows.len());
 
@@ -143,7 +140,7 @@ fn main() {
     println!("multiplexing {clients} clients on one driver thread:");
     let wall = Instant::now();
     let mut expected = Vec::with_capacity(clients);
-    let futures: Vec<QueryFuture<'static>> = (0..clients)
+    let futures: Vec<QueryHandle<'static>> = (0..clients)
         .map(|client| {
             let (_, stmt) = &workloads[client % workloads.len()];
             expected.push(client % workloads.len());
@@ -152,7 +149,7 @@ fn main() {
                 2 => QueryOptions::batch(),
                 _ => QueryOptions::new(),
             };
-            provider.submit_async(stmt.clone(), Strategy::CompiledNative, options)
+            provider.submit(stmt.clone(), Strategy::CompiledNative, options)
         })
         .collect();
     assert!(
@@ -178,18 +175,18 @@ fn main() {
 
     // Prepared-query serving: compile Q1 once into the sharded plan cache,
     // then serve each request by binding a fresh shipdate cutoff into the
-    // cached plan. The futures behave exactly like ad-hoc ones — minus the
+    // cached plan. The handles behave exactly like ad-hoc ones — minus the
     // per-request optimize/lower/emit pipeline.
     println!("prepared-query serving:");
     let prepared = provider
         .prepare(workloads[0].1.clone(), Strategy::CompiledNative)
         .expect("prepare Q1");
     let selectivities = [0.25, 0.5, 0.75];
-    let prepared_futures: Vec<QueryFuture<'static>> = selectivities
+    let prepared_futures: Vec<QueryHandle<'static>> = selectivities
         .iter()
         .map(|s| {
             let stmt = queries::q1_with_cutoff(data.shipdate_for_selectivity(*s));
-            prepared.submit_async(&bindings_for(stmt), QueryOptions::new())
+            prepared.submit(&bindings_for(stmt), QueryOptions::new())
         })
         .collect();
     let (prepared_results, _) = drive_all(prepared_futures);
@@ -292,10 +289,10 @@ fn main() {
         .chain((0..3).map(|_| ("batch", QueryOptions::batch())))
         .chain((0..2).map(|_| ("interactive", QueryOptions::new())))
         .collect();
-    let burst_futures: Vec<QueryFuture<'static>> = burst
+    let burst_futures: Vec<QueryHandle<'static>> = burst
         .iter()
         .map(|(_, options)| {
-            bounded.submit_async(workloads[0].1.clone(), Strategy::CompiledNative, *options)
+            bounded.submit(workloads[0].1.clone(), Strategy::CompiledNative, *options)
         })
         .collect();
     let admission = bounded.admission_stats();
@@ -338,7 +335,7 @@ fn main() {
     println!("lifecycle through futures:");
 
     // A zero budget resolves to DeadlineExceeded without executing.
-    let doomed = provider.submit_async(
+    let doomed = provider.submit(
         workloads[0].1.clone(),
         Strategy::CompiledNative,
         QueryOptions::new().with_deadline(Duration::ZERO),
@@ -348,8 +345,8 @@ fn main() {
         block_on(doomed).unwrap_err()
     );
 
-    // Cancellation wakes the future's waker within ~4096 rows.
-    let victim = provider.submit_async(
+    // Cancellation wakes the handle's waker within ~4096 rows.
+    let victim = provider.submit(
         workloads[0].1.clone(),
         Strategy::CompiledNative,
         QueryOptions::new(),
@@ -360,9 +357,9 @@ fn main() {
         Ok(_) => println!("  cancelled future     -> completed before the cancel landed"),
     }
 
-    // Dropping an unresolved owned future is non-blocking: the task holds
+    // Dropping an unresolved owned handle is non-blocking: the task holds
     // its own provider clone and finishes in the background.
-    let dropped = provider.submit_async(
+    let dropped = provider.submit(
         workloads[1].1.clone(),
         Strategy::CompiledNative,
         QueryOptions::batch(),

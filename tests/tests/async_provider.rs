@@ -1,26 +1,26 @@
-//! The async serving front end through the public API:
-//! `Provider::submit_async` / `OwnedProvider::submit_async` /
-//! `QueryFuture`.
+//! The async serving front end through the public API: the `QueryHandle`
+//! that `Provider::submit` / `OwnedProvider::submit` return, polled as a
+//! future.
 //!
 //! The contract under test:
-//! * a future resolves **bit-identical** to `Provider::execute` of the same
+//! * a handle resolves **bit-identical** to `Provider::execute` of the same
 //!   statement and strategy, borrowed or owned, at any thread count and
 //!   with stealing on or off;
-//! * the waker registered by `poll` is woken after a cancel — the future
+//! * the waker registered by `poll` is woken after a cancel — the handle
 //!   resolves to `QueryError::Cancelled` without anyone blocking on it;
-//! * a future whose deadline already lapsed resolves to
+//! * a handle whose deadline already lapsed resolves to
 //!   `QueryError::DeadlineExceeded` without compiling or executing
 //!   anything;
-//! * dropping an unresolved owned future neither leaks its Arcs nor
+//! * dropping an unresolved owned handle neither leaks its Arcs nor
 //!   deadlocks `Provider::drop` — the in-flight task finishes in the
 //!   background and every shared binding refcount returns to 1;
-//! * many futures multiplex on **one** driver thread (a dependency-free
+//! * many handles multiplex on **one** driver thread (a dependency-free
 //!   ready-queue executor), interleaved across QoS classes, with stealing
 //!   on and off.
 
 use mrq_codegen::exec::QueryOutput;
 use mrq_common::{DataType, Field, Schema, Value};
-use mrq_core::{ParallelConfig, Provider, QueryError, QueryFuture, QueryOptions, Strategy};
+use mrq_core::{ParallelConfig, Provider, QueryError, QueryHandle, QueryOptions, Strategy};
 use mrq_engine_native::RowStore;
 use mrq_expr::{col, lam, lit, BinaryOp, Expr, Query, SourceId};
 use std::collections::VecDeque;
@@ -71,7 +71,7 @@ impl Wake for FlagWaker {
 
 /// The ready-queue multiplexer from `examples/async_server.rs`, condensed:
 /// drives every future on the calling thread, polling only woken tasks.
-fn drive_all<'p>(futures: Vec<QueryFuture<'p>>) -> Vec<Result<QueryOutput, QueryError>> {
+fn drive_all<'p>(futures: Vec<QueryHandle<'p>>) -> Vec<Result<QueryOutput, QueryError>> {
     struct Reactor {
         ready: Mutex<VecDeque<usize>>,
         driver: std::thread::Thread,
@@ -90,7 +90,7 @@ fn drive_all<'p>(futures: Vec<QueryFuture<'p>>) -> Vec<Result<QueryOutput, Query
         ready: Mutex::new((0..futures.len()).collect()),
         driver: std::thread::current(),
     });
-    let mut slots: Vec<Option<QueryFuture<'p>>> = futures.into_iter().map(Some).collect();
+    let mut slots: Vec<Option<QueryHandle<'p>>> = futures.into_iter().map(Some).collect();
     let mut results: Vec<Option<Result<QueryOutput, QueryError>>> =
         (0..slots.len()).map(|_| None).collect();
     let wakers: Vec<Waker> = (0..slots.len())
@@ -215,7 +215,7 @@ fn borrowed_futures_resolve_bit_identical_to_execute() {
             let reference = provider
                 .execute(stmt.clone(), Strategy::CompiledNative)
                 .unwrap();
-            let future = provider.submit_async(stmt, Strategy::CompiledNative, QueryOptions::new());
+            let future = provider.submit(stmt, Strategy::CompiledNative, QueryOptions::new());
             let out = block_on(future).unwrap();
             assert_eq!(
                 out, reference,
@@ -241,9 +241,9 @@ fn owned_futures_escape_the_binding_scope_and_cross_threads() {
     };
     // Futures minted here are 'static: collect them, ship them to another
     // thread, drive them there.
-    let futures: Vec<QueryFuture<'static>> = (0..4)
+    let futures: Vec<QueryHandle<'static>> = (0..4)
         .map(|_| {
-            provider.submit_async(
+            provider.submit(
                 grouped_scan(),
                 Strategy::CompiledNative,
                 QueryOptions::new(),
@@ -268,7 +268,7 @@ fn a_cancelled_future_wakes_its_registered_waker() {
         min_rows_per_thread: 256,
         ..ParallelConfig::default()
     });
-    let mut future = provider.submit_async(
+    let mut future = provider.submit(
         grouped_scan(),
         Strategy::CompiledNative,
         QueryOptions::new(),
@@ -317,7 +317,7 @@ fn deadline_expired_futures_resolve_without_executing() {
     let store = RowStore::from_rows(schema(), &rows(10_000));
     let mut provider = Provider::new();
     provider.bind_native(SourceId(0), &store);
-    let future = provider.submit_async(
+    let future = provider.submit(
         grouped_scan(),
         Strategy::CompiledNative,
         QueryOptions::new().with_deadline(Duration::ZERO),
@@ -344,21 +344,29 @@ fn dropping_unresolved_owned_futures_neither_leaks_nor_deadlocks() {
             ..ParallelConfig::default()
         });
         let provider = provider.into_shared();
-        // Submit and immediately drop, resolved or not: owned futures must
-        // not block. Mix in a cancelled one and a clone of the provider to
-        // exercise the teardown ordering.
-        for i in 0..6 {
-            let future = provider.submit_async(
-                grouped_scan(),
-                Strategy::CompiledNative,
-                QueryOptions::new(),
-            );
+        let prepared = provider
+            .prepare(grouped_scan(), Strategy::CompiledNative)
+            .unwrap();
+        // Submit and immediately drop, resolved or not: owned handles —
+        // ad-hoc and prepared — must not block. Mix in cancelled ones and a
+        // clone of the provider to exercise the teardown ordering.
+        for i in 0..8 {
+            let handle = if i < 4 {
+                provider.submit(
+                    grouped_scan(),
+                    Strategy::CompiledNative,
+                    QueryOptions::new(),
+                )
+            } else {
+                prepared.submit(&[], QueryOptions::new())
+            };
             if i % 2 == 0 {
-                future.cancel();
+                handle.cancel();
             }
-            drop(future);
+            drop(handle);
         }
         let clone = provider.clone();
+        drop(prepared);
         drop(provider);
         // The last clone's drop runs Provider::drop, which waits for every
         // in-flight task. If a task deadlocked against its own keep-alive
@@ -404,14 +412,14 @@ fn many_futures_one_driver_interleave_across_classes_and_stealing_modes() {
                     .unwrap()
             })
             .collect();
-        let futures: Vec<QueryFuture<'_>> = (0..12)
+        let futures: Vec<QueryHandle<'_>> = (0..12)
             .map(|i| {
                 let options = match i % 3 {
                     0 => QueryOptions::new(),
                     1 => QueryOptions::batch(),
                     _ => QueryOptions::maintenance(),
                 };
-                provider.submit_async(
+                provider.submit(
                     statements[i % statements.len()].clone(),
                     Strategy::CompiledNative,
                     options,
@@ -432,8 +440,8 @@ fn many_futures_one_driver_interleave_across_classes_and_stealing_modes() {
 
 #[test]
 fn poll_join_and_handle_paths_agree_on_one_provider() {
-    // The three consumption styles — execute, submit/join, submit_async —
-    // interleaved on one shared provider must all agree.
+    // The three consumption styles — execute, join, poll — interleaved on
+    // one shared provider must all agree.
     let store = RowStore::from_rows(schema(), &rows(30_000));
     let mut provider = Provider::new();
     provider.bind_native(SourceId(0), &store);
@@ -445,14 +453,19 @@ fn poll_join_and_handle_paths_agree_on_one_provider() {
         Strategy::CompiledNative,
         QueryOptions::default(),
     );
-    let future = provider.submit_async(
+    let mut polled = provider.submit(
         grouped_scan(),
         Strategy::CompiledNative,
         QueryOptions::new(),
     );
-    // Join the future synchronously — blocking join and async poll share
-    // one latch, so no poll is ever required.
-    assert_eq!(future.join().unwrap(), reference);
+    // Poll once, then join synchronously — blocking join and async poll
+    // share one latch, so a handle may switch between them.
+    let mut context = Context::from_waker(Waker::noop());
+    let out = match Pin::new(&mut polled).poll(&mut context) {
+        Poll::Ready(result) => result.unwrap(),
+        Poll::Pending => polled.join().unwrap(),
+    };
+    assert_eq!(out, reference);
     assert_eq!(handle.join().unwrap(), reference);
 }
 
@@ -490,8 +503,8 @@ fn owned_provider_serves_managed_strategies_over_a_shared_heap() {
         .execute(stmt.clone(), Strategy::CompiledCSharp)
         .unwrap();
     assert_eq!(reference.rows.len(), 2_500);
-    let futures: Vec<QueryFuture<'static>> = (0..4)
-        .map(|_| provider.submit_async(stmt.clone(), Strategy::CompiledCSharp, QueryOptions::new()))
+    let futures: Vec<QueryHandle<'static>> = (0..4)
+        .map(|_| provider.submit(stmt.clone(), Strategy::CompiledCSharp, QueryOptions::new()))
         .collect();
     for out in drive_all(futures) {
         assert_eq!(out.unwrap(), reference);

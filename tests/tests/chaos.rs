@@ -24,7 +24,7 @@ use mrq_client::{Client, ClientError};
 use mrq_codegen::exec::QueryOutput;
 use mrq_common::fault::{self, FaultAction};
 use mrq_common::{AdmissionConfig, DataType, Field, MrqError, ParallelConfig, Schema, Value};
-use mrq_core::{OwnedProvider, Provider, QueryOptions, Strategy};
+use mrq_core::{OwnedProvider, Provider, QueryHandle, QueryOptions, Strategy};
 use mrq_engine_hybrid::HybridConfig;
 use mrq_engine_native::RowStore;
 use mrq_expr::Expr;
@@ -33,7 +33,10 @@ use mrq_protocol::Server;
 use mrq_tpch::gen::{GenConfig, TpchData};
 use mrq_tpch::load::{schema_of, value_rows};
 use mrq_tpch::queries;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::future::Future;
+use std::pin::Pin;
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock};
+use std::task::{Context, Wake, Waker};
 use std::time::{Duration, Instant};
 
 /// Serialises chaos tests on the process-global fault registry and leaves
@@ -379,10 +382,8 @@ fn overload_burst_sheds_by_class_with_exact_stats() {
         let out = handle.join().expect("admitted queries complete");
         assert_rows(&reference, &out, "admitted after release");
     }
-    // In-flight drains to zero (the gate releases right after completion).
-    while native.admission_stats().in_flight != 0 {
-        std::thread::yield_now();
-    }
+    // Every slot is free: a task releases its slot before it completes.
+    assert_eq!(native.admission_stats().in_flight, 0);
     // The gate reopened: the same bounded provider serves again.
     let again = native
         .submit(
@@ -394,6 +395,119 @@ fn overload_burst_sheds_by_class_with_exact_stats() {
         .expect("post-burst query");
     assert_rows(&reference, &again, "post-burst");
     assert_eq!(native.admission_stats().admitted, 7);
+}
+
+/// An owned provider over the shared TPC-H `lineitem` store, sealed with
+/// the given admission limits.
+fn lineitem_provider(admission: AdmissionConfig) -> OwnedProvider {
+    let mut provider = Provider::new();
+    provider.bind_native_shared(
+        queries::SRC_LINEITEM,
+        Arc::new(RowStore::from_rows(
+            schema_of("lineitem"),
+            &value_rows(tpch_data(), "lineitem"),
+        )),
+    );
+    provider.set_admission(admission);
+    provider.into_shared()
+}
+
+/// A waker that re-submits `workload` the moment it is woken and hands the
+/// new handle back to the test thread.
+struct Resubmit {
+    provider: OwnedProvider,
+    workload: Expr,
+    sender: mpsc::Sender<QueryHandle<'static>>,
+}
+
+impl Wake for Resubmit {
+    fn wake(self: Arc<Self>) {
+        let handle = self.provider.submit(
+            self.workload.clone(),
+            Strategy::CompiledNative,
+            QueryOptions::new(),
+        );
+        let _ = self.sender.send(handle);
+    }
+}
+
+/// A query frees its admission slot *before* its result becomes visible.
+/// With one slot, no queue and no reserve, a client that re-submits from
+/// inside the completion waker fits only if the finished query already
+/// released — otherwise its own finished query sheds it `Overloaded`. The
+/// hold pins the first query before it runs, so the poll below always
+/// registers the waker.
+#[test]
+fn a_resubmit_from_the_completion_waker_is_admitted() {
+    let _guard = scoped();
+    let workload = queries::q1();
+    let provider = lineitem_provider(AdmissionConfig::bounded(1, 0).with_reserve(0));
+    let reference = provider
+        .execute(workload.clone(), Strategy::CompiledNative)
+        .expect("reference");
+
+    fault::arm("pool.dispatch", FaultAction::Hold, 1);
+    let mut first = provider.submit(
+        workload.clone(),
+        Strategy::CompiledNative,
+        QueryOptions::new(),
+    );
+    let (sender, resubmitted) = mpsc::channel();
+    let waker = Waker::from(Arc::new(Resubmit {
+        provider: provider.clone(),
+        workload: workload.clone(),
+        sender,
+    }));
+    assert!(Pin::new(&mut first)
+        .poll(&mut Context::from_waker(&waker))
+        .is_pending());
+    fault::release("pool.dispatch");
+
+    let second = resubmitted.recv().expect("the completion waker ran");
+    assert_rows(&reference, &first.join().expect("first"), "first");
+    let out = second
+        .join()
+        .expect("a re-submit from the completion waker is admitted");
+    assert_rows(&reference, &out, "re-submitted");
+    let stats = provider.admission_stats();
+    assert_eq!((stats.admitted, stats.shed, stats.in_flight), (2, 0, 0));
+}
+
+/// Dropping an owned handle does not wait for its query: with the query
+/// pinned at the dispatch boundary, the drop returns while the query is
+/// still in flight, and the task finishes in the background once the hold
+/// releases. The drop runs on a helper thread so a regression fails the
+/// test instead of hanging it.
+#[test]
+fn owned_handles_drop_without_waiting_for_the_query() {
+    let _guard = scoped();
+    let workload = queries::q1();
+    let provider = lineitem_provider(AdmissionConfig::unbounded());
+
+    fault::arm("pool.dispatch", FaultAction::Hold, 1);
+    let handle = provider.submit(
+        workload.clone(),
+        Strategy::CompiledNative,
+        QueryOptions::new(),
+    );
+    let (dropped, done) = mpsc::channel();
+    let dropper = std::thread::spawn(move || {
+        drop(handle);
+        let _ = dropped.send(());
+    });
+    let returned = done.recv_timeout(Duration::from_secs(10));
+    let still_held = provider.admission_stats().in_flight;
+    fault::release("pool.dispatch");
+    dropper.join().expect("the dropping thread");
+    returned.expect("an owned handle's drop must not wait for its query");
+    assert_eq!(still_held, 1, "the query was still in flight at the drop");
+
+    // The abandoned query drains in the background; the provider serves on.
+    provider
+        .submit(workload, Strategy::CompiledNative, QueryOptions::new())
+        .join()
+        .expect("post-drop query");
+    assert_eq!(provider.admission_stats().admitted, 2);
 }
 
 /// Shed statements never touch the plan cache: with a zero admission

@@ -354,9 +354,8 @@ fn concurrent_prepare_execute_stress() {
     assert_eq!(stats.evictions, 0);
 }
 
-/// The async owned front end: a prepared plan over a sealed provider serves
-/// concurrent waker-driven executions with correct, binding-dependent
-/// results.
+/// The owned front end: a prepared plan over a sealed provider serves
+/// concurrent queued executions with correct, binding-dependent results.
 #[test]
 fn owned_prepared_async_executions_agree_with_blocking() {
     let data = Arc::new(store(100));
@@ -373,7 +372,7 @@ fn owned_prepared_async_executions_agree_with_blocking() {
         .map(|i| {
             (
                 i,
-                prepared.submit_async(&[Value::Int64(i as i64)], QueryOptions::new()),
+                prepared.submit(&[Value::Int64(i as i64)], QueryOptions::new()),
             )
         })
         .collect();

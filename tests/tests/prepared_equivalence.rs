@@ -12,6 +12,7 @@
 
 use mrq_bench::Workbench;
 use mrq_codegen::exec::QueryOutput;
+use mrq_common::executor::block_on;
 use mrq_common::{ParallelConfig, Value};
 use mrq_core::{Provider, QueryOptions, Strategy};
 use mrq_engine_hybrid::HybridConfig;
@@ -237,8 +238,8 @@ fn prepared_submit_paths_match_execute_and_respect_options() {
     let handle = prepared.submit(&[], QueryOptions::default());
     assert_bit_identical(&reference, &handle.join().expect("submitted"), "submit");
 
-    let future = prepared.submit_async(&[], QueryOptions::new());
-    assert_bit_identical(&reference, &future.join().expect("async"), "submit_async");
+    let polled = block_on(prepared.submit(&[], QueryOptions::new()));
+    assert_bit_identical(&reference, &polled.expect("polled"), "submit polled");
 
     let doomed = prepared.submit(
         &[],
