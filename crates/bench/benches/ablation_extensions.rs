@@ -7,7 +7,7 @@ use mrq_bench::{run_strategy, Workbench};
 use mrq_codegen::exec::ExecState;
 use mrq_common::Schema;
 use mrq_core::Strategy;
-use mrq_engine_native::{execute_indexed, HashIndex};
+use mrq_engine_native::{execute_parallel, HashIndex, ParallelConfig};
 use mrq_tpch::queries;
 
 fn bench(c: &mut Criterion) {
@@ -55,11 +55,12 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("prebuilt_index", |b| {
         b.iter(|| {
-            execute_indexed(
+            execute_parallel(
                 &spec_j,
                 &canon_j.params,
                 &tables_j,
                 &[Some(&orders_index), Some(&customer_index)],
+                ParallelConfig::sequential(),
             )
             .expect("indexed join")
             .rows

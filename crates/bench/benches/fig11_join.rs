@@ -23,7 +23,7 @@ fn bench(c: &mut Criterion) {
     group.finish();
 
     // Thread sweep over the same join: the parallel partitioned build plus
-    // the work-stealing probe, end to end (build included), for the native
+    // the morsel-parallel probe, end to end (build included), for the native
     // row store and the hybrid strategy. The 1-thread point is the baseline
     // the bench-smoke speedup gate compares against.
     let tables = wb.row_stores(&spec);

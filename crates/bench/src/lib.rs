@@ -828,11 +828,12 @@ pub fn extension_claims(bench: &Workbench) -> Vec<(String, Duration, Duration)> 
     let customer_index =
         mrq_engine_native::HashIndex::build(&bench.stores["customer"], 0).expect("customer index");
     let start = Instant::now();
-    let indexed = mrq_engine_native::execute_indexed(
+    let indexed = mrq_engine_native::execute_parallel(
         &spec_j,
         &canon_j.params,
         &tables_j,
         &[Some(&orders_index), Some(&customer_index)],
+        mrq_engine_native::ParallelConfig::sequential(),
     )
     .expect("indexed join");
     let with_index = start.elapsed();
@@ -1132,7 +1133,6 @@ pub fn counted_report(bench: &Workbench) -> Vec<CountedPoint> {
             threads,
             min_rows_per_thread: 512,
             morsel_rows: 32 * 1024,
-            stealing: true,
         };
         let (_, output) = run_strategy(
             bench,

@@ -149,7 +149,7 @@ impl QueryOutput {
     /// The deterministic work counters accumulated while producing this
     /// result. For a fixed query, data and strategy, every counter except
     /// [`WorkStats::morsels_executed`] is invariant across thread counts
-    /// and stealing modes (see [`mrq_common::workcount`]).
+    /// and morsel sizes (see [`mrq_common::workcount`]).
     pub fn work_stats(&self) -> &WorkStats {
         &self.work
     }
@@ -1645,13 +1645,12 @@ fn update_agg<T: TableAccess>(
 /// Runs an already-built execution state over `root` with morsel-driven
 /// parallelism: the probe side is split into morsels per `config`
 /// ([`mrq_common::morsel`]) — fixed-size ranges handed out by a shared
-/// atomic work-stealing cursor when [`ParallelConfig::stealing`] is on, one
-/// static contiguous range per worker otherwise — and dispatched to the
-/// persistent worker pool ([`mrq_common::pool::WorkerPool`]); the calling
-/// thread participates and no thread is spawned per query. Each morsel runs
-/// on a fork
-/// of `base` (the already-built join hash tables are shared behind an
-/// [`Arc`], so a fork is cheap), and the partial states merge back into
+/// atomic cursor, so idle workers steal the remaining morsels — and
+/// dispatched to the persistent worker pool
+/// ([`mrq_common::pool::WorkerPool`]); the calling thread participates and
+/// no thread is spawned per query. Each morsel runs on a fork of `base`
+/// (the already-built join hash tables are shared behind an [`Arc`], so a
+/// fork is cheap), and the partial states merge back into
 /// `base` **in morsel order** regardless of which worker ran which morsel —
 /// preserving source enumeration order for non-sorted outputs and keeping
 /// results bit-identical to a sequential run.
@@ -1676,7 +1675,7 @@ pub fn consume_partitioned<'a, T: TableAccess + Sync>(
             base.attach_stream_sink(sink);
         }
     }
-    let (ranges, stealing) = morsel::plan(root.len(), config);
+    let ranges = morsel::morsels(root.len(), config);
     if ranges.len() <= 1 {
         base.consume(root);
         return base.finish();
@@ -1691,18 +1690,10 @@ pub fn consume_partitioned<'a, T: TableAccess + Sync>(
         state.consume_range(root, range);
         state
     };
-    let max_workers = if stealing {
-        config.threads
-    } else {
-        ranges.len()
-    };
-    let partials = match &sink {
-        Some(sink) => morsel::run_ordered(&ranges, max_workers, worker, |_, partial| {
-            partial.flush_rows_to(sink)
-        }),
-        None if stealing => morsel::steal(&ranges, max_workers, worker),
-        None => morsel::scatter(&ranges, worker),
-    };
+    let publish = sink
+        .as_ref()
+        .map(|sink| |_: usize, partial: &mut ExecState<'a, T>| partial.flush_rows_to(sink));
+    let partials = morsel::run_ordered(&ranges, config.threads, worker, publish);
     for partial in partials {
         base.merge(partial);
     }
@@ -2312,26 +2303,23 @@ mod tests {
 
         let reference = execute_once(&spec, &canon.params, &[&sales, &ids], &schemas).unwrap();
         for threads in [2usize, 8] {
-            for stealing in [false, true] {
-                let config = mrq_common::ParallelConfig {
-                    threads,
-                    min_rows_per_thread: 32,
-                    ..mrq_common::ParallelConfig::default()
-                }
-                .with_morsel_rows(64)
-                .with_stealing(stealing);
-                let state = ExecState::new_parallel(
-                    &spec,
-                    &canon.params,
-                    vec![&ids],
-                    &schemas,
-                    &[None],
-                    config,
-                )
-                .unwrap();
-                let out = consume_partitioned(state, &sales, config);
-                assert_eq!(out, reference, "{threads} threads, stealing={stealing}");
+            let config = mrq_common::ParallelConfig {
+                threads,
+                min_rows_per_thread: 32,
+                ..mrq_common::ParallelConfig::default()
             }
+            .with_morsel_rows(64);
+            let state = ExecState::new_parallel(
+                &spec,
+                &canon.params,
+                vec![&ids],
+                &schemas,
+                &[None],
+                config,
+            )
+            .unwrap();
+            let out = consume_partitioned(state, &sales, config);
+            assert_eq!(out, reference, "{threads} threads");
         }
     }
 

@@ -12,8 +12,8 @@
 //! * the deterministic [`workcount::WorkCounters`] threaded through every
 //!   engine's fused loops (the counted-work bench mode and its CI gate are
 //!   built on these),
-//! * the [`morsel`] scheduler ([`ParallelConfig`], contiguous range
-//!   partitioning, work-stealing morsel fan-out) and the persistent
+//! * the [`morsel`] scheduler ([`ParallelConfig`], fixed-size morsels
+//!   handed out by a shared cursor, in-order gather) and the persistent
 //!   [`pool::WorkerPool`] it runs on, shared by every parallel execution
 //!   path and by concurrent query submission,
 //! * the query-lifecycle controls layered on both: cooperative [`cancel`]

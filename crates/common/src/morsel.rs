@@ -1,5 +1,5 @@
-//! The shared morsel scheduler: static range partitioning plus a
-//! work-stealing dispatcher over fixed-size morsels.
+//! The shared morsel scheduler: fixed-size morsels handed out to pool
+//! workers by a shared cursor, gathered in morsel order.
 //!
 //! The paper leaves parallel execution to future work (§4, §9) but observes
 //! that its database-style plan shape makes standard parallelisation
@@ -9,9 +9,8 @@
 //! join builds — follows the same morsel-driven recipe (Leis et al.,
 //! "Morsel-Driven Parallelism", SIGMOD 2014):
 //!
-//! 1. split the input `0..total` into contiguous *morsels* — either one
-//!    static range per worker ([`partition`]) or fixed-size ranges of
-//!    [`ParallelConfig::morsel_rows`] rows ([`morsels`]) handed out by a
+//! 1. split the input `0..total` into contiguous fixed-size *morsels* of
+//!    [`ParallelConfig::morsel_rows`] rows ([`morsels`]), handed out by a
 //!    shared atomic cursor so idle workers steal the remaining work,
 //! 2. run the morsels on the **persistent worker pool**
 //!    ([`crate::pool::WorkerPool`]) — long-lived threads shared by every
@@ -24,11 +23,11 @@
 //!    worker ran which morsel.
 //!
 //! This module owns steps 1 and 3 and the hand-off to the pool for step 2
-//! ([`partition`], [`morsels`], [`plan`], [`scatter`], [`steal`],
-//! [`dispatch`]) plus the shared two-phase hash-partitioned build recipe
-//! ([`build_hash_shards`]); what a worker computes and how partials merge
-//! stays with each engine, and thread lifecycle/fairness live in
-//! [`crate::pool`].
+//! ([`morsels`], [`dispatch`], and [`run_ordered`] — the one fan-out, with
+//! an optional in-order publisher) plus the shared two-phase
+//! hash-partitioned build recipe ([`build_hash_shards`]); what a worker
+//! computes and how partials merge stays with each engine, and thread
+//! lifecycle/fairness live in [`crate::pool`].
 
 use std::ops::Range;
 
@@ -46,10 +45,10 @@ use std::ops::Range;
 /// // Sequential: what the provider defaults to — never touches the pool.
 /// assert!(ParallelConfig::sequential().is_sequential());
 ///
-/// // 8 workers, 16k-row stolen morsels, stealing on (the default).
+/// // 8 workers sharing a cursor over 16k-row morsels.
 /// let cfg = ParallelConfig::with_threads(8).with_morsel_rows(16 * 1024);
 /// assert_eq!(cfg.threads, 8);
-/// assert!(cfg.stealing);
+/// assert_eq!(cfg.morsel_rows, 16 * 1024);
 ///
 /// // Tiny inputs never split: below `min_rows_per_thread`, one partition.
 /// assert_eq!(cfg.partitions_for(100), 1);
@@ -61,16 +60,11 @@ pub struct ParallelConfig {
     /// Minimum number of probe-side rows per worker; partitions smaller than
     /// this are not split further, so tiny inputs do not pay thread overhead.
     pub min_rows_per_thread: usize,
-    /// Rows per morsel under work stealing. Smaller morsels balance skewed
-    /// work better but pay more dispatch/merge overhead; the default (32k
-    /// rows, the middle of the classic 16–64k band) keeps dispatch cost
-    /// negligible while still splitting any input worth parallelising.
+    /// Rows per morsel. Smaller morsels balance skewed work better but pay
+    /// more dispatch/merge overhead; the default (32k rows, the middle of
+    /// the classic 16–64k band) keeps dispatch cost negligible while still
+    /// splitting any input worth parallelising.
     pub morsel_rows: usize,
-    /// When true (the default), morsels are handed out by a shared atomic
-    /// cursor so workers that finish early steal the remaining ones — skewed
-    /// filters no longer leave workers idle. When false, each worker gets
-    /// one static contiguous range, reproducing the PR-1 scheduler exactly.
-    pub stealing: bool,
 }
 
 impl Default for ParallelConfig {
@@ -81,7 +75,6 @@ impl Default for ParallelConfig {
                 .unwrap_or(1),
             min_rows_per_thread: 4096,
             morsel_rows: 32 * 1024,
-            stealing: true,
         }
     }
 }
@@ -102,59 +95,41 @@ impl ParallelConfig {
             threads: 1,
             min_rows_per_thread: usize::MAX,
             morsel_rows: 32 * 1024,
-            stealing: false,
         }
     }
 
     /// The same configuration with the given morsel size (rows handed out
-    /// per steal; clamped to at least 1).
+    /// per cursor claim; clamped to at least 1).
     pub fn with_morsel_rows(mut self, rows: usize) -> Self {
         self.morsel_rows = rows.max(1);
         self
     }
 
-    /// The same configuration with work stealing switched on or off.
-    pub fn with_stealing(mut self, stealing: bool) -> Self {
-        self.stealing = stealing;
-        self
-    }
-
-    /// The default configuration with scheduler knobs overridden from the
-    /// environment: `MRQ_THREADS` (worker count), `MRQ_STEALING`
-    /// (`0`/`false`/`off` disables the shared-cursor dispatch) and
-    /// `MRQ_MORSEL_ROWS` (rows per stolen morsel). Unset or unparsable
-    /// variables leave the default untouched.
+    /// The default configuration with the worker count overridden by
+    /// `MRQ_THREADS`. Unset or unparsable values leave the default
+    /// untouched.
     ///
     /// This is how the CI matrix drives the parallel paths: the test jobs
-    /// export `MRQ_THREADS` × `MRQ_STEALING` and the suites build their
-    /// configs through `from_env`, so every scheduler shape is exercised on
-    /// every push rather than only where a test hardcodes it.
+    /// export `MRQ_THREADS` and the suites build their configs through
+    /// `from_env`, so every thread count is exercised on every push rather
+    /// than only where a test hardcodes it.
     ///
     /// # Examples
     ///
     /// ```
     /// use mrq_common::ParallelConfig;
     ///
-    /// // With no MRQ_* variables set this is ParallelConfig::default().
+    /// // With MRQ_THREADS unset this is ParallelConfig::default().
     /// let config = ParallelConfig::from_env();
     /// assert!(config.threads >= 1);
-    /// assert!(config.morsel_rows >= 1);
+    /// assert_eq!(config.morsel_rows, ParallelConfig::default().morsel_rows);
     /// ```
     pub fn from_env() -> Self {
-        fn parsed(name: &str) -> Option<usize> {
-            std::env::var(name).ok()?.trim().parse().ok()
+        let threads = std::env::var("MRQ_THREADS").ok();
+        match threads.and_then(|t| t.trim().parse().ok()) {
+            Some(threads) => ParallelConfig::with_threads(threads),
+            None => ParallelConfig::default(),
         }
-        let mut config = ParallelConfig::default();
-        if let Some(threads) = parsed("MRQ_THREADS") {
-            config.threads = threads.max(1);
-        }
-        if let Ok(value) = std::env::var("MRQ_STEALING") {
-            config.stealing = !matches!(value.trim(), "0" | "false" | "off");
-        }
-        if let Some(rows) = parsed("MRQ_MORSEL_ROWS") {
-            config.morsel_rows = rows.max(1);
-        }
-        config
     }
 
     /// True if this configuration never spawns workers.
@@ -172,36 +147,10 @@ impl ParallelConfig {
     }
 }
 
-/// Splits `0..total` into one contiguous range per worker. The remainder is
-/// spread one row per leading partition, so range lengths never differ by
-/// more than one (8193 rows / 8 workers → 1025×1 + 1024×7, not 1025×7 +
-/// 1018). Returns at least one (possibly empty) range so callers can treat
-/// the sequential case uniformly.
-pub fn partition(total: usize, config: ParallelConfig) -> Vec<Range<usize>> {
-    let partitions = config.partitions_for(total);
-    if partitions <= 1 {
-        #[allow(clippy::single_range_in_vec_init)]
-        return vec![0..total];
-    }
-    let base = total / partitions;
-    let remainder = total % partitions;
-    let mut ranges = Vec::with_capacity(partitions);
-    let mut start = 0usize;
-    for p in 0..partitions {
-        let len = base + usize::from(p < remainder);
-        if len == 0 {
-            continue;
-        }
-        ranges.push(start..start + len);
-        start += len;
-    }
-    ranges
-}
-
 /// Splits `0..total` into fixed-size morsels of (at most)
-/// [`ParallelConfig::morsel_rows`] rows each, for work-stealing dispatch.
-/// The morsel size shrinks when needed so every eligible worker gets at
-/// least one morsel; inputs too small to parallelise return a single range.
+/// [`ParallelConfig::morsel_rows`] rows each. The morsel size shrinks when
+/// needed so every eligible worker gets at least one morsel; inputs too
+/// small to parallelise return a single range.
 pub fn morsels(total: usize, config: ParallelConfig) -> Vec<Range<usize>> {
     let workers = config.partitions_for(total);
     if workers <= 1 {
@@ -218,55 +167,40 @@ pub fn morsels(total: usize, config: ParallelConfig) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// Plans the morsel ranges for an input: returns the ranges plus whether
-/// they should be dispatched by work stealing ([`steal`]) or statically
-/// ([`scatter`]). A single range means "run sequentially" either way.
-pub fn plan(total: usize, config: ParallelConfig) -> (Vec<Range<usize>>, bool) {
-    if config.stealing {
-        (morsels(total, config), true)
-    } else {
-        (partition(total, config), false)
-    }
-}
-
-/// Runs `worker(partition_index, range)` once per range on the persistent
-/// worker pool ([`crate::pool::WorkerPool::global`]), one worker per range,
-/// and returns the partial results **in partition order**. A single range
-/// runs on the calling thread (no pool round trip).
-pub fn scatter<T, F>(ranges: &[Range<usize>], worker: F) -> Vec<T>
+/// The morsel fan-out: runs `worker(morsel_index, range)` once per range on
+/// the persistent worker pool, using at most `max_workers` workers (pool
+/// threads plus the calling thread), and returns the partials **in morsel
+/// order**. The pool's shared cursor hands the next unclaimed morsel to
+/// whichever worker asks first, so a worker stuck on a dense (slow) morsel
+/// never blocks the others from draining the rest of the input; each
+/// partial lands in the slot of its morsel index, so the gather is
+/// deterministic however that race resolved.
+///
+/// With a `publish` callback this is also the streaming gather: `publish`
+/// runs on every partial *in morsel order, as soon as all earlier slots
+/// have been published* — not at the end of the fan-out — so a consumer
+/// sees the sequential row order while later morsels still run. It gets
+/// `&mut T` so it can drain the publishable part of the partial (e.g.
+/// materialized rows) and leave the rest for the final merge. The worker
+/// that completes the lowest unpublished slot advances the frontier over
+/// every contiguously completed slot while holding the frontier lock — so a
+/// `publish` that blocks (a bounded channel under backpressure) stalls the
+/// frontier and, transitively, every worker that finishes its morsel
+/// meanwhile: that is the intended backpressure path, and it stays
+/// cancellable because channel sends re-check the query's token.
+///
+/// Zero or one range, or one worker, runs (and publishes) on the calling
+/// thread between morsels without touching the pool — the sequential shape.
+pub fn run_ordered<T, F, P>(
+    ranges: &[Range<usize>],
+    max_workers: usize,
+    worker: F,
+    publish: Option<P>,
+) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, Range<usize>) -> T + Sync,
-{
-    run_pooled(ranges, ranges.len(), worker)
-}
-
-/// Runs `worker(morsel_index, range)` for every range on the persistent
-/// worker pool, using at most `threads` workers (pool threads plus the
-/// calling thread). The pool's shared cursor hands the next unclaimed
-/// morsel to whichever worker asks first, so a worker stuck on a dense
-/// (slow) morsel never blocks the others from draining the rest of the
-/// input. Every partial lands in the slot of its morsel index, so the
-/// returned partials are **in morsel order** — merging them is
-/// deterministic no matter how the steal race resolved.
-pub fn steal<T, F>(ranges: &[Range<usize>], threads: usize, worker: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, Range<usize>) -> T + Sync,
-{
-    run_pooled(ranges, threads, worker)
-}
-
-/// The shared pool fan-out behind [`scatter`] and [`steal`]: every range is
-/// one morsel of a [`crate::pool::WorkerPool::run_morsels`] job (the calling
-/// thread participates; no thread is ever spawned per query), and each
-/// partial is written to the slot of its morsel index so the gather is
-/// deterministic. Sequential shapes (zero or one range, one worker) run on
-/// the calling thread without touching the pool.
-fn run_pooled<T, F>(ranges: &[Range<usize>], max_workers: usize, worker: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, Range<usize>) -> T + Sync,
+    P: Fn(usize, &mut T) + Sync,
 {
     // Lifecycle control ([`crate::cancel`]): a query submitted with a
     // cancel token/deadline installs a scope on the thread driving it; the
@@ -278,7 +212,11 @@ where
             .enumerate()
             .map(|(i, r)| {
                 crate::cancel::checkpoint();
-                worker(i, r.clone())
+                let mut partial = worker(i, r.clone());
+                if let Some(publish) = &publish {
+                    publish(i, &mut partial);
+                }
+                partial
             })
             .collect();
     }
@@ -288,13 +226,17 @@ where
         None => (crate::qos::QosClass::default(), None),
     };
     // One slot per morsel: each index is handed out exactly once by the
-    // pool's cursor, so every lock below is uncontended (noise next to a
+    // pool's cursor, so every slot lock is uncontended (noise next to a
     // multi-thousand-row morsel) and the completion latch inside
-    // `run_morsels` orders all writes before the gather. A `Mutex` rather
+    // `run_morsels_as` orders all writes before the gather. A `Mutex` rather
     // than `OnceLock` keeps the public bound at `T: Send` (partials need
     // not be `Sync`).
     let slots: Vec<std::sync::Mutex<Option<T>>> =
         ranges.iter().map(|_| std::sync::Mutex::new(None)).collect();
+    // The publication frontier: index of the first slot not yet published.
+    // Only the holder of this lock publishes, so `publish` calls are
+    // serialized and strictly ascending — the in-order guarantee.
+    let frontier = std::sync::Mutex::new(0usize);
     crate::pool::WorkerPool::global().run_morsels_as(
         ranges.len(),
         max_workers,
@@ -303,6 +245,22 @@ where
         &|m| {
             let partial = worker(m, ranges[m].clone());
             *slots[m].lock().unwrap_or_else(|e| e.into_inner()) = Some(partial);
+            let Some(publish) = &publish else {
+                return;
+            };
+            // Advance the frontier over every contiguously completed slot.
+            // The slot store above happens-before this attempt, so whichever
+            // worker completes the lowest missing slot publishes the run.
+            let mut next = frontier.lock().unwrap_or_else(|e| e.into_inner());
+            while *next < slots.len() {
+                let mut slot = slots[*next].lock().unwrap_or_else(|e| e.into_inner());
+                match slot.as_mut() {
+                    Some(partial) => publish(*next, partial),
+                    None => break,
+                }
+                drop(slot);
+                *next += 1;
+            }
         },
     );
     // An abandoned fan-out (cancelled or past deadline) leaves empty slots;
@@ -319,121 +277,34 @@ where
         .collect()
 }
 
-/// [`steal`]/[`scatter`] with **incremental in-order publication**: the
-/// same pool fan-out and deterministic slot-table gather, plus a `publish`
-/// callback invoked on every partial *in morsel order, as soon as all
-/// earlier slots have been published* — not at the end of the fan-out.
-/// This is the streaming gather: slot `m` becomes visible the moment slots
-/// `0..m` are done, so a consumer sees the sequential row order while later
-/// morsels still run.
-///
-/// `publish` receives `&mut T` so it can drain the publishable part of the
-/// partial (e.g. materialized rows) and leave the rest for the final merge;
-/// the partials are still returned in morsel order afterwards. The worker
-/// that completes the lowest unpublished slot advances the frontier over
-/// every contiguously completed slot while holding the frontier lock —
-/// meaning a `publish` that blocks (a bounded channel under backpressure)
-/// stalls the frontier and, transitively, every worker that finishes its
-/// morsel meanwhile: that is the intended backpressure path, and it stays
-/// cancellable because channel sends re-check the query's token.
-///
-/// With zero/one ranges or one worker this publishes inline on the calling
-/// thread between morsels, pool untouched — the sequential shape.
-pub fn run_ordered<T, F, P>(
-    ranges: &[Range<usize>],
-    max_workers: usize,
-    worker: F,
-    publish: P,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, Range<usize>) -> T + Sync,
-    P: Fn(usize, &mut T) + Sync,
-{
-    if ranges.len() <= 1 || max_workers <= 1 {
-        return ranges
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                crate::cancel::checkpoint();
-                let mut partial = worker(i, r.clone());
-                publish(i, &mut partial);
-                partial
-            })
-            .collect();
-    }
-    let control = crate::cancel::current();
-    let (class, token) = match &control {
-        Some(control) => (control.class, Some(std::sync::Arc::clone(&control.token))),
-        None => (crate::qos::QosClass::default(), None),
-    };
-    let slots: Vec<std::sync::Mutex<Option<T>>> =
-        ranges.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    // The publication frontier: index of the first slot not yet published.
-    // Only the holder of this lock publishes, so `publish` calls are
-    // serialized and strictly ascending — the in-order guarantee.
-    let frontier = std::sync::Mutex::new(0usize);
-    crate::pool::WorkerPool::global().run_morsels_as(
-        ranges.len(),
-        max_workers,
-        class,
-        token,
-        &|m| {
-            let partial = worker(m, ranges[m].clone());
-            *slots[m].lock().unwrap_or_else(|e| e.into_inner()) = Some(partial);
-            // Advance the frontier over every contiguously completed slot.
-            // The slot store above happens-before this attempt, so whichever
-            // worker completes the lowest missing slot publishes the run.
-            let mut next = frontier.lock().unwrap_or_else(|e| e.into_inner());
-            while *next < slots.len() {
-                let mut slot = slots[*next].lock().unwrap_or_else(|e| e.into_inner());
-                match slot.as_mut() {
-                    Some(partial) => publish(*next, partial),
-                    None => break,
-                }
-                drop(slot);
-                *next += 1;
-            }
-        },
-    );
-    crate::cancel::checkpoint();
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("every morsel produced exactly one partial")
-        })
-        .collect()
-}
-
-/// Convenience composition of [`plan`] with [`steal`]/[`scatter`]: splits
-/// `0..total` per `config`, fans the morsels out (stealing or static), and
+/// Splits `0..total` into [`morsels`] per `config`, fans them out on at
+/// most `config.threads` workers ([`run_ordered`] without a publisher), and
 /// returns the partials in morsel order.
 pub fn dispatch<T, F>(total: usize, config: ParallelConfig, worker: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, Range<usize>) -> T + Sync,
 {
-    let (ranges, stealing) = plan(total, config);
-    if stealing {
-        steal(&ranges, config.threads, worker)
-    } else {
-        scatter(&ranges, worker)
-    }
+    run_ordered(
+        &morsels(total, config),
+        config.threads,
+        worker,
+        None::<fn(usize, &mut T)>,
+    )
 }
 
 /// The shared two-phase hash-partitioned build used by join tables and
 /// pre-built indexes:
 ///
-/// 1. **Scan/scatter** — morsel workers walk `0..total` (stealing or static,
-///    per `config`) and call `scatter_rows(range, buckets)` to drop
-///    `(key, row)` pairs into the per-shard bucket the caller's hash
-///    routing selects. Partials come back in morsel order, so each shard's
-///    buckets concatenate with rows still ascending.
-/// 2. **Finalise** — shards are built into independent maps (no two workers
-///    ever touch the same shard, so there is nothing to lock or merge),
-///    using at most the same worker budget as phase 1.
+/// 1. **Scan/scatter** — morsel workers walk `0..total` ([`dispatch`]) and
+///    call `scatter_rows(range, buckets)` to drop `(key, row)` pairs into
+///    the per-shard bucket the caller's hash routing selects. Partials come
+///    back in morsel order, so each shard's buckets concatenate with rows
+///    still ascending.
+/// 2. **Finalise** — through the same fan-out, one shard per morsel, each
+///    shard is built into an independent map (no two workers ever touch the
+///    same shard, so there is nothing to lock or merge), using at most the
+///    same worker budget as phase 1.
 ///
 /// Returns the per-shard maps in shard order; per-key row lists are in
 /// ascending row order, identical to a sequential insert-in-row-order build.
@@ -452,31 +323,23 @@ where
         scatter_rows(range, &mut buckets);
         buckets
     });
-    // Finalise within the configured worker budget: contiguous shard ranges,
-    // one pool worker each, results (and therefore shards) in order.
-    let finalise = ParallelConfig {
-        threads: config.partitions_for(total).min(shard_count).max(1),
-        min_rows_per_thread: 1,
-        stealing: false,
-        ..config
-    };
-    let groups: Vec<Vec<crate::hash::FxHashMap<K, Vec<usize>>>> =
-        scatter(&partition(shard_count, finalise), |_, shards| {
-            shards
-                .map(|shard| {
-                    let cap: usize = partials.iter().map(|p| p[shard].len()).sum();
-                    let mut map: crate::hash::FxHashMap<K, Vec<usize>> =
-                        crate::hash::FxHashMap::with_capacity_and_hasher(cap, Default::default());
-                    for bucket in partials.iter().map(|p| &p[shard]) {
-                        for (key, row) in bucket {
-                            map.entry(*key).or_default().push(*row);
-                        }
-                    }
-                    map
-                })
-                .collect()
-        });
-    groups.into_iter().flatten().collect()
+    let shards: Vec<Range<usize>> = (0..shard_count).map(|s| s..s + 1).collect();
+    run_ordered(
+        &shards,
+        config.partitions_for(total),
+        |shard, _| {
+            let cap: usize = partials.iter().map(|p| p[shard].len()).sum();
+            let mut map: crate::hash::FxHashMap<K, Vec<usize>> =
+                crate::hash::FxHashMap::with_capacity_and_hasher(cap, Default::default());
+            for bucket in partials.iter().map(|p| &p[shard]) {
+                for (key, row) in bucket {
+                    map.entry(*key).or_default().push(*row);
+                }
+            }
+            map
+        },
+        None::<fn(usize, &mut _)>,
+    )
 }
 
 #[cfg(test)]
@@ -496,37 +359,15 @@ mod tests {
     fn partitions_cover_the_input_contiguously() {
         for total in [0usize, 1, 7, 100, 4097, 8193, 100_000] {
             for threads in [1usize, 2, 3, 8] {
-                let ranges = partition(total, config(threads, 64));
+                let cfg = config(threads, 64).with_morsel_rows(1000);
+                let ranges = morsels(total, cfg);
                 assert!(!ranges.is_empty());
                 assert_eq!(ranges[0].start, 0);
                 assert_eq!(ranges.last().unwrap().end, total);
                 for pair in ranges.windows(2) {
                     assert_eq!(pair[0].end, pair[1].start, "contiguous, in order");
                 }
-                assert!(ranges.len() <= threads.max(1));
-            }
-        }
-    }
-
-    #[test]
-    fn partition_tails_are_balanced() {
-        // 8193 rows / 8 workers: lengths must be 1025, 1024 × 7 — never a
-        // short tail that idles the last worker.
-        let ranges = partition(8193, config(8, 64));
-        let lengths: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-        assert_eq!(
-            lengths,
-            vec![1025, 1024, 1024, 1024, 1024, 1024, 1024, 1024]
-        );
-        for total in [10_000usize, 4097, 99_991] {
-            for threads in [2usize, 3, 7, 8] {
-                let ranges = partition(total, config(threads, 1));
-                let min = ranges.iter().map(|r| r.len()).min().unwrap();
-                let max = ranges.iter().map(|r| r.len()).max().unwrap();
-                assert!(
-                    max - min <= 1,
-                    "{total} rows / {threads} workers: {min}..{max}"
-                );
+                assert!(ranges.len() >= cfg.partitions_for(total));
             }
         }
     }
@@ -539,7 +380,6 @@ mod tests {
         assert_eq!(config.partitions_for(10_000), 3);
         assert_eq!(ParallelConfig::with_threads(1).partitions_for(1_000_000), 1);
         assert!(ParallelConfig::sequential().is_sequential());
-        assert!(!ParallelConfig::sequential().stealing);
     }
 
     #[test]
@@ -561,41 +401,25 @@ mod tests {
     }
 
     #[test]
-    fn scatter_returns_results_in_partition_order() {
-        let cfg = config(4, 1);
-        let sums = dispatch(1000, cfg.with_stealing(false), |_, range| {
-            range.sum::<usize>()
-        });
-        assert_eq!(sums.iter().sum::<usize>(), (0..1000).sum::<usize>());
-        let firsts = dispatch(1000, cfg.with_stealing(false), |_, range| range.start);
-        let mut sorted = firsts.clone();
-        sorted.sort_unstable();
-        assert_eq!(firsts, sorted, "partition order equals range order");
-    }
-
-    #[test]
-    fn worker_indexes_match_positions() {
-        let idx = dispatch(300, config(3, 1).with_stealing(false), |i, _| i);
-        assert_eq!(idx, (0..idx.len()).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn stealing_gathers_partials_in_morsel_order() {
-        let cfg = config(4, 1).with_morsel_rows(37);
-        for total in [0usize, 1, 36, 37, 38, 1_000, 10_007] {
-            let partials = dispatch(total, cfg, |i, range| {
-                (i, range.start, range.sum::<usize>())
-            });
-            // Slot-table gather: partial i sits at position i, ranges ascend.
-            for (pos, (i, _, _)) in partials.iter().enumerate() {
-                assert_eq!(pos, *i);
+        for threads in [1usize, 3, 4] {
+            let cfg = config(threads, 1).with_morsel_rows(37);
+            for total in [0usize, 1, 36, 37, 38, 300, 1_000, 10_007] {
+                let partials = dispatch(total, cfg, |i, range| {
+                    (i, range.start, range.sum::<usize>())
+                });
+                // Slot-table gather: the partial of morsel i sits at
+                // position i, and ranges ascend.
+                for (pos, (i, _, _)) in partials.iter().enumerate() {
+                    assert_eq!(pos, *i);
+                }
+                let starts: Vec<usize> = partials.iter().map(|(_, s, _)| *s).collect();
+                let mut sorted = starts.clone();
+                sorted.sort_unstable();
+                assert_eq!(starts, sorted);
+                let sum: usize = partials.iter().map(|(_, _, s)| s).sum();
+                assert_eq!(sum, (0..total).sum::<usize>(), "total = {total}");
             }
-            let starts: Vec<usize> = partials.iter().map(|(_, s, _)| *s).collect();
-            let mut sorted = starts.clone();
-            sorted.sort_unstable();
-            assert_eq!(starts, sorted);
-            let sum: usize = partials.iter().map(|(_, _, s)| s).sum();
-            assert_eq!(sum, (0..total).sum::<usize>(), "total = {total}");
         }
     }
 
@@ -608,7 +432,7 @@ mod tests {
                 &ranges,
                 workers,
                 |m, range| (m, range.sum::<usize>()),
-                |m, partial: &mut (usize, usize)| {
+                Some(|m, partial: &mut (usize, usize)| {
                     // Drain the publishable half; the final gather must still
                     // see the partial (with the drained part zeroed).
                     let sum = std::mem::take(&mut partial.1);
@@ -616,7 +440,7 @@ mod tests {
                         .lock()
                         .unwrap_or_else(|e| e.into_inner())
                         .push((m, sum));
-                },
+                }),
             );
             let published = published.into_inner().unwrap_or_else(|e| e.into_inner());
             let order: Vec<usize> = published.iter().map(|(m, _)| *m).collect();
@@ -631,27 +455,11 @@ mod tests {
     }
 
     #[test]
-    fn stealing_and_static_dispatch_agree() {
-        let total = 12_345usize;
-        for threads in [1usize, 2, 3, 8] {
-            let stealing = config(threads, 16).with_morsel_rows(256);
-            let fixed = stealing.with_stealing(false);
-            let a: usize = dispatch(total, stealing, |_, r| r.sum::<usize>())
-                .into_iter()
-                .sum();
-            let b: usize = dispatch(total, fixed, |_, r| r.sum::<usize>())
-                .into_iter()
-                .sum();
-            assert_eq!(a, b, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn hash_shard_build_matches_a_sequential_insert() {
         // Route keys to 4 shards by low bits; per-key row lists must come
-        // back in ascending row order whatever the dispatch mode.
-        for stealing in [false, true] {
-            let cfg = config(3, 16).with_morsel_rows(100).with_stealing(stealing);
+        // back in ascending row order whichever worker built which shard.
+        for threads in [1usize, 2, 3] {
+            let cfg = config(threads, 16).with_morsel_rows(100);
             let shards = build_hash_shards(10_000, cfg, 4, |range, buckets| {
                 for row in range {
                     let key = (row % 37) as u64;
@@ -666,7 +474,7 @@ mod tests {
                     assert_eq!((key % 4) as usize, s, "key routed to its shard");
                     assert!(
                         rows.windows(2).all(|w| w[0] < w[1]),
-                        "rows ascend (stealing={stealing})"
+                        "rows ascend (threads={threads})"
                     );
                     assert!(rows.iter().all(|r| (r % 37) as u64 == *key));
                 }
@@ -675,23 +483,15 @@ mod tests {
     }
 
     #[test]
-    fn from_env_overrides_threads_stealing_and_morsel_rows() {
+    fn from_env_reads_only_mrq_threads() {
         // Narrow env-mutation window; no other test in this crate touches
         // MRQ_* variables.
         std::env::set_var("MRQ_THREADS", "3");
-        std::env::set_var("MRQ_STEALING", "0");
-        std::env::set_var("MRQ_MORSEL_ROWS", "1234");
         let config = ParallelConfig::from_env();
         std::env::remove_var("MRQ_THREADS");
-        std::env::remove_var("MRQ_STEALING");
-        std::env::remove_var("MRQ_MORSEL_ROWS");
-        assert_eq!(config.threads, 3);
-        assert!(!config.stealing);
-        assert_eq!(config.morsel_rows, 1234);
+        assert_eq!(config, ParallelConfig::with_threads(3));
         // Unset variables leave the defaults in place.
-        let default = ParallelConfig::from_env();
-        assert_eq!(default.stealing, ParallelConfig::default().stealing);
-        assert_eq!(default.morsel_rows, ParallelConfig::default().morsel_rows);
+        assert_eq!(ParallelConfig::from_env(), ParallelConfig::default());
     }
 
     #[test]
@@ -721,12 +521,12 @@ mod tests {
 
     #[test]
     fn skewed_morsels_drain_through_the_shared_cursor() {
-        // One deliberately slow morsel must not serialise the rest: with
-        // stealing, every morsel is still processed exactly once and the
-        // gather stays in morsel order even when later morsels finish first.
+        // One deliberately slow morsel must not serialise the rest: every
+        // morsel is still processed exactly once and the gather stays in
+        // morsel order even when later morsels finish first.
         let cfg = config(4, 1).with_morsel_rows(10);
         let hits = AtomicUsize::new(0);
-        let partials = steal(&morsels(100, cfg), 4, |i, range| {
+        let partials = dispatch(100, cfg, |i, range| {
             if i == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }

@@ -30,8 +30,8 @@
 //!
 //! Capacity and shard count default from the environment —
 //! `MRQ_PLAN_CACHE_CAP` (entries per shard) and `MRQ_PLAN_CACHE_SHARDS` —
-//! via [`CacheConfig::from_env`], mirroring the `MRQ_THREADS` /
-//! `MRQ_STEALING` convention of [`crate::morsel::ParallelConfig`].
+//! via [`CacheConfig::from_env`], mirroring the `MRQ_THREADS` convention
+//! of [`crate::morsel::ParallelConfig`].
 
 use crate::hash::FxHasher;
 use std::hash::{Hash, Hasher};

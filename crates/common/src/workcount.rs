@@ -12,8 +12,8 @@
 //! # Determinism contract
 //!
 //! For a fixed query, data set and strategy, every counter except
-//! [`WorkCounters::morsels_executed`] is **invariant across thread counts,
-//! morsel sizes and stealing modes**: parallel execution partitions the
+//! [`WorkCounters::morsels_executed`] is **invariant across thread counts
+//! and morsel sizes**: parallel execution partitions the
 //! same probe scan into disjoint ranges, so per-range counters sum to the
 //! sequential totals exactly. `morsels_executed` is the one documented
 //! exception — it counts how the scan was *partitioned*, which is exactly
@@ -155,8 +155,8 @@ impl WorkCounters {
 
     /// This counter set with the partitioning-dependent counter
     /// ([`WorkCounters::morsels_executed`]) zeroed: the projection that must
-    /// be bit-identical across thread counts, morsel sizes and stealing
-    /// modes for the same query and data.
+    /// be bit-identical across thread counts and morsel sizes for the same
+    /// query and data.
     pub fn partition_invariant(&self) -> WorkCounters {
         WorkCounters {
             morsels_executed: 0,

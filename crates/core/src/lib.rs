@@ -387,10 +387,10 @@ impl<'a> Provider<'a> {
     /// strategies (§9 parallel-execution extension): `CompiledCSharp`,
     /// `CompiledNative` and `Hybrid` split their probe-side scan **and**
     /// their join hash-table builds into morsels across this many workers.
-    /// The config also carries the scheduler knobs —
-    /// [`ParallelConfig::morsel_rows`] (rows per work-stolen morsel) and
-    /// [`ParallelConfig::stealing`] (shared-cursor dispatch vs static
-    /// ranges) — which apply to every engine the provider dispatches to. A
+    /// The config also carries the morsel size
+    /// ([`ParallelConfig::morsel_rows`], rows per morsel handed out by the
+    /// shared cursor), which applies to every engine the provider
+    /// dispatches to. A
     /// [`Strategy`] that carries its own [`ParallelConfig`]
     /// (`CompiledNativeParallel`, or `Hybrid` with a non-sequential
     /// [`HybridConfig::parallel`]) overrides this default. `LinqToObjects`

@@ -8,7 +8,7 @@
 //! materialised [`QueryOutput`](mrq_codegen::exec::QueryOutput) would hold
 //! the rows. Concatenating every batch therefore reproduces
 //! `Provider::execute`'s result bit for bit — for every strategy, thread
-//! count and stealing mode — while the first batch arrives after roughly
+//! count and morsel size — while the first batch arrives after roughly
 //! one checkpoint of work instead of after the whole scan (time-to-first-row
 //! vs time-to-last-row; see `docs/SERVING.md`).
 //!

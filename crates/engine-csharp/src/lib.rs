@@ -232,9 +232,8 @@ pub fn execute(
 /// Executes a fused query spec over managed tables with `config.threads`
 /// morsel workers from the persistent pool
 /// ([`mrq_common::pool::WorkerPool`]; nothing is spawned per query): the
-/// generated-C#-style loop runs unchanged per worker
-/// over morsels of the probe-side object list (stolen from a shared cursor
-/// or statically partitioned, per [`ParallelConfig::stealing`]), and the
+/// generated-C#-style loop runs unchanged per worker over morsels of the
+/// probe-side object list (handed out by a shared cursor), and the
 /// partial states (group hash tables, aggregates, top-N buffers, plain
 /// rows) merge in morsel order. Join hash tables are themselves built with
 /// hash-partitioned parallel workers (string build keys fall back to the

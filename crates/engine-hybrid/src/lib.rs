@@ -88,8 +88,7 @@ pub struct HybridConfig {
     /// ([`ParallelConfig::sequential`]) reproduces the paper's
     /// single-threaded behaviour exactly; with more threads each morsel
     /// worker filters its morsels of the managed collection (work-stolen
-    /// from a shared cursor or static ranges, per
-    /// [`ParallelConfig::stealing`]) into a thread-local staging shard and
+    /// from a shared cursor) into a thread-local staging shard and
     /// the partial native states merge in morsel order.
     pub parallel: ParallelConfig,
 }
@@ -523,7 +522,7 @@ pub fn execute(
     // build-side staging above and the probe-side staging loop below (the
     // morsel fan-out then checks between morsels).
     mrq_common::cancel::checkpoint();
-    let (ranges, stealing) = morsel::plan(root.len(), config.parallel);
+    let ranges = morsel::morsels(root.len(), config.parallel);
     if ranges.len() <= 1 {
         // Sequential (or single-morsel) fast path: no fork, no merge.
         let run = run_range(&mut state, 0..root.len());
@@ -536,11 +535,9 @@ pub fn execute(
         // managed collection into a thread-local staging shard (row-wise or
         // columnar) and immediately consumes it with a forked native state.
         // Workers come from the persistent pool; morsels come from the
-        // shared work-stealing cursor (or one static
-        // range per worker when stealing is off); join hash tables were
-        // built once above and are shared behind an `Arc`. Partial states
-        // merge in morsel order, so result row order matches the sequential
-        // path exactly.
+        // pool's shared cursor; join hash tables were built once above and
+        // are shared behind an `Arc`. Partial states merge in morsel order,
+        // so result row order matches the sequential path exactly.
         // Streaming: the sink moves from the base state to the ordered
         // gather (forks never inherit it), so each shard's rows publish the
         // moment every earlier morsel has published — the same in-order
@@ -551,21 +548,14 @@ pub fn execute(
             let run = run_range(&mut worker_state, range);
             (worker_state, run)
         };
-        let max_workers = if stealing {
-            config.parallel.threads
-        } else {
-            ranges.len()
-        };
-        let partials = match &sink {
-            Some(sink) => morsel::run_ordered(&ranges, max_workers, work, |_, partial| {
+        let publish = sink.as_ref().map(|sink| {
+            |_: usize, partial: &mut (ExecState<'_, StagedTable>, RangeRun)| {
                 partial.0.flush_rows_to(sink)
-            }),
-            None if stealing => morsel::steal(&ranges, max_workers, work),
-            None => morsel::scatter(&ranges, work),
-        };
+            }
+        });
+        let partials = morsel::run_ordered(&ranges, config.parallel.threads, work, publish);
         // Per-phase wall-clock is estimated as the slowest single morsel or
-        // the ideal per-worker share of the total, whichever is larger (the
-        // two coincide for static one-range-per-worker partitioning);
+        // the ideal per-worker share of the total, whichever is larger;
         // footprint is the sum of concurrently live shards.
         let workers = config.parallel.threads.min(ranges.len()).max(1) as u32;
         let mut max_staging = Duration::ZERO;

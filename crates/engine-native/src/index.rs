@@ -246,24 +246,21 @@ mod tests {
         let s = RowStore::from_rows(schema.clone(), &rows);
         let reference = HashIndex::build(&s, 0).unwrap();
         for threads in [1usize, 2, 8] {
-            for stealing in [false, true] {
-                let config = ParallelConfig {
-                    threads,
-                    min_rows_per_thread: 64,
-                    ..ParallelConfig::default()
-                }
-                .with_morsel_rows(128)
-                .with_stealing(stealing);
-                let parallel = HashIndex::build_parallel(&s, 0, config).unwrap();
-                assert_eq!(parallel.len(), reference.len());
-                assert_eq!(parallel.distinct_keys(), reference.distinct_keys());
-                for key in 0..100i64 {
-                    assert_eq!(
-                        parallel.lookup(&Value::Int64(key)),
-                        reference.lookup(&Value::Int64(key)),
-                        "key {key} at {threads} threads, stealing={stealing}"
-                    );
-                }
+            let config = ParallelConfig {
+                threads,
+                min_rows_per_thread: 64,
+                ..ParallelConfig::default()
+            }
+            .with_morsel_rows(128);
+            let parallel = HashIndex::build_parallel(&s, 0, config).unwrap();
+            assert_eq!(parallel.len(), reference.len());
+            assert_eq!(parallel.distinct_keys(), reference.distinct_keys());
+            for key in 0..100i64 {
+                assert_eq!(
+                    parallel.lookup(&Value::Int64(key)),
+                    reference.lookup(&Value::Int64(key)),
+                    "key {key} at {threads} threads"
+                );
             }
         }
         // An empty store builds an empty (sequential) index.

@@ -26,7 +26,7 @@ pub mod index;
 pub mod parallel;
 
 pub use index::HashIndex;
-pub use parallel::{execute_indexed, execute_parallel, ParallelConfig};
+pub use parallel::{execute_parallel, ParallelConfig};
 
 /// Per-column layout inside a row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

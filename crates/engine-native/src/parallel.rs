@@ -93,23 +93,6 @@ fn resolve_indexes<'a>(
         .collect())
 }
 
-/// Executes with pre-built indexes on the sequential path (no extra threads).
-/// Joins whose index does not apply fall back to building a hash table.
-pub fn execute_indexed(
-    spec: &QuerySpec,
-    params: &[Value],
-    tables: &[&RowStore],
-    indexes: &[Option<&HashIndex>],
-) -> Result<QueryOutput> {
-    execute_parallel(
-        spec,
-        params,
-        tables,
-        indexes,
-        ParallelConfig::with_threads(1),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,8 +278,14 @@ mod tests {
         let cities = cities_store();
         let reference = execute(&spec, &canon.params, &[&sales, &cities]).unwrap();
         let index = HashIndex::build(&cities, 0).unwrap();
-        let indexed =
-            execute_indexed(&spec, &canon.params, &[&sales, &cities], &[Some(&index)]).unwrap();
+        let indexed = execute_parallel(
+            &spec,
+            &canon.params,
+            &[&sales, &cities],
+            &[Some(&index)],
+            ParallelConfig::sequential(),
+        )
+        .unwrap();
         assert_eq!(indexed, reference);
     }
 
@@ -309,8 +298,14 @@ mod tests {
         // Index on the wrong column: population instead of the join key.
         let wrong = HashIndex::build(&cities, 1).unwrap();
         assert!(!wrong.serves(&spec.joins[0]));
-        let out =
-            execute_indexed(&spec, &canon.params, &[&sales, &cities], &[Some(&wrong)]).unwrap();
+        let out = execute_parallel(
+            &spec,
+            &canon.params,
+            &[&sales, &cities],
+            &[Some(&wrong)],
+            ParallelConfig::sequential(),
+        )
+        .unwrap();
         let reference = execute(&spec, &canon.params, &[&sales, &cities]).unwrap();
         assert_eq!(out, reference);
     }

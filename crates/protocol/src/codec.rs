@@ -398,16 +398,19 @@ fn put_parallel(buf: &mut Vec<u8>, p: &ParallelConfig) {
     put_u64(buf, p.threads as u64);
     put_u64(buf, p.min_rows_per_thread as u64);
     put_u64(buf, p.morsel_rows as u64);
-    put_bool(buf, p.stealing);
+    // Reserved byte, formerly the `stealing` flag: always written as 1;
+    // decoders check that it is a bool and ignore it.
+    put_bool(buf, true);
 }
 
 fn get_parallel(r: &mut Reader<'_>) -> Result<ParallelConfig, ProtocolError> {
-    Ok(ParallelConfig {
+    let config = ParallelConfig {
         threads: r.u64()? as usize,
         min_rows_per_thread: r.u64()? as usize,
         morsel_rows: r.u64()? as usize,
-        stealing: r.bool()?,
-    })
+    };
+    r.bool()?;
+    Ok(config)
 }
 
 /// Encodes a [`Strategy`], including the full parallel / hybrid
@@ -639,7 +642,6 @@ mod tests {
                 threads: 8,
                 min_rows_per_thread: 1,
                 morsel_rows: 1024,
-                stealing: true,
             }),
             Strategy::Hybrid(HybridConfig {
                 materialization: Materialization::Buffered {

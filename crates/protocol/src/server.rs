@@ -56,9 +56,11 @@ struct ServerShared {
     provider: OwnedProvider,
     stop: Arc<AtomicBool>,
     local_addr: SocketAddr,
-    /// Read halves of live connections, so shutdown can unblock parked
-    /// reader threads with `Shutdown::Both`.
-    sockets: Mutex<Vec<TcpStream>>,
+    /// Handles to live connections keyed by connection id, so shutdown can
+    /// unblock parked reader threads with `Shutdown::Both`. A connection
+    /// removes its own entry when it ends, so the duplicated descriptor
+    /// does not outlive it.
+    sockets: Mutex<HashMap<u64, TcpStream>>,
 }
 
 impl ServerShared {
@@ -67,7 +69,7 @@ impl ServerShared {
     fn initiate_shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect(self.local_addr);
-        for socket in self.sockets.lock().unwrap().iter() {
+        for socket in self.sockets.lock().unwrap().values() {
             let _ = socket.shutdown(Shutdown::Both);
         }
     }
@@ -88,7 +90,7 @@ impl Server {
             provider,
             stop: Arc::clone(&stop),
             local_addr,
-            sockets: Mutex::new(Vec::new()),
+            sockets: Mutex::new(HashMap::new()),
         });
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
@@ -138,21 +140,18 @@ impl Drop for Server {
 
 fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    for stream in listener.incoming() {
+    for (id, stream) in (0u64..).zip(listener.incoming()) {
         if shared.stop.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        {
-            let mut sockets = shared.sockets.lock().unwrap();
-            if let Ok(clone) = stream.try_clone() {
-                sockets.push(clone);
-            }
+        if let Ok(clone) = stream.try_clone() {
+            shared.sockets.lock().unwrap().insert(id, clone);
         }
         let conn_shared = Arc::clone(&shared);
         if let Ok(handle) = std::thread::Builder::new()
             .name("mrq-conn".into())
-            .spawn(move || serve_connection(stream, conn_shared))
+            .spawn(move || serve_connection(id, stream, conn_shared))
         {
             connections.push(handle);
         }
@@ -161,7 +160,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
         connections.retain(|h| !h.is_finished());
     }
     // Stop flag is set: disconnect stragglers and wait for their threads.
-    for socket in shared.sockets.lock().unwrap().drain(..) {
+    for (_, socket) in shared.sockets.lock().unwrap().drain() {
         let _ = socket.shutdown(Shutdown::Both);
     }
     for handle in connections {
@@ -176,8 +175,9 @@ fn send(writer: &Mutex<TcpStream>, response: &Response) -> io::Result<()> {
     write_frame(&mut *guard, &payload)
 }
 
-fn serve_connection(stream: TcpStream, shared: Arc<ServerShared>) {
+fn serve_connection(id: u64, stream: TcpStream, shared: Arc<ServerShared>) {
     let Ok(write_half) = stream.try_clone() else {
+        shared.sockets.lock().unwrap().remove(&id);
         return;
     };
     let writer = Arc::new(Mutex::new(write_half));
@@ -198,6 +198,12 @@ fn serve_connection(stream: TcpStream, shared: Arc<ServerShared>) {
     }
     if let Ok(driver) = driver {
         let _ = driver.join();
+    }
+    // Everything in flight has been written: drop this connection's entry
+    // and close the socket, so the peer sees EOF even after a protocol
+    // violation and no duplicated descriptor outlives the connection.
+    if let Some(socket) = shared.sockets.lock().unwrap().remove(&id) {
+        let _ = socket.shutdown(Shutdown::Both);
     }
 }
 

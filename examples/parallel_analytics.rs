@@ -9,7 +9,7 @@
 //! Run with `cargo run --release --example parallel_analytics`.
 
 use mrq_core::{ParallelConfig, Provider, Strategy};
-use mrq_engine_native::{execute_indexed, execute_parallel, HashIndex, RowStore};
+use mrq_engine_native::{execute_parallel, HashIndex, RowStore};
 use mrq_expr::SourceId;
 use mrq_tpch::gen::{GenConfig, TpchData};
 use mrq_tpch::load::{schema_of, value_rows};
@@ -105,11 +105,12 @@ fn main() {
     let index_build_ms = build_start.elapsed().as_secs_f64() * 1e3;
 
     let start = Instant::now();
-    let indexed = execute_indexed(
+    let indexed = execute_parallel(
         &spec,
         &canon.params,
         &tables,
         &[Some(&orders_index), Some(&customer_index)],
+        ParallelConfig::sequential(),
     )
     .expect("indexed join");
     let indexed_ms = start.elapsed().as_secs_f64() * 1e3;

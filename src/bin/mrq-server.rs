@@ -9,8 +9,7 @@
 //! * `MRQ_ADDR` — listen address, default `127.0.0.1:7878`; use port `0`
 //!   for an ephemeral port (printed on stdout).
 //! * `MRQ_SF` — TPC-H scale factor, default `0.01`.
-//! * `MRQ_THREADS` / `MRQ_STEALING` / `MRQ_MORSEL_ROWS` — per-query
-//!   parallelism (`ParallelConfig::from_env`).
+//! * `MRQ_THREADS` — per-query worker count (`ParallelConfig::from_env`).
 //! * `MRQ_MAX_IN_FLIGHT` / `MRQ_MAX_QUEUE_DEPTH` — admission gate
 //!   (`AdmissionConfig::from_env`; unbounded if unset).
 //!

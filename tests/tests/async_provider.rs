@@ -4,8 +4,7 @@
 //!
 //! The contract under test:
 //! * a handle resolves **bit-identical** to `Provider::execute` of the same
-//!   statement and strategy, borrowed or owned, at any thread count and
-//!   with stealing on or off;
+//!   statement and strategy, borrowed or owned, at any thread count;
 //! * the waker registered by `poll` is woken after a cancel — the handle
 //!   resolves to `QueryError::Cancelled` without anyone blocking on it;
 //! * a handle whose deadline already lapsed resolves to
@@ -15,8 +14,7 @@
 //!   deadlocks `Provider::drop` — the in-flight task finishes in the
 //!   background and every shared binding refcount returns to 1;
 //! * many handles multiplex on **one** driver thread (a dependency-free
-//!   ready-queue executor), interleaved across QoS classes, with stealing
-//!   on and off.
+//!   ready-queue executor), interleaved across QoS classes.
 
 use mrq_codegen::exec::QueryOutput;
 use mrq_common::{DataType, Field, Schema, Value};
@@ -180,7 +178,7 @@ fn filter_scan(limit: i64) -> Expr {
         .into_expr()
 }
 
-fn scheduler_configs() -> [ParallelConfig; 3] {
+fn scheduler_configs() -> [ParallelConfig; 2] {
     [
         ParallelConfig::sequential(),
         ParallelConfig {
@@ -188,15 +186,7 @@ fn scheduler_configs() -> [ParallelConfig; 3] {
             min_rows_per_thread: 256,
             ..ParallelConfig::default()
         }
-        .with_morsel_rows(1024)
-        .with_stealing(true),
-        ParallelConfig {
-            threads: 4,
-            min_rows_per_thread: 256,
-            ..ParallelConfig::default()
-        }
-        .with_morsel_rows(1024)
-        .with_stealing(false),
+        .with_morsel_rows(1024),
     ]
 }
 
@@ -219,8 +209,8 @@ fn borrowed_futures_resolve_bit_identical_to_execute() {
             let out = block_on(future).unwrap();
             assert_eq!(
                 out, reference,
-                "async result drifted (stealing={}, threads={})",
-                config.stealing, config.threads
+                "async result drifted (threads={})",
+                config.threads
             );
         }
     }
@@ -391,50 +381,47 @@ fn dropping_unresolved_owned_futures_neither_leaks_nor_deadlocks() {
 #[test]
 fn many_futures_one_driver_interleave_across_classes_and_stealing_modes() {
     let store = RowStore::from_rows(schema(), &rows(60_000));
-    for stealing in [true, false] {
-        let mut provider = Provider::new();
-        provider.bind_native(SourceId(0), &store);
-        provider.set_parallelism(
-            ParallelConfig {
-                threads: 4,
-                min_rows_per_thread: 256,
-                ..ParallelConfig::default()
-            }
-            .with_morsel_rows(2048)
-            .with_stealing(stealing),
-        );
-        let statements = [grouped_scan(), filter_scan(500), filter_scan(59_999)];
-        let references: Vec<QueryOutput> = statements
-            .iter()
-            .map(|s| {
-                provider
-                    .execute(s.clone(), Strategy::CompiledNative)
-                    .unwrap()
-            })
-            .collect();
-        let futures: Vec<QueryHandle<'_>> = (0..12)
-            .map(|i| {
-                let options = match i % 3 {
-                    0 => QueryOptions::new(),
-                    1 => QueryOptions::batch(),
-                    _ => QueryOptions::maintenance(),
-                };
-                provider.submit(
-                    statements[i % statements.len()].clone(),
-                    Strategy::CompiledNative,
-                    options,
-                )
-            })
-            .collect();
-        let outputs = drive_all(futures);
-        assert_eq!(outputs.len(), 12);
-        for (i, out) in outputs.into_iter().enumerate() {
-            assert_eq!(
-                out.unwrap(),
-                references[i % references.len()],
-                "future {i} drifted (stealing={stealing})"
-            );
+    let mut provider = Provider::new();
+    provider.bind_native(SourceId(0), &store);
+    provider.set_parallelism(
+        ParallelConfig {
+            threads: 4,
+            min_rows_per_thread: 256,
+            ..ParallelConfig::default()
         }
+        .with_morsel_rows(2048),
+    );
+    let statements = [grouped_scan(), filter_scan(500), filter_scan(59_999)];
+    let references: Vec<QueryOutput> = statements
+        .iter()
+        .map(|s| {
+            provider
+                .execute(s.clone(), Strategy::CompiledNative)
+                .unwrap()
+        })
+        .collect();
+    let futures: Vec<QueryHandle<'_>> = (0..12)
+        .map(|i| {
+            let options = match i % 3 {
+                0 => QueryOptions::new(),
+                1 => QueryOptions::batch(),
+                _ => QueryOptions::maintenance(),
+            };
+            provider.submit(
+                statements[i % statements.len()].clone(),
+                Strategy::CompiledNative,
+                options,
+            )
+        })
+        .collect();
+    let outputs = drive_all(futures);
+    assert_eq!(outputs.len(), 12);
+    for (i, out) in outputs.into_iter().enumerate() {
+        assert_eq!(
+            out.unwrap(),
+            references[i % references.len()],
+            "future {i} drifted"
+        );
     }
 }
 

@@ -5,10 +5,10 @@
 //! `Provider` behind a plain `&` reference must serve 8 simultaneous
 //! clients — through both the blocking [`Provider::execute`] path and the
 //! queued [`Provider::submit`]/[`QueryHandle`] path — with every result
-//! **bit-identical** to a sequential single-client run, with stealing on
-//! and off, while all parallel work multiplexes over the process-wide
-//! persistent pool. A separate suite pins the pool's shutdown ordering:
-//! dropping a dedicated pool drains accepted work, then joins its workers.
+//! **bit-identical** to a sequential single-client run, while all parallel
+//! work multiplexes over the process-wide persistent pool. A separate suite
+//! pins the pool's shutdown ordering: dropping a dedicated pool drains
+//! accepted work, then joins its workers.
 
 use mrq_bench::Workbench;
 use mrq_codegen::exec::QueryOutput;
@@ -28,14 +28,13 @@ fn workbench() -> Workbench {
 
 /// The same scheduler shape `parallel_equivalence.rs` sweeps: low split
 /// threshold and tiny morsels so the small test dataset genuinely fans out.
-fn steal_config(threads: usize, stealing: bool) -> ParallelConfig {
+fn morsel_config(threads: usize) -> ParallelConfig {
     ParallelConfig {
         threads,
         min_rows_per_thread: 16,
         ..ParallelConfig::default()
     }
     .with_morsel_rows(64)
-    .with_stealing(stealing)
 }
 
 /// The managed-strategy workloads of the parallel_equivalence suite.
@@ -52,48 +51,45 @@ fn strategies() -> Vec<Strategy> {
 }
 
 /// 8 clients hammer one shared provider through blocking `execute` calls —
-/// every workload × strategy, stealing on and off — and every output must
+/// every workload × strategy — and every output must
 /// be bit-identical (schema, rows, row order) to the sequential reference.
 #[test]
 fn eight_execute_clients_are_bit_identical_to_sequential() {
     let wb = workbench();
-    for stealing in [false, true] {
-        let sequential = wb.managed_provider();
-        let references: Vec<QueryOutput> = workloads()
-            .into_iter()
-            .map(|w| {
-                sequential
-                    .execute(w, Strategy::CompiledCSharp)
-                    .expect("sequential reference")
-            })
-            .collect();
+    let sequential = wb.managed_provider();
+    let references: Vec<QueryOutput> = workloads()
+        .into_iter()
+        .map(|w| {
+            sequential
+                .execute(w, Strategy::CompiledCSharp)
+                .expect("sequential reference")
+        })
+        .collect();
 
-        let mut shared = wb.managed_provider();
-        shared.set_parallelism(steal_config(2, stealing));
-        let shared = &shared;
-        let references = &references;
-        std::thread::scope(|scope| {
-            for client in 0..CLIENTS {
-                scope.spawn(move || {
-                    // Clients interleave workloads and strategies in
-                    // different orders so the pool sees a mixed queue.
-                    for round in 0..2 {
-                        for (w, workload) in workloads().into_iter().enumerate() {
-                            let strategy = strategies()[(client + round + w) % strategies().len()];
-                            let out = shared
-                                .execute(workload, strategy)
-                                .expect("concurrent execute");
-                            assert_eq!(
-                                out, references[w],
-                                "client {client} round {round} workload {w} \
-                                 {strategy:?} stealing={stealing}"
-                            );
-                        }
+    let mut shared = wb.managed_provider();
+    shared.set_parallelism(morsel_config(2));
+    let shared = &shared;
+    let references = &references;
+    std::thread::scope(|scope| {
+        for client in 0..CLIENTS {
+            scope.spawn(move || {
+                // Clients interleave workloads and strategies in
+                // different orders so the pool sees a mixed queue.
+                for round in 0..2 {
+                    for (w, workload) in workloads().into_iter().enumerate() {
+                        let strategy = strategies()[(client + round + w) % strategies().len()];
+                        let out = shared
+                            .execute(workload, strategy)
+                            .expect("concurrent execute");
+                        assert_eq!(
+                            out, references[w],
+                            "client {client} round {round} workload {w} {strategy:?}"
+                        );
                     }
-                });
-            }
-        });
-    }
+                }
+            });
+        }
+    });
 }
 
 /// The same contract through the queued front end: 8 clients submit
@@ -102,45 +98,40 @@ fn eight_execute_clients_are_bit_identical_to_sequential() {
 #[test]
 fn eight_submit_clients_join_bit_identical_results() {
     let wb = workbench();
-    for stealing in [false, true] {
-        let sequential = wb.managed_provider();
-        let references: Vec<QueryOutput> = workloads()
-            .into_iter()
-            .map(|w| {
-                sequential
-                    .execute(w, Strategy::CompiledCSharp)
-                    .expect("sequential reference")
-            })
-            .collect();
+    let sequential = wb.managed_provider();
+    let references: Vec<QueryOutput> = workloads()
+        .into_iter()
+        .map(|w| {
+            sequential
+                .execute(w, Strategy::CompiledCSharp)
+                .expect("sequential reference")
+        })
+        .collect();
 
-        let mut shared = wb.managed_provider();
-        shared.set_parallelism(steal_config(2, stealing));
-        let shared = &shared;
-        let references = &references;
-        std::thread::scope(|scope| {
-            for client in 0..CLIENTS {
-                scope.spawn(move || {
-                    // Queue one handle per workload, then join out of order
-                    // (newest first) so completion order is decoupled from
-                    // submission order.
-                    let handles: Vec<_> = workloads()
-                        .into_iter()
-                        .map(|w| {
-                            let strategy = strategies()[client % strategies().len()];
-                            shared.submit(w, strategy, QueryOptions::default())
-                        })
-                        .collect();
-                    for (w, handle) in handles.into_iter().enumerate().rev() {
-                        let out = handle.join().expect("submitted query");
-                        assert_eq!(
-                            out, references[w],
-                            "client {client} workload {w} stealing={stealing}"
-                        );
-                    }
-                });
-            }
-        });
-    }
+    let mut shared = wb.managed_provider();
+    shared.set_parallelism(morsel_config(2));
+    let shared = &shared;
+    let references = &references;
+    std::thread::scope(|scope| {
+        for client in 0..CLIENTS {
+            scope.spawn(move || {
+                // Queue one handle per workload, then join out of order
+                // (newest first) so completion order is decoupled from
+                // submission order.
+                let handles: Vec<_> = workloads()
+                    .into_iter()
+                    .map(|w| {
+                        let strategy = strategies()[client % strategies().len()];
+                        shared.submit(w, strategy, QueryOptions::default())
+                    })
+                    .collect();
+                for (w, handle) in handles.into_iter().enumerate().rev() {
+                    let out = handle.join().expect("submitted query");
+                    assert_eq!(out, references[w], "client {client} workload {w}");
+                }
+            });
+        }
+    });
 }
 
 /// The native strategy under concurrent clients: row-store scans and
@@ -160,7 +151,7 @@ fn eight_native_clients_share_one_provider() {
     let reference = provider
         .execute(workload.clone(), Strategy::CompiledNative)
         .expect("sequential native");
-    provider.set_parallelism(steal_config(2, true));
+    provider.set_parallelism(morsel_config(2));
     let provider = &provider;
     let reference = &reference;
     let workload = &workload;
@@ -223,7 +214,7 @@ fn in_flight_queries_finish_before_provider_teardown() {
     let reference;
     {
         let mut provider = wb.managed_provider();
-        provider.set_parallelism(steal_config(2, true));
+        provider.set_parallelism(morsel_config(2));
         reference = provider
             .execute(queries::q1(), Strategy::CompiledCSharp)
             .expect("reference");

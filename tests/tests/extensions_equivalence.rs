@@ -5,7 +5,7 @@
 
 use mrq_bench::{run_strategy, standard_strategies, Workbench};
 use mrq_core::{ParallelConfig, Strategy};
-use mrq_engine_native::{execute_indexed, execute_parallel, HashIndex};
+use mrq_engine_native::{execute_parallel, HashIndex};
 use mrq_tpch::queries;
 
 fn workbench() -> Workbench {
@@ -102,11 +102,12 @@ fn indexed_join_matches_hash_build_on_the_naive_q3_join() {
     let reference = mrq_engine_native::execute(&spec, &canon.params, &tables).unwrap();
     let orders_index = HashIndex::build(&wb.stores["orders"], 0).unwrap();
     let customer_index = HashIndex::build(&wb.stores["customer"], 0).unwrap();
-    let indexed = execute_indexed(
+    let indexed = execute_parallel(
         &spec,
         &canon.params,
         &tables,
         &[Some(&orders_index), Some(&customer_index)],
+        ParallelConfig::sequential(),
     )
     .unwrap();
     assert_eq!(indexed, reference);

@@ -32,13 +32,10 @@ fn config_for(threads: usize) -> ParallelConfig {
     }
 }
 
-/// Like [`config_for`], but with an explicit stealing mode and a tiny
-/// morsel size so the work-stealing cursor actually hands out many morsels
-/// on the small test datasets.
-fn steal_config(threads: usize, stealing: bool) -> ParallelConfig {
-    config_for(threads)
-        .with_morsel_rows(64)
-        .with_stealing(stealing)
+/// Like [`config_for`], but with a tiny morsel size so the shared cursor
+/// actually hands out many morsels on the small test datasets.
+fn morsel_config(threads: usize) -> ParallelConfig {
+    config_for(threads).with_morsel_rows(64)
 }
 
 fn sorted_rows(out: &QueryOutput) -> Vec<String> {
@@ -177,15 +174,14 @@ fn native_strategy_matches_sequential_at_every_thread_count() {
 }
 
 /// The CI-matrix hook: the scheduler shape comes from the environment
-/// (`MRQ_THREADS` × `MRQ_STEALING`, read by [`ParallelConfig::from_env`])
+/// (`MRQ_THREADS`, read by [`ParallelConfig::from_env`])
 /// rather than from a hardcoded sweep, so every matrix cell exercises the
 /// parallel paths it names on every push. Locally, with no `MRQ_*`
 /// variables set, this runs the host-default configuration.
 #[test]
 fn env_selected_scheduler_config_matches_sequential() {
-    // Keep the env knobs (threads, stealing, morsel size if given) but
-    // lower the split thresholds so the tiny test dataset actually
-    // parallelises; the matrix dimensions are threads and stealing.
+    // Keep the env thread count but lower the split thresholds so the tiny
+    // test dataset actually parallelises; the matrix dimension is threads.
     let mut env_config = ParallelConfig::from_env();
     env_config.min_rows_per_thread = 16;
     env_config.morsel_rows = env_config.morsel_rows.min(64);
@@ -204,10 +200,7 @@ fn env_selected_scheduler_config_matches_sequential() {
                 .execute(workload.clone(), strategy)
                 .expect("sequential reference");
             let out = parallel.execute(workload.clone(), strategy).expect(name);
-            let context = format!(
-                "{name} with env config (threads={}, stealing={})",
-                env_config.threads, env_config.stealing
-            );
+            let context = format!("{name} with env config (threads={})", env_config.threads);
             assert_same(&reference, &out, &context);
             // Every matrix cell also pins the counted-work contract: the
             // scheduler shape it names may only change `morsels_executed`.
@@ -270,7 +263,7 @@ fn engine_entry_points_agree_across_representations() {
 }
 
 // ---------------------------------------------------------------------------
-// Join-heavy coverage: parallel partitioned builds + work stealing
+// Join-heavy coverage: parallel partitioned builds + skewed morsels
 // ---------------------------------------------------------------------------
 
 mod join_fixtures {
@@ -302,8 +295,8 @@ mod join_fixtures {
     }
 
     /// Probe side with a heavily skewed build-key distribution: 80% of the
-    /// rows hit city 0, so static range partitions carry wildly different
-    /// probe work — exactly what work stealing is for.
+    /// rows hit city 0, so contiguous ranges carry wildly different probe
+    /// work — exactly what the shared morsel cursor is for.
     pub fn sales_rows(n: i64) -> Vec<Vec<Value>> {
         (0..n)
             .map(|i| {
@@ -439,7 +432,7 @@ mod join_fixtures {
 
 /// Join-heavy workloads (skewed build-key distribution, filtered build side,
 /// grouped decimal aggregates) across every engine entry point, swept over
-/// threads {1, 2, 8} × stealing {off, on}: rows, order and decimal
+/// threads {1, 2, 8} with many small morsels: rows, order and decimal
 /// aggregates must be bit-identical to the sequential engines.
 #[test]
 fn join_builds_match_sequential_with_skew_and_stealing() {
@@ -462,39 +455,32 @@ fn join_builds_match_sequential_with_skew_and_stealing() {
         assert!(!reference.rows.is_empty());
 
         for &threads in &THREADS {
-            for stealing in [false, true] {
-                let config = steal_config(threads, stealing);
-                let context = format!("{threads} threads, stealing={stealing}");
-                let native = mrq_engine_native::execute_parallel(
+            let config = morsel_config(threads);
+            let context = format!("{threads} threads");
+            let native =
+                mrq_engine_native::execute_parallel(&spec, &canon.params, &store_refs, &[], config)
+                    .expect("parallel native");
+            assert_eq!(native, reference, "native {context}");
+            let csharp =
+                mrq_engine_csharp::execute_parallel(&spec, &canon.params, &heap_refs, config)
+                    .expect("parallel C#");
+            assert_eq!(csharp, reference, "C# {context}");
+            for hybrid_base in [HybridConfig::default(), HybridConfig::buffered()] {
+                let hybrid = mrq_engine_hybrid::execute(
                     &spec,
                     &canon.params,
-                    &store_refs,
-                    &[],
-                    config,
+                    &heap_refs,
+                    hybrid_base.parallel(config),
                 )
-                .expect("parallel native");
-                assert_eq!(native, reference, "native {context}");
-                let csharp =
-                    mrq_engine_csharp::execute_parallel(&spec, &canon.params, &heap_refs, config)
-                        .expect("parallel C#");
-                assert_eq!(csharp, reference, "C# {context}");
-                for hybrid_base in [HybridConfig::default(), HybridConfig::buffered()] {
-                    let hybrid = mrq_engine_hybrid::execute(
-                        &spec,
-                        &canon.params,
-                        &heap_refs,
-                        hybrid_base.parallel(config),
-                    )
-                    .expect("parallel hybrid");
-                    assert_eq!(hybrid.output, reference, "hybrid {context}");
-                }
+                .expect("parallel hybrid");
+                assert_eq!(hybrid.output, reference, "hybrid {context}");
             }
         }
     }
 }
 
 /// An empty build side must produce an empty join result at every thread
-/// count and stealing mode without panicking anywhere in the partitioned
+/// count without panicking anywhere in the partitioned
 /// build.
 #[test]
 fn empty_build_side_joins_match_sequential() {
@@ -513,37 +499,30 @@ fn empty_build_side_joins_match_sequential() {
             mrq_engine_csharp::execute(&spec, &canon.params, &heap_refs).expect("sequential C#");
         assert!(reference.rows.is_empty());
         for &threads in &THREADS {
-            for stealing in [false, true] {
-                let config = steal_config(threads, stealing);
-                let native = mrq_engine_native::execute_parallel(
-                    &spec,
-                    &canon.params,
-                    &store_refs,
-                    &[],
-                    config,
-                )
-                .expect("parallel native");
-                assert_eq!(native, reference);
-                let csharp =
-                    mrq_engine_csharp::execute_parallel(&spec, &canon.params, &heap_refs, config)
-                        .expect("parallel C#");
-                assert_eq!(csharp, reference);
-                let hybrid = mrq_engine_hybrid::execute(
-                    &spec,
-                    &canon.params,
-                    &heap_refs,
-                    HybridConfig::default().parallel(config),
-                )
-                .expect("parallel hybrid");
-                assert_eq!(hybrid.output, reference);
-            }
+            let config = morsel_config(threads);
+            let native =
+                mrq_engine_native::execute_parallel(&spec, &canon.params, &store_refs, &[], config)
+                    .expect("parallel native");
+            assert_eq!(native, reference);
+            let csharp =
+                mrq_engine_csharp::execute_parallel(&spec, &canon.params, &heap_refs, config)
+                    .expect("parallel C#");
+            assert_eq!(csharp, reference);
+            let hybrid = mrq_engine_hybrid::execute(
+                &spec,
+                &canon.params,
+                &heap_refs,
+                HybridConfig::default().parallel(config),
+            )
+            .expect("parallel hybrid");
+            assert_eq!(hybrid.output, reference);
         }
     }
 }
 
 /// The full TPC-H Q3 (string build keys on the customer side fall back to
-/// the sequential build; integer keys partition) through the provider, with
-/// stealing on and off: bit-identical to the sequential provider.
+/// the sequential build; integer keys partition) through the provider, at
+/// every thread count: bit-identical to the sequential provider.
 #[test]
 fn q3_through_the_provider_matches_with_stealing_on_and_off() {
     let wb = workbench();
@@ -552,21 +531,19 @@ fn q3_through_the_provider_matches_with_stealing_on_and_off() {
         .execute(queries::q3(), Strategy::CompiledCSharp)
         .expect("sequential reference");
     for &threads in &THREADS {
-        for stealing in [false, true] {
-            let mut provider = wb.managed_provider();
-            provider.set_parallelism(steal_config(threads, stealing));
-            for strategy in [
-                Strategy::CompiledCSharp,
-                Strategy::Hybrid(HybridConfig::default()),
-            ] {
-                let out = provider
-                    .execute(queries::q3(), strategy)
-                    .expect("parallel run");
-                assert_eq!(
-                    reference.rows, out.rows,
-                    "{strategy:?} at {threads} threads, stealing={stealing}"
-                );
-            }
+        let mut provider = wb.managed_provider();
+        provider.set_parallelism(morsel_config(threads));
+        for strategy in [
+            Strategy::CompiledCSharp,
+            Strategy::Hybrid(HybridConfig::default()),
+        ] {
+            let out = provider
+                .execute(queries::q3(), strategy)
+                .expect("parallel run");
+            assert_eq!(
+                reference.rows, out.rows,
+                "{strategy:?} at {threads} threads"
+            );
         }
     }
 }

@@ -101,7 +101,7 @@ fn strategy_change_is_a_cache_miss() {
     for strategy in [
         Strategy::CompiledNative,
         Strategy::CompiledNativeParallel(parallel),
-        Strategy::CompiledNativeParallel(parallel.with_stealing(false)),
+        Strategy::CompiledNativeParallel(parallel.with_morsel_rows(1024)),
     ] {
         provider
             .prepare(shape(BinaryOp::Lt, 7), strategy)

@@ -2,7 +2,7 @@
 //! [`Provider::prepare`] and executed with parameter bindings must return
 //! **bit-identical** rows to an ad-hoc [`Provider::execute`] of the same
 //! statement with the bindings inlined as literals — for every strategy, at
-//! every scheduler shape (threads {1, 2, 8} × stealing {off, on}), and for
+//! every thread count {1, 2, 8}, and for
 //! repeated re-executions of one plan under different bindings.
 //!
 //! This is the correctness contract that lets the plan cache sit on the
@@ -26,16 +26,15 @@ fn workbench() -> Workbench {
     Workbench::new(0.002)
 }
 
-fn config_for(threads: usize, stealing: bool) -> ParallelConfig {
+fn config_for(threads: usize) -> ParallelConfig {
     ParallelConfig {
         threads,
         // Low thresholds and tiny morsels so the small test dataset actually
-        // splits and the stealing cursor hands out many morsels.
+        // splits and the shared cursor hands out many morsels.
         min_rows_per_thread: 16,
         ..ParallelConfig::default()
     }
     .with_morsel_rows(64)
-    .with_stealing(stealing)
 }
 
 /// The parameter bindings equivalent to executing `expr` ad hoc: optimize
@@ -83,23 +82,20 @@ fn prepared_matches_adhoc_for_managed_strategies_across_scheduler_cells() {
         ),
     ] {
         for &threads in &THREADS {
-            for stealing in [false, true] {
-                let mut provider = wb.managed_provider();
-                provider.set_parallelism(config_for(threads, stealing));
-                for (name, strategy) in &strategies {
-                    let reference = provider
-                        .execute(execute_stmt.clone(), *strategy)
-                        .expect("ad-hoc reference");
-                    let prepared = provider
-                        .prepare(prepare_stmt.clone(), *strategy)
-                        .expect("prepare");
-                    let out = prepared
-                        .execute(&bindings_for(execute_stmt.clone()))
-                        .expect("prepared execution");
-                    let context =
-                        format!("{shape} {name} at {threads} threads, stealing={stealing}");
-                    assert_bit_identical(&reference, &out, &context);
-                }
+            let mut provider = wb.managed_provider();
+            provider.set_parallelism(config_for(threads));
+            for (name, strategy) in &strategies {
+                let reference = provider
+                    .execute(execute_stmt.clone(), *strategy)
+                    .expect("ad-hoc reference");
+                let prepared = provider
+                    .prepare(prepare_stmt.clone(), *strategy)
+                    .expect("prepare");
+                let out = prepared
+                    .execute(&bindings_for(execute_stmt.clone()))
+                    .expect("prepared execution");
+                let context = format!("{shape} {name} at {threads} threads");
+                assert_bit_identical(&reference, &out, &context);
             }
         }
     }
@@ -137,28 +133,26 @@ fn prepared_matches_adhoc_for_native_strategy_across_scheduler_cells() {
             .execute(execute_stmt.clone(), Strategy::CompiledNative)
             .expect("ad-hoc sequential native");
         for &threads in &THREADS {
-            for stealing in [false, true] {
-                let strategy = Strategy::CompiledNativeParallel(config_for(threads, stealing));
-                let adhoc = provider
-                    .execute(execute_stmt.clone(), strategy)
-                    .expect("ad-hoc parallel native");
-                assert_bit_identical(
-                    &reference,
-                    &adhoc,
-                    &format!("{shape} ad-hoc at {threads}/{stealing}"),
-                );
-                let prepared = provider
-                    .prepare(prepare_stmt.clone(), strategy)
-                    .expect("prepare");
-                let out = prepared
-                    .execute(&bindings)
-                    .expect("prepared parallel native");
-                assert_bit_identical(
-                    &reference,
-                    &out,
-                    &format!("{shape} native at {threads} threads, stealing={stealing}"),
-                );
-            }
+            let strategy = Strategy::CompiledNativeParallel(config_for(threads));
+            let adhoc = provider
+                .execute(execute_stmt.clone(), strategy)
+                .expect("ad-hoc parallel native");
+            assert_bit_identical(
+                &reference,
+                &adhoc,
+                &format!("{shape} ad-hoc at {threads} threads"),
+            );
+            let prepared = provider
+                .prepare(prepare_stmt.clone(), strategy)
+                .expect("prepare");
+            let out = prepared
+                .execute(&bindings)
+                .expect("prepared parallel native");
+            assert_bit_identical(
+                &reference,
+                &out,
+                &format!("{shape} native at {threads} threads"),
+            );
         }
     }
 }
@@ -252,7 +246,7 @@ fn prepared_submit_paths_match_execute_and_respect_options() {
 }
 
 /// The CI-matrix hook: the scheduler shape comes from the environment
-/// (`MRQ_THREADS` × `MRQ_STEALING`), so every matrix cell checks
+/// (`MRQ_THREADS`), so every matrix cell checks
 /// prepared-vs-ad-hoc equivalence under the parallel paths it names.
 #[test]
 fn env_selected_scheduler_config_prepared_matches_adhoc() {
@@ -281,8 +275,8 @@ fn env_selected_scheduler_config_prepared_matches_adhoc() {
             &reference,
             &out,
             &format!(
-                "{strategy:?} with env config (threads={}, stealing={})",
-                env_config.threads, env_config.stealing
+                "{strategy:?} with env config (threads={})",
+                env_config.threads
             ),
         );
     }

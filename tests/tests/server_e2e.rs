@@ -4,14 +4,17 @@
 //!
 //! * unary results over the socket are bit-identical to an in-process
 //!   `Provider::execute` of the same statement — for every strategy, at
-//!   every scheduler shape (threads {1, 2, 8} × stealing {off, on});
+//!   every thread count {1, 2, 8};
 //! * streamed batches concatenate to exactly the unary result, with the
 //!   same deterministic batch boundaries as an in-process `QueryStream`;
 //! * PREPARE / EXECUTE over the wire re-binds parameters exactly like
 //!   `Provider::prepare` in process, including prepare-time defaults,
 //!   streamed prepared execution, and typed errors for closed statements;
 //! * concurrent clients with mixed QoS classes all complete with identical
-//!   results — connection multiplexing never crosses answers.
+//!   results — connection multiplexing never crosses answers;
+//! * a connection's resources go when it does: connect/disconnect cycles
+//!   leak no descriptors, and a protocol violation is answered with an
+//!   id-0 error frame followed promptly by EOF.
 
 use mrq_client::{Client, ClientError, QueryResult};
 use mrq_codegen::exec::QueryOutput;
@@ -22,11 +25,14 @@ use mrq_engine_native::RowStore;
 use mrq_expr::optimize::{optimize, OptimizerConfig};
 use mrq_expr::{Expr, SourceId};
 use mrq_mheap::{Heap, ListId};
+use mrq_protocol::frame::{read_frame, write_frame, Request, Response};
 use mrq_protocol::Server;
 use mrq_tpch::gen::{GenConfig, TpchData};
 use mrq_tpch::load::{schema_of, value_rows, HeapDataset, TABLE_NAMES};
 use mrq_tpch::queries;
+use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -75,14 +81,13 @@ fn harness() -> &'static Harness {
     })
 }
 
-fn parallel(threads: usize, stealing: bool) -> ParallelConfig {
+fn parallel(threads: usize) -> ParallelConfig {
     ParallelConfig {
         threads,
         min_rows_per_thread: 16,
         ..ParallelConfig::default()
     }
     .with_morsel_rows(64)
-    .with_stealing(stealing)
 }
 
 fn managed_provider(config: ParallelConfig) -> OwnedProvider {
@@ -143,35 +148,31 @@ fn unary_results_bit_identical_to_in_process_across_the_matrix() {
         ("q1", queries::q1()),
     ] {
         for &threads in &THREADS {
-            for stealing in [false, true] {
-                let config = parallel(threads, stealing);
-                let context = |name: &str| {
-                    format!("{workload_name}/{name} at {threads} threads, stealing={stealing}")
-                };
+            let config = parallel(threads);
+            let context = |name: &str| format!("{workload_name}/{name} at {threads} threads");
 
-                let provider = managed_provider(config);
-                let (_server, mut client) = serve(&provider);
-                for (name, strategy) in managed_strategies() {
-                    let reference = provider
-                        .execute(workload.clone(), strategy)
-                        .expect("in-process reference");
-                    let got = client
-                        .query(workload.clone(), strategy, QueryOptions::new())
-                        .expect("wire query");
-                    assert_matches_output(&got, &reference, &context(name));
-                }
-
-                let provider = native_provider(config);
-                let (_server, mut client) = serve(&provider);
-                let strategy = Strategy::CompiledNativeParallel(config);
+            let provider = managed_provider(config);
+            let (_server, mut client) = serve(&provider);
+            for (name, strategy) in managed_strategies() {
                 let reference = provider
                     .execute(workload.clone(), strategy)
-                    .expect("in-process native reference");
+                    .expect("in-process reference");
                 let got = client
                     .query(workload.clone(), strategy, QueryOptions::new())
-                    .expect("wire native query");
-                assert_matches_output(&got, &reference, &context("native"));
+                    .expect("wire query");
+                assert_matches_output(&got, &reference, &context(name));
             }
+
+            let provider = native_provider(config);
+            let (_server, mut client) = serve(&provider);
+            let strategy = Strategy::CompiledNativeParallel(config);
+            let reference = provider
+                .execute(workload.clone(), strategy)
+                .expect("in-process native reference");
+            let got = client
+                .query(workload.clone(), strategy, QueryOptions::new())
+                .expect("wire native query");
+            assert_matches_output(&got, &reference, &context("native"));
         }
     }
 }
@@ -195,60 +196,58 @@ fn streamed_batches_concatenate_to_unary_over_the_wire() {
     };
 
     for &threads in &THREADS {
-        for stealing in [false, true] {
-            let config = parallel(threads, stealing);
-            let context = |name: &str| format!("{name} at {threads} threads, stealing={stealing}");
+        let config = parallel(threads);
+        let context = |name: &str| format!("{name} at {threads} threads");
 
-            let provider = managed_provider(config);
-            let (_server, mut client) = serve(&provider);
-            for (name, strategy) in managed_strategies() {
-                let reference = provider
-                    .execute(workload.clone(), strategy)
-                    .expect("in-process reference");
-                assert!(reference.rows.len() > 200, "workload too small to stream");
-                let mut rows = Vec::new();
-                let mut sizes = Vec::new();
-                for batch in client
-                    .query_stream(workload.clone(), strategy, options)
-                    .expect("open stream")
-                {
-                    let batch = batch.expect("streamed batch");
-                    sizes.push(batch.len());
-                    rows.extend(batch);
-                }
-                assert_eq!(rows, reference.rows, "{}: rows", context(name));
-                assert_eq!(
-                    sizes,
-                    expected_sizes(reference.rows.len()),
-                    "{}: batch sizes",
-                    context(name)
-                );
-            }
-
-            let provider = native_provider(config);
-            let (_server, mut client) = serve(&provider);
-            let strategy = Strategy::CompiledNativeParallel(config);
+        let provider = managed_provider(config);
+        let (_server, mut client) = serve(&provider);
+        for (name, strategy) in managed_strategies() {
             let reference = provider
                 .execute(workload.clone(), strategy)
-                .expect("in-process native reference");
+                .expect("in-process reference");
+            assert!(reference.rows.len() > 200, "workload too small to stream");
             let mut rows = Vec::new();
             let mut sizes = Vec::new();
             for batch in client
                 .query_stream(workload.clone(), strategy, options)
-                .expect("open native stream")
+                .expect("open stream")
             {
                 let batch = batch.expect("streamed batch");
                 sizes.push(batch.len());
                 rows.extend(batch);
             }
-            assert_eq!(rows, reference.rows, "{}: rows", context("native"));
+            assert_eq!(rows, reference.rows, "{}: rows", context(name));
             assert_eq!(
                 sizes,
                 expected_sizes(reference.rows.len()),
                 "{}: batch sizes",
-                context("native")
+                context(name)
             );
         }
+
+        let provider = native_provider(config);
+        let (_server, mut client) = serve(&provider);
+        let strategy = Strategy::CompiledNativeParallel(config);
+        let reference = provider
+            .execute(workload.clone(), strategy)
+            .expect("in-process native reference");
+        let mut rows = Vec::new();
+        let mut sizes = Vec::new();
+        for batch in client
+            .query_stream(workload.clone(), strategy, options)
+            .expect("open native stream")
+        {
+            let batch = batch.expect("streamed batch");
+            sizes.push(batch.len());
+            rows.extend(batch);
+        }
+        assert_eq!(rows, reference.rows, "{}: rows", context("native"));
+        assert_eq!(
+            sizes,
+            expected_sizes(reference.rows.len()),
+            "{}: batch sizes",
+            context("native")
+        );
     }
 }
 
@@ -261,7 +260,7 @@ fn prepare_execute_rebinding_matches_adhoc_over_the_wire() {
     let h = harness();
     let prepare_cutoff = h.data.shipdate_for_selectivity(0.3);
     let execute_cutoff = h.data.shipdate_for_selectivity(0.7);
-    let config = parallel(2, true);
+    let config = parallel(2);
     let stream_options = QueryOptions::new().with_stream_batch_rows(16);
 
     let shapes = [
@@ -354,7 +353,7 @@ fn prepare_execute_rebinding_matches_adhoc_over_the_wire() {
 #[test]
 fn concurrent_clients_with_mixed_qos_classes_complete_identically() {
     let h = harness();
-    let config = parallel(2, true);
+    let config = parallel(2);
     let provider = native_provider(config);
     let server = Server::start(provider.clone(), "127.0.0.1:0").expect("bind loopback server");
     let addr = server.local_addr().to_string();
@@ -412,4 +411,70 @@ fn concurrent_clients_with_mixed_qos_classes_complete_identically() {
             .sum::<usize>()
     });
     assert_eq!(completed, CLIENTS * REQUESTS_PER_CLIENT);
+}
+
+fn open_fds() -> usize {
+    std::fs::read_dir("/proc/self/fd")
+        .expect("list open descriptors")
+        .count()
+}
+
+/// A server that has seen many short connections holds no more descriptors
+/// than one that has seen few: each connection releases everything it
+/// duplicated once it ends.
+#[test]
+fn connect_disconnect_cycles_leak_no_descriptors() {
+    let provider = native_provider(parallel(1));
+    let server = Server::start(provider, "127.0.0.1:0").expect("bind loopback server");
+    drop(Client::connect(server.local_addr()).expect("warm-up connect"));
+    std::thread::sleep(Duration::from_millis(100));
+    let before = open_fds();
+    for _ in 0..200 {
+        drop(Client::connect(server.local_addr()).expect("connect"));
+    }
+    // Connection threads finish asynchronously; give them a moment.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut after = open_fds();
+    while after > before + 4 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+        after = open_fds();
+    }
+    assert!(
+        after <= before + 4,
+        "{before} descriptors before 200 connections, {after} after"
+    );
+}
+
+/// A frame that breaks the protocol is answered with the connection-level
+/// (id 0) error frame, and the server then closes the connection instead of
+/// leaving the client waiting.
+#[test]
+fn protocol_violation_gets_an_error_frame_then_eof() {
+    let provider = native_provider(parallel(1));
+    let server = Server::start(provider, "127.0.0.1:0").expect("bind loopback server");
+    let mut socket = TcpStream::connect(server.local_addr()).expect("connect");
+    socket
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .expect("read timeout");
+    write_frame(&mut socket, &Request::hello().encode()).expect("send hello");
+    let hello = read_frame(&mut socket)
+        .expect("hello reply")
+        .expect("frame");
+    assert!(matches!(
+        Response::decode(&hello),
+        Ok(Response::Hello { .. })
+    ));
+
+    write_frame(&mut socket, &[0xFF]).expect("send a frame with an unknown tag");
+    let error = read_frame(&mut socket)
+        .expect("error reply")
+        .expect("frame");
+    assert!(matches!(
+        Response::decode(&error),
+        Ok(Response::Error { id: 0, .. })
+    ));
+    match read_frame(&mut socket) {
+        Ok(None) => {}
+        other => panic!("expected EOF within 1 s after the error frame, got {other:?}"),
+    }
 }

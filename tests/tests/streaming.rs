@@ -4,7 +4,7 @@
 //!
 //! The contract under test:
 //! * concatenating every streamed batch reproduces `Provider::execute`'s
-//!   rows bit for bit — for every strategy, thread count and stealing mode,
+//!   rows bit for bit — for every strategy and thread count,
 //!   and with deterministic batch boundaries (`stream_batch_rows`);
 //! * shapes that cannot stream incrementally (grouped aggregation, sorts,
 //!   Min-transfer hybrid) still deliver the full result as a final flush;
@@ -43,14 +43,13 @@ fn cutoff() -> Date {
     workbench().data.shipdate_for_selectivity(0.5)
 }
 
-fn parallel(threads: usize, stealing: bool) -> ParallelConfig {
+fn parallel(threads: usize) -> ParallelConfig {
     ParallelConfig {
         threads,
         min_rows_per_thread: 16,
         ..ParallelConfig::default()
     }
     .with_morsel_rows(64)
-    .with_stealing(stealing)
 }
 
 /// Drains a stream and returns (concatenated rows, batch sizes).
@@ -65,10 +64,10 @@ fn drain(stream: QueryStream<'_>) -> (Vec<Vec<Value>>, Vec<usize>) {
     (rows, sizes)
 }
 
-/// Every strategy, every thread count, stealing on and off: the streamed
-/// batch sequence concatenates to exactly the materialised result, and the
-/// batch boundaries themselves are deterministic (`stream_batch_rows`-sized
-/// full batches plus one remainder), independent of the schedule.
+/// Every strategy, every thread count: the streamed batch sequence
+/// concatenates to exactly the materialised result, and the batch
+/// boundaries themselves are deterministic (`stream_batch_rows`-sized full
+/// batches plus one remainder), independent of the schedule.
 #[test]
 fn streamed_batches_concatenate_bit_identical_across_strategies_and_schedules() {
     let wb = workbench();
@@ -92,36 +91,34 @@ fn streamed_batches_concatenate_bit_identical_across_strategies_and_schedules() 
     };
 
     for &threads in &THREADS {
-        for stealing in [false, true] {
-            let config = parallel(threads, stealing);
-            let context = |name: &str| format!("{name} at {threads} threads, stealing={stealing}");
+        let config = parallel(threads);
+        let context = |name: &str| format!("{name} at {threads} threads");
 
-            // Managed strategies share one provider.
-            let mut managed = wb.managed_provider();
-            managed.set_parallelism(config);
-            for (name, strategy) in [
-                ("linq", Strategy::LinqToObjects),
-                ("csharp", Strategy::CompiledCSharp),
-                ("hybrid", Strategy::Hybrid(HybridConfig::default())),
-            ] {
-                let stream = managed.submit_stream(workload.clone(), strategy, options);
-                let (rows, sizes) = drain(stream);
-                assert_eq!(rows, reference.rows, "{}: rows", context(name));
-                assert_eq!(sizes, expected_sizes, "{}: batch sizes", context(name));
-            }
-
-            // Native strategy over the row store.
-            let mut native = Provider::new();
-            native.bind_native(queries::SRC_LINEITEM, &wb.stores["lineitem"]);
-            let stream = native.submit_stream(
-                workload.clone(),
-                Strategy::CompiledNativeParallel(config),
-                options,
-            );
+        // Managed strategies share one provider.
+        let mut managed = wb.managed_provider();
+        managed.set_parallelism(config);
+        for (name, strategy) in [
+            ("linq", Strategy::LinqToObjects),
+            ("csharp", Strategy::CompiledCSharp),
+            ("hybrid", Strategy::Hybrid(HybridConfig::default())),
+        ] {
+            let stream = managed.submit_stream(workload.clone(), strategy, options);
             let (rows, sizes) = drain(stream);
-            assert_eq!(rows, reference.rows, "{}: rows", context("native"));
-            assert_eq!(sizes, expected_sizes, "{}: batch sizes", context("native"));
+            assert_eq!(rows, reference.rows, "{}: rows", context(name));
+            assert_eq!(sizes, expected_sizes, "{}: batch sizes", context(name));
         }
+
+        // Native strategy over the row store.
+        let mut native = Provider::new();
+        native.bind_native(queries::SRC_LINEITEM, &wb.stores["lineitem"]);
+        let stream = native.submit_stream(
+            workload.clone(),
+            Strategy::CompiledNativeParallel(config),
+            options,
+        );
+        let (rows, sizes) = drain(stream);
+        assert_eq!(rows, reference.rows, "{}: rows", context("native"));
+        assert_eq!(sizes, expected_sizes, "{}: batch sizes", context("native"));
     }
 }
 

@@ -72,7 +72,6 @@ fn all_strategies() -> Vec<Strategy> {
             threads: 8,
             min_rows_per_thread: 16,
             morsel_rows: 64,
-            stealing: true,
         }),
         Strategy::Hybrid(HybridConfig {
             materialization: Materialization::Buffered {
@@ -314,7 +313,6 @@ fn golden_bytes_pin_the_encoding() {
             threads: 2,
             min_rows_per_thread: 16,
             morsel_rows: 64,
-            stealing: true,
         }),
         options: QueryOptions::new()
             .with_deadline(Duration::from_millis(250))
@@ -341,6 +339,46 @@ fn golden_bytes_pin_the_encoding() {
         },
     };
     assert_eq!(hex(&shed.encode()), GOLDEN_OVERLOADED);
+}
+
+/// The byte after a parallel config's three `u64`s is reserved: encoders
+/// write `1`, and a `0` — what an older client that turned the retired
+/// scheduler switch off wrote — decodes to the same request. A value that
+/// is not a bool is still a typed error.
+#[test]
+fn the_reserved_parallel_byte_is_ignored_but_validated() {
+    let golden = unhex(GOLDEN_QUERY);
+    let parallel = unhex(concat!(
+        "0200000000000000",
+        "1000000000000000",
+        "4000000000000000",
+        "01"
+    ));
+    let at = golden
+        .windows(parallel.len())
+        .position(|w| w == parallel.as_slice())
+        .expect("the golden query carries the parallel config");
+    let reserved = at + parallel.len() - 1;
+    let expected = Request::decode(&golden).unwrap();
+
+    let mut old_client = golden.clone();
+    old_client[reserved] = 0;
+    assert_eq!(Request::decode(&old_client).unwrap(), expected);
+    assert_eq!(hex(&expected.encode()), GOLDEN_QUERY, "encoders write 1");
+
+    let mut corrupted = golden;
+    corrupted[reserved] = 2;
+    assert!(matches!(
+        Request::decode(&corrupted),
+        Err(ProtocolError::Invalid(_))
+    ));
+}
+
+fn unhex(text: &str) -> Vec<u8> {
+    (0..text.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&text[i..i + 2], 16).unwrap())
+        .collect()
 }
 
 fn hex(bytes: &[u8]) -> String {

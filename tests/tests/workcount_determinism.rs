@@ -6,10 +6,10 @@
 //!
 //! * **Repetition**: running the same query twice with the same strategy
 //!   reports bit-identical [`WorkStats`] — including `morsels_executed`.
-//! * **Scheduler invariance**: across threads {1, 2, 8} × stealing
-//!   {off, on}, every counter except `morsels_executed` is identical to the
-//!   sequential engines' counts. `morsels_executed` counts execution chunks
-//!   and is the single documented partitioning-dependent counter; the
+//! * **Scheduler invariance**: across threads {1, 2, 8}, every counter
+//!   except `morsels_executed` is identical to the sequential engines'
+//!   counts. `morsels_executed` counts execution chunks and is the single
+//!   documented partitioning-dependent counter; the
 //!   [`WorkStats::partition_invariant`] projection zeroes exactly it.
 
 use mrq_bench::{run_strategy, Workbench};
@@ -49,12 +49,11 @@ fn strategies() -> Vec<(&'static str, Strategy)> {
 
 /// A scheduler shape with explicit (host-independent) knobs and thresholds
 /// low enough that the tiny test dataset really partitions.
-fn config(threads: usize, stealing: bool) -> ParallelConfig {
+fn config(threads: usize) -> ParallelConfig {
     ParallelConfig {
         threads,
         min_rows_per_thread: 16,
         morsel_rows: 64,
-        stealing,
     }
 }
 
@@ -89,29 +88,22 @@ fn parallel_runs_are_repeatable_at_every_scheduler_shape() {
     for (shape, expr) in shapes() {
         let (canon, spec) = wb.lower(expr);
         for &threads in &THREADS {
-            for stealing in [false, true] {
-                for (name, strategy) in [
-                    (
-                        "native",
-                        Strategy::CompiledNativeParallel(config(threads, stealing)),
-                    ),
-                    (
-                        "hybrid",
-                        Strategy::Hybrid(
-                            HybridConfig::default().parallel(config(threads, stealing)),
-                        ),
-                    ),
-                ] {
-                    let (_, first) = run_strategy(&wb, &canon, &spec, strategy);
-                    let (_, second) = run_strategy(&wb, &canon, &spec, strategy);
-                    assert_eq!(
-                        first.work_stats(),
-                        second.work_stats(),
-                        "{shape}/{name} at {threads} threads (stealing={stealing}): \
-                         repeated parallel runs must report identical work, \
-                         morsel counter included"
-                    );
-                }
+            for (name, strategy) in [
+                ("native", Strategy::CompiledNativeParallel(config(threads))),
+                (
+                    "hybrid",
+                    Strategy::Hybrid(HybridConfig::default().parallel(config(threads))),
+                ),
+            ] {
+                let (_, first) = run_strategy(&wb, &canon, &spec, strategy);
+                let (_, second) = run_strategy(&wb, &canon, &spec, strategy);
+                assert_eq!(
+                    first.work_stats(),
+                    second.work_stats(),
+                    "{shape}/{name} at {threads} threads: \
+                     repeated parallel runs must report identical work, \
+                     morsel counter included"
+                );
             }
         }
     }
@@ -152,67 +144,57 @@ fn scheduler_shape_changes_only_the_morsel_counter() {
         );
 
         for &threads in &THREADS {
-            for stealing in [false, true] {
-                let cfg = config(threads, stealing);
-                let context = |engine: &str| {
-                    format!("{shape}/{engine} at {threads} threads (stealing={stealing})")
-                };
+            let cfg = config(threads);
+            let context = |engine: &str| format!("{shape}/{engine} at {threads} threads");
 
-                let csharp =
-                    mrq_engine_csharp::execute_parallel(&spec, &canon.params, &heap_refs, cfg)
-                        .expect("parallel C#");
-                assert_partition_invariant(
-                    csharp_ref.work_stats(),
-                    csharp.work_stats(),
-                    &context("csharp"),
-                );
+            let csharp = mrq_engine_csharp::execute_parallel(&spec, &canon.params, &heap_refs, cfg)
+                .expect("parallel C#");
+            assert_partition_invariant(
+                csharp_ref.work_stats(),
+                csharp.work_stats(),
+                &context("csharp"),
+            );
 
-                let native =
-                    mrq_engine_native::execute_parallel(&spec, &canon.params, &stores, &[], cfg)
-                        .expect("parallel native");
-                assert_partition_invariant(
-                    native_ref.work_stats(),
-                    native.work_stats(),
-                    &context("native"),
-                );
+            let native =
+                mrq_engine_native::execute_parallel(&spec, &canon.params, &stores, &[], cfg)
+                    .expect("parallel native");
+            assert_partition_invariant(
+                native_ref.work_stats(),
+                native.work_stats(),
+                &context("native"),
+            );
 
-                let hybrid = mrq_engine_hybrid::execute(
-                    &spec,
-                    &canon.params,
-                    &heap_refs,
-                    HybridConfig::default().parallel(cfg),
-                )
-                .expect("parallel hybrid");
-                // The hybrid's invariant counters match themselves across
-                // shapes (its staging double-scan differs from the pure
-                // fused engines by design, so compare to its own sequential
-                // run).
-                let hybrid_ref = mrq_engine_hybrid::execute(
-                    &spec,
-                    &canon.params,
-                    &heap_refs,
-                    HybridConfig::default(),
-                )
-                .expect("sequential hybrid");
-                assert_partition_invariant(
-                    hybrid_ref.output.work_stats(),
-                    hybrid.output.work_stats(),
-                    &context("hybrid"),
-                );
-            }
+            let hybrid = mrq_engine_hybrid::execute(
+                &spec,
+                &canon.params,
+                &heap_refs,
+                HybridConfig::default().parallel(cfg),
+            )
+            .expect("parallel hybrid");
+            // The hybrid's invariant counters match themselves across
+            // shapes (its staging double-scan differs from the pure
+            // fused engines by design, so compare to its own sequential
+            // run).
+            let hybrid_ref = mrq_engine_hybrid::execute(
+                &spec,
+                &canon.params,
+                &heap_refs,
+                HybridConfig::default(),
+            )
+            .expect("sequential hybrid");
+            assert_partition_invariant(
+                hybrid_ref.output.work_stats(),
+                hybrid.output.work_stats(),
+                &context("hybrid"),
+            );
         }
 
         // The documented exception really is exercised: with 64-row morsels
         // over thousands of rows, an 8-thread native run splits the scan
         // into more than one execution chunk.
-        let wide = mrq_engine_native::execute_parallel(
-            &spec,
-            &canon.params,
-            &stores,
-            &[],
-            config(8, true),
-        )
-        .expect("parallel native");
+        let wide =
+            mrq_engine_native::execute_parallel(&spec, &canon.params, &stores, &[], config(8))
+                .expect("parallel native");
         assert!(
             wide.work_stats().morsels_executed > 1,
             "{shape}: an 8-thread run over 64-row morsels must execute several morsels \

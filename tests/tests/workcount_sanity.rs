@@ -193,7 +193,6 @@ fn selectivity_one_join_probes_exactly_n() {
         threads: 4,
         min_rows_per_thread: 16,
         morsel_rows: 64,
-        stealing: true,
     };
     let parallel =
         mrq_engine_native::execute_parallel(&spec, &canon.params, &[&sales, &cities], &[], config)
