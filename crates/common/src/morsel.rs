@@ -401,6 +401,13 @@ mod tests {
     }
 
     #[test]
+    fn worker_indexes_match_positions() {
+        let idx = dispatch(300, config(3, 1), |i, _| i);
+        assert!(idx.len() > 1);
+        assert_eq!(idx, (0..idx.len()).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn stealing_gathers_partials_in_morsel_order() {
         for threads in [1usize, 3, 4] {
             let cfg = config(threads, 1).with_morsel_rows(37);
