@@ -25,7 +25,7 @@ fn bench(c: &mut Criterion) {
     // Thread sweep over the same join: the parallel partitioned build plus
     // the morsel-parallel probe, end to end (build included), for the native
     // row store and the hybrid strategy. The 1-thread point is the baseline
-    // the bench-smoke speedup gate compares against.
+    // each speedup is read against.
     let tables = wb.row_stores(&spec);
     let heap_tables = wb.heap_tables(&spec);
     let heap_refs: Vec<&HeapTable<'_>> = heap_tables.iter().collect();

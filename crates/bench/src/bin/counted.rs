@@ -1,31 +1,17 @@
 //! `counted` — the deterministic work-counting bench mode.
 //!
-//! Prints the counted report (see [`mrq_bench::counted_report`]) to stdout in
-//! the `BENCH_smoke.json` artifact shape, with `"unit": "count"`. Every value
-//! is an exact count — rows scanned, hash inserts, probe lookups, simulated
-//! cache misses — so repeated runs are byte-identical and the trend gate can
-//! be strict (`scripts/bench-trend.sh --strict`, 1% drift) instead of the 25%
-//! wall-clock tolerance.
-//!
-//! Usage:
+//! Prints the counted report ([`mrq_bench::counted_artifact`]) to stdout.
+//! Every value is an exact count — rows scanned, hash inserts, probe
+//! lookups, compilations, simulated cache misses — so repeated runs are
+//! byte-identical. The repository commits the output as
+//! `BENCH_counted.json`, and `tests/tests/counted_baseline.rs` fails when a
+//! fresh report differs from it in either direction. A change that moves
+//! work regenerates the file and commits the diff:
 //!
 //! ```text
 //! cargo run -q -p mrq-bench --release --bin counted > BENCH_counted.json
 //! ```
-//!
-//! Env: `MRQ_SF` overrides the scale factor (default 0.002, matching
-//! `scripts/bench-smoke.sh`). Counters scale with the factor, so a trend
-//! baseline is only meaningful at a fixed factor.
-
-use mrq_bench::{counted_report, counted_scale_factor, render_counted_json, Workbench};
 
 fn main() {
-    let scale_factor = counted_scale_factor();
-    let bench = Workbench::new(scale_factor);
-    let points = counted_report(&bench);
-    print!("{}", render_counted_json(&points, scale_factor));
-    eprintln!(
-        "counted: {} points at scale factor {scale_factor}",
-        points.len()
-    );
+    print!("{}", mrq_bench::counted_artifact());
 }

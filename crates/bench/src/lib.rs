@@ -1041,17 +1041,18 @@ pub fn compile_costs(bench: &Workbench) -> Vec<(String, Duration, Duration, Dura
 // ---------------------------------------------------------------------------
 // Counted bench mode: deterministic work replay.
 //
-// Wall-clock benches (the Criterion benches above plus scripts/bench-smoke.sh)
-// measure *time*, which is noisy: the same binary on the same host jitters by
-// several percent run to run, so the trend gate must tolerate 25% drift before
-// it calls a regression. The counted mode replays the same workload shapes but
-// reports *work* — the per-query [`WorkStats`] counters threaded through every
-// engine's fused loops, plus simulated cache-hierarchy traffic. Both are pure
-// functions of (dataset, query, configuration): the TPC-H generator is seeded,
-// simulated addresses use fixed bases, and every parallel point pins an
-// explicit [`ParallelConfig`], so two runs of the counted report are
-// byte-identical on any host and `scripts/bench-trend.sh --strict` can gate
-// them at 1% instead of 25%.
+// Wall-clock numbers (the end-to-end benchmark in the repository's
+// `benchmark/` package, and the Criterion benches above) jitter by several
+// percent from run to run of the same binary on the same host. The counted
+// mode replays fixed workload shapes and reports *work* instead — the
+// per-query [`WorkStats`] counters threaded through every engine's fused
+// loops, compilations, and simulated cache-hierarchy traffic. All of it is a
+// pure function of (dataset, query, configuration): the TPC-H generator is
+// seeded, simulated addresses use fixed bases, and every parallel point pins
+// an explicit [`ParallelConfig`]. The rendered report is therefore
+// byte-identical on any host, and the repository commits it as
+// `BENCH_counted.json`; a test compares a fresh report with that file, so any
+// change in work, up or down, is a reviewed diff of the baseline.
 // ---------------------------------------------------------------------------
 
 /// One point of the counted report: a stable `group/point/counter` name and
@@ -1065,16 +1066,12 @@ pub struct CountedPoint {
     pub value: u64,
 }
 
-/// Scale factor for counted runs: `MRQ_SF` when set, else 0.002 — the same
-/// default `scripts/bench-smoke.sh` uses, so counted and wall-clock artifacts
-/// describe the same workload. Changing the factor changes every counter, so
-/// a trend baseline is only meaningful at a fixed factor.
-pub fn counted_scale_factor() -> f64 {
-    std::env::var("MRQ_SF")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.002)
-}
+/// Scale factor of the counted report. Fixed, because every counter scales
+/// with it and the committed baseline is only comparable at one factor.
+pub const COUNTED_SCALE_FACTOR: f64 = 0.002;
+
+/// Executions of one statement behind each `counted_amortization` point.
+const AMORTIZED_RUNS: u64 = 4;
 
 /// The strategies of the counted report, with shell-friendly slugs. Every
 /// entry pins a deterministic configuration: the hybrids stage sequentially
@@ -1099,11 +1096,16 @@ fn push_work(out: &mut Vec<CountedPoint>, group: &str, point: &str, work: &WorkS
     }
 }
 
-/// The deterministic counted report: the smoke benches' workload shapes
-/// (Q1, Q6, the Figure 11 join and the prepared-amortization loop) replayed
-/// through the per-query work counters, plus the Figure 14 simulated cache
-/// hierarchy. Every value is an exact count; repeated runs are
-/// byte-identical.
+/// Compilations a provider has performed so far: misses of the ad-hoc
+/// pattern cache plus misses of the prepared-plan cache.
+fn compilations(provider: &Provider<'_>) -> u64 {
+    provider.stats().cache_misses + provider.plan_cache_stats().misses
+}
+
+/// The deterministic counted report: Q1, Q6 and the Figure 11 join across
+/// the strategies, prepared re-execution and its compile amortization, a
+/// streamed scan, and the Figure 14 simulated cache hierarchy. Every value
+/// is an exact count; repeated runs are byte-identical.
 pub fn counted_report(bench: &Workbench) -> Vec<CountedPoint> {
     let mut out = Vec::new();
 
@@ -1148,43 +1150,63 @@ pub fn counted_report(bench: &Workbench) -> Vec<CountedPoint> {
         );
     }
 
-    // Prepared re-execution (the amortization bench's shape): a plan
-    // prepared once must repeat *identical* execution work on every run —
-    // compilation happens outside the counters entirely.
+    // Prepared re-execution: a plan prepared once must repeat *identical*
+    // execution work on every run — compilation happens outside the work
+    // counters entirely. The amortization points count compilations over
+    // `AMORTIZED_RUNS` executions of the same statement: once (at prepare)
+    // for the prepared plan, every time for an ad-hoc statement whose
+    // compiled artefacts are dropped before each run.
     let stmt = queries::q6();
     let managed = bench.managed_provider();
-    for (slug, strategy) in [
-        ("csharp", Strategy::CompiledCSharp),
-        ("hybrid", Strategy::Hybrid(HybridConfig::default())),
-    ] {
-        let prepared = managed.prepare(stmt.clone(), strategy).expect("prepare");
-        prepared.execute(&[]).expect("first prepared run");
-        let first = managed.last_work_stats();
-        prepared.execute(&[]).expect("second prepared run");
-        let second = managed.last_work_stats();
-        assert_eq!(
-            first, second,
-            "prepared re-execution must repeat identical work"
-        );
-        push_work(&mut out, "counted_prepared", slug, &second);
-    }
     let mut native = Provider::new();
     native.bind_native(
         queries::SRC_LINEITEM,
         &bench.stores[queries::source_table(queries::SRC_LINEITEM)],
     );
-    let prepared = native
-        .prepare(stmt, Strategy::CompiledNative)
-        .expect("prepare native");
-    prepared.execute(&[]).expect("first prepared run");
-    let first = native.last_work_stats();
-    prepared.execute(&[]).expect("second prepared run");
-    let second = native.last_work_stats();
-    assert_eq!(
-        first, second,
-        "prepared re-execution must repeat identical work"
-    );
-    push_work(&mut out, "counted_prepared", "native", &second);
+    let mut amortization = Vec::new();
+    for (slug, provider, strategy) in [
+        ("csharp", &managed, Strategy::CompiledCSharp),
+        (
+            "hybrid",
+            &managed,
+            Strategy::Hybrid(HybridConfig::default()),
+        ),
+        ("native", &native, Strategy::CompiledNative),
+    ] {
+        let before = compilations(provider);
+        let prepared = provider.prepare(stmt.clone(), strategy).expect("prepare");
+        prepared.execute(&[]).expect("first prepared run");
+        let first = provider.last_work_stats();
+        for _ in 1..AMORTIZED_RUNS {
+            prepared.execute(&[]).expect("prepared re-run");
+        }
+        let last = provider.last_work_stats();
+        assert_eq!(
+            first, last,
+            "prepared re-execution must repeat identical work"
+        );
+        push_work(&mut out, "counted_prepared", slug, &last);
+        let prepared_once = compilations(provider) - before;
+
+        let before = compilations(provider);
+        for _ in 0..AMORTIZED_RUNS {
+            provider.clear_compiled();
+            provider
+                .execute(stmt.clone(), strategy)
+                .expect("ad-hoc run");
+        }
+        let compile_each = compilations(provider) - before;
+        for (point, value) in [
+            ("prepared_once_compiles", prepared_once),
+            ("compile_each_compiles", compile_each),
+        ] {
+            amortization.push(CountedPoint {
+                name: format!("counted_amortization/{slug}/{point}"),
+                value,
+            });
+        }
+    }
+    out.extend(amortization);
 
     // Streamed replay: the streaming tests' scan shape drained through
     // `submit_stream` with a pinned batch size. The sink re-chunks rows into
@@ -1249,15 +1271,20 @@ pub fn counted_report(bench: &Workbench) -> Vec<CountedPoint> {
     out
 }
 
-/// Renders counted points in the `BENCH_smoke.json` artifact shape —
-/// `    "group/point/counter": value,` lines inside a `groups` object — so
-/// `scripts/bench-trend.sh` parses counted artifacts with the same extractor
-/// it uses for wall-clock medians. The unit is `"count"` and no host
-/// information is included: the file is byte-identical across machines.
-///
-/// Zero-valued counters are emitted (they keep the byte-level diff exhaustive)
-/// but the trend extractor skips them; a counter moving off zero therefore
-/// reports as `new` rather than as a gated regression.
+/// The counted report at [`COUNTED_SCALE_FACTOR`], rendered exactly as
+/// `BENCH_counted.json` is committed: what the `counted` binary prints and
+/// what the baseline test compares.
+pub fn counted_artifact() -> String {
+    let bench = Workbench::new(COUNTED_SCALE_FACTOR);
+    render_counted_json(&counted_report(&bench), COUNTED_SCALE_FACTOR)
+}
+
+/// Renders counted points as one `    "group/point/counter": value,` line
+/// per point inside a `groups` object, so a change in work shows as one
+/// diff line per counter. The unit is `"count"` and no host information is
+/// included: the file is byte-identical across machines. Zero-valued
+/// counters are emitted too, so a counter moving off zero is a diff like
+/// any other.
 pub fn render_counted_json(points: &[CountedPoint], scale_factor: f64) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"scale_factor\": {scale_factor},\n"));
@@ -1306,7 +1333,7 @@ mod counted_tests {
     use super::*;
 
     #[test]
-    fn render_matches_the_trend_extractor_shape() {
+    fn render_prints_one_point_per_line() {
         let points = vec![
             CountedPoint {
                 name: "counted_q1/linq/rows_scanned".to_string(),
@@ -1318,8 +1345,8 @@ mod counted_tests {
             },
         ];
         let json = render_counted_json(&points, 0.002);
-        // Exactly the `    "name": value,` shape bench-trend's awk extractor
-        // anchors on: four-space indent, no separator on the last entry.
+        // Exactly the `    "name": value,` shape the baseline test diffs
+        // line by line: four-space indent, no separator on the last entry.
         assert!(json.contains("    \"counted_q1/linq/rows_scanned\": 12000,\n"));
         assert!(json.contains("    \"counted_q1/linq/staging_copies\": 0\n"));
         assert!(json.contains("\"unit\": \"count\""));

@@ -3,8 +3,8 @@
 //! The build environment has no access to crates.io, so this workspace-local
 //! shim provides the slice of the criterion 0.5 API the bench targets use —
 //! [`Criterion::benchmark_group`], [`BenchmarkGroup::bench_function`],
-//! [`Bencher::iter`], the [`criterion_group!`]/[`criterion_main!`] macros and
-//! [`black_box`] — backed by a simple wall-clock harness.
+//! [`Bencher::iter`] and the [`criterion_group!`]/[`criterion_main!`]
+//! macros — backed by a simple wall-clock harness.
 //!
 //! Each benchmark runs one warm-up iteration followed by `sample_size`
 //! measured iterations and prints min / mean / max per sample. There is no
@@ -15,12 +15,6 @@
 
 use std::hint;
 use std::time::{Duration, Instant};
-
-/// Opaque-value helper preventing the optimiser from deleting benchmark
-/// bodies, forwarding to [`std::hint::black_box`].
-pub fn black_box<T>(x: T) -> T {
-    hint::black_box(x)
-}
 
 /// Drives one benchmark body.
 pub struct Bencher {
@@ -53,12 +47,6 @@ impl BenchmarkGroup<'_> {
     /// Sets the number of measured iterations per benchmark.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(1);
-        self
-    }
-
-    /// Sets a target measurement time. Accepted for API compatibility; the
-    /// shim measures a fixed number of samples instead.
-    pub fn measurement_time(&mut self, _t: Duration) -> &mut Self {
         self
     }
 
@@ -112,17 +100,6 @@ impl Criterion {
         }
     }
 
-    /// Runs one stand-alone named benchmark with default settings.
-    pub fn bench_function<S: Into<String>>(
-        &mut self,
-        id: S,
-        body: impl FnMut(&mut Bencher),
-    ) -> &mut Self {
-        let id: String = id.into();
-        self.benchmark_group(id.clone()).bench_function(id, body);
-        self
-    }
-
     fn matches(&self, name: &str) -> bool {
         self.filter.as_deref().is_none_or(|f| name.contains(f))
     }
@@ -139,23 +116,11 @@ fn report(name: &str, samples: &[Duration]) {
     let min = samples.iter().min().expect("non-empty");
     let max = samples.iter().max().expect("non-empty");
     let mean = samples.iter().sum::<Duration>() / samples.len() as u32;
-    // The median rides along after the classic [min mean max] block so the
-    // perf-trajectory artifact (`scripts/bench-smoke.sh` →
-    // `BENCH_smoke.json`) gets a robust statistic without disturbing
-    // parsers that stop at the closing bracket.
-    let mut sorted: Vec<Duration> = samples.to_vec();
-    sorted.sort_unstable();
-    let median = if sorted.len() % 2 == 1 {
-        sorted[sorted.len() / 2]
-    } else {
-        (sorted[sorted.len() / 2 - 1] + sorted[sorted.len() / 2]) / 2
-    };
     println!(
-        "{name:<60} time: [{:>10.4} ms {:>10.4} ms {:>10.4} ms]  median: {:.4} ms ({} samples)",
+        "{name:<60} time: [{:>10.4} ms {:>10.4} ms {:>10.4} ms] ({} samples)",
         min.as_secs_f64() * 1e3,
         mean.as_secs_f64() * 1e3,
         max.as_secs_f64() * 1e3,
-        median.as_secs_f64() * 1e3,
         samples.len()
     );
 }
@@ -195,7 +160,7 @@ mod tests {
         group.bench_function("count_runs", |b| {
             b.iter(|| {
                 runs += 1;
-                black_box(runs)
+                runs
             })
         });
         group.finish();
