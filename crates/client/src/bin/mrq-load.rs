@@ -4,7 +4,9 @@
 //!
 //! * **closed loop** (default): `--connections` clients issue
 //!   `--requests` unary queries back to back; latency is measured per
-//!   round trip and reported as p50 / p99 / p999 plus overall qps.
+//!   round trip and reported as p50 / p99 / p999 plus overall qps. A
+//!   self-hosted run (closed or open) also reports `plans`, the number of
+//!   plans its server compiled.
 //! * **open loop** (`--rate R`): requests are scheduled on a fixed global
 //!   tick grid of `R` requests/second and latency is measured from each
 //!   request's *scheduled* time, so queueing delay from a lagging server
@@ -205,18 +207,21 @@ fn main() {
 
     // Clean shutdown of the self-hosted server through the protocol, then
     // wait for the accept loop to exit.
-    let shutdown = match hosted {
-        Some((mut server, _provider)) => {
+    // A self-hosted run also reports how many plans the server compiled
+    // (plan-cache misses): one per query shape, however many requests.
+    let (shutdown, plans) = match hosted {
+        Some((mut server, provider)) => {
             let mut control = Client::connect(&addr).expect("connect for shutdown");
             control.shutdown_server().expect("send shutdown");
             server.wait();
-            "clean"
+            let plans = provider.plan_cache_stats().misses;
+            ("clean", format!(",\"plans\":{plans}"))
         }
-        None => "external",
+        None => ("external", String::new()),
     };
 
     println!(
-        "{{\"mode\":\"{}\",\"requests\":{},\"connections\":{},\"duration_s\":{:.3},\"qps\":{:.1},\"p50_us\":{},\"p99_us\":{},\"p999_us\":{},\"ok\":{},\"shed\":{},\"errors\":{},\"shutdown\":\"{}\"}}",
+        "{{\"mode\":\"{}\",\"requests\":{},\"connections\":{},\"duration_s\":{:.3},\"qps\":{:.1},\"p50_us\":{},\"p99_us\":{},\"p999_us\":{},\"ok\":{},\"shed\":{},\"errors\":{},\"shutdown\":\"{}\"{}}}",
         if args.rate.is_some() { "open" } else { "closed" },
         args.requests,
         args.connections,
@@ -229,6 +234,7 @@ fn main() {
         shed,
         errors,
         shutdown,
+        plans,
     );
     if errors > 0 {
         std::process::exit(1);
@@ -246,8 +252,8 @@ fn run_burst(scale: f64) {
         .execute(queries::q1(), Strategy::CompiledNative)
         .expect("reference execution");
     // The reference execution above compiled the plan; sheds and held
-    // submissions must add nothing on top of this baseline.
-    let baseline_misses = provider.stats().cache_misses;
+    // submissions must add no plan-cache miss on top of this baseline.
+    let baseline_misses = provider.plan_cache_stats().misses;
     let mut server = Server::start(provider.clone(), "127.0.0.1:0").expect("bind loopback server");
     let addr = server.local_addr();
 
@@ -291,7 +297,7 @@ fn run_burst(scale: f64) {
         failed = true;
     }
     // Shed and still-held statements must not have compiled anything.
-    if provider.stats().cache_misses != baseline_misses {
+    if provider.plan_cache_stats().misses != baseline_misses {
         eprintln!("sheds generated plan-cache traffic");
         failed = true;
     }

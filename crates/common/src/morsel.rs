@@ -408,7 +408,7 @@ mod tests {
     }
 
     #[test]
-    fn stealing_gathers_partials_in_morsel_order() {
+    fn dispatch_gathers_partials_in_morsel_order() {
         for threads in [1usize, 3, 4] {
             let cfg = config(threads, 1).with_morsel_rows(37);
             for total in [0usize, 1, 36, 37, 38, 300, 1_000, 10_007] {

@@ -13,9 +13,14 @@
 //!   [`CacheConfig::capacity_per_shard`] entries and evicts its
 //!   least-recently-*used* entry when full (both lookups and inserts
 //!   refresh recency);
+//! * **Single-flight**: a [`ShardedLru::get_or_insert_with`] miss on a key
+//!   another thread is already compiling waits for that compile instead of
+//!   repeating it, so N concurrent first requests for one shape compile it
+//!   once;
 //! * **Counted**: hits, misses and evictions are atomic counters exposed as
-//!   a [`CacheStats`] snapshot, so hit rates can be asserted exactly in
-//!   tests and reported by serving dashboards;
+//!   a [`CacheStats`] snapshot. Through `get_or_insert_with` a miss is
+//!   exactly one compilation, so hit rates and compile counts can be
+//!   asserted exactly in tests and reported by serving dashboards;
 //! * **Poison-tolerant**: every shard-lock acquisition recovers a poisoned
 //!   mutex via `into_inner()`. A panic inside the lock (a panicking key
 //!   comparison, or an injected fault) can unwind mid-operation, but shard
@@ -24,19 +29,14 @@
 //!   cache does not (exercised by the chaos/poison tests).
 //!
 //! The cache is generic over key and value so the provider layer can key it
-//! by (expression structure, strategy, source schema) without this crate
-//! depending on the expression crates. Values are handed out as [`Arc`]s;
-//! eviction never invalidates a plan a client still holds.
-//!
-//! Capacity and shard count default from the environment —
-//! `MRQ_PLAN_CACHE_CAP` (entries per shard) and `MRQ_PLAN_CACHE_SHARDS` —
-//! via [`CacheConfig::from_env`], mirroring the `MRQ_THREADS` convention
-//! of [`crate::morsel::ParallelConfig`].
+//! by (expression structure, source schemas) without this crate depending
+//! on the expression crates. Values are handed out as [`Arc`]s; eviction
+//! never invalidates a plan a client still holds.
 
 use crate::hash::FxHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Sizing of a [`ShardedLru`]: how many independent shards, and how many
 /// entries each shard retains before evicting its least-recently-used one.
@@ -72,21 +72,6 @@ impl CacheConfig {
             capacity_per_shard: capacity,
         }
     }
-
-    /// The defaults overridden by the environment: `MRQ_PLAN_CACHE_SHARDS`
-    /// (shard count) and `MRQ_PLAN_CACHE_CAP` (entries per shard). Unset or
-    /// unparsable variables keep the [`CacheConfig::default`] values.
-    pub fn from_env() -> Self {
-        let parsed = |name: &str| -> Option<usize> { std::env::var(name).ok()?.parse().ok() };
-        let mut config = CacheConfig::default();
-        if let Some(shards) = parsed("MRQ_PLAN_CACHE_SHARDS") {
-            config.shards = shards.max(1);
-        }
-        if let Some(capacity) = parsed("MRQ_PLAN_CACHE_CAP") {
-            config.capacity_per_shard = capacity.max(1);
-        }
-        config
-    }
 }
 
 /// Snapshot of a [`ShardedLru`]'s behaviour counters.
@@ -120,6 +105,10 @@ impl CacheStats {
 /// observable, which the deterministic cache-behaviour tests depend on.
 struct Shard<K, V> {
     entries: Vec<(K, Arc<V>)>,
+    /// Keys a [`ShardedLru::get_or_insert_with`] caller is compiling right
+    /// now, outside the lock; a miss on one of them waits on the slot's
+    /// condvar instead of compiling it again.
+    compiling: Vec<K>,
 }
 
 impl<K: Eq, V> Shard<K, V> {
@@ -129,6 +118,39 @@ impl<K: Eq, V> Shard<K, V> {
         let value = Arc::clone(&entry.1);
         self.entries.push(entry);
         Some(value)
+    }
+}
+
+/// A shard behind its lock, plus the condvar its in-flight compiles
+/// signal when they finish.
+struct Slot<K, V> {
+    shard: Mutex<Shard<K, V>>,
+    compiled: Condvar,
+}
+
+impl<K, V> Slot<K, V> {
+    /// Locks the shard, recovering a poisoned mutex (shard state is only
+    /// mutated in already-consistent steps).
+    fn lock(&self) -> MutexGuard<'_, Shard<K, V>> {
+        self.shard.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// Marks one key as being compiled; dropping it — after the insert, or on
+/// the compile's error or panic — clears the mark and wakes the waiters.
+struct Flight<'c, K: Eq, V> {
+    slot: &'c Slot<K, V>,
+    key: &'c K,
+}
+
+impl<K: Eq, V> Drop for Flight<'_, K, V> {
+    fn drop(&mut self) {
+        let mut shard = self.slot.lock();
+        if let Some(index) = shard.compiling.iter().position(|k| k == self.key) {
+            shard.compiling.swap_remove(index);
+        }
+        drop(shard);
+        self.slot.compiled.notify_all();
     }
 }
 
@@ -153,7 +175,7 @@ impl<K: Eq, V> Shard<K, V> {
 /// assert_eq!((stats.evictions, stats.entries), (1, 2));
 /// ```
 pub struct ShardedLru<K, V> {
-    shards: Vec<Mutex<Shard<K, V>>>,
+    shards: Vec<Slot<K, V>>,
     /// `shards.len() - 1`; shard count is a power of two.
     mask: u64,
     capacity_per_shard: usize,
@@ -169,10 +191,12 @@ impl<K: Hash + Eq, V> ShardedLru<K, V> {
         let shards = config.shards.max(1).next_power_of_two();
         ShardedLru {
             shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(Shard {
+                .map(|_| Slot {
+                    shard: Mutex::new(Shard {
                         entries: Vec::new(),
-                    })
+                        compiling: Vec::new(),
+                    }),
+                    compiled: Condvar::new(),
                 })
                 .collect(),
             mask: shards as u64 - 1,
@@ -183,23 +207,19 @@ impl<K: Hash + Eq, V> ShardedLru<K, V> {
         }
     }
 
-    /// An empty cache sized from the environment
-    /// ([`CacheConfig::from_env`]).
-    pub fn from_env() -> Self {
-        Self::new(CacheConfig::from_env())
-    }
-
     /// Number of shards (always a power of two).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
-    fn shard_of(&self, key: &K) -> MutexGuard<'_, Shard<K, V>> {
+    fn slot_of(&self, key: &K) -> &Slot<K, V> {
         let mut hasher = FxHasher::default();
         key.hash(&mut hasher);
-        self.shards[(hasher.finish() & self.mask) as usize]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        &self.shards[(hasher.finish() & self.mask) as usize]
+    }
+
+    fn shard_of(&self, key: &K) -> MutexGuard<'_, Shard<K, V>> {
+        self.slot_of(key).lock()
     }
 
     /// Looks up a key, refreshing its recency on a hit. Counts exactly one
@@ -220,10 +240,8 @@ impl<K: Hash + Eq, V> ShardedLru<K, V> {
 
     /// Inserts a value, evicting the shard's least-recently-used entry when
     /// the shard is at capacity. If the key is already present the existing
-    /// value *wins* and is returned (and refreshed) — so two threads racing
-    /// to compile the same shape converge on one plan, matching the
-    /// compiled-query-cache semantics the provider already has. Counts
-    /// neither a hit nor a miss.
+    /// value *wins* and is returned (and refreshed), so two racing inserts
+    /// of one key converge on one value. Counts neither a hit nor a miss.
     pub fn insert(&self, key: K, value: Arc<V>) -> Arc<V> {
         let mut shard = self.shard_of(&key);
         if let Some(existing) = shard.touch(&key) {
@@ -237,11 +255,12 @@ impl<K: Hash + Eq, V> ShardedLru<K, V> {
         value
     }
 
-    /// The lookup-or-compute composite: one counted [`ShardedLru::get`],
-    /// and on a miss the (fallible) `compile` closure runs *outside* the
-    /// shard lock, its result inserted with [`ShardedLru::insert`]'s
-    /// first-insert-wins race semantics. Concurrent misses for one key may
-    /// both compile; they converge on a single cached plan.
+    /// The lookup-or-compute composite, counting exactly one hit or one
+    /// miss. On a miss the (fallible) `compile` closure runs *outside* the
+    /// shard lock and its result is inserted with [`ShardedLru::insert`].
+    /// A caller that misses on a key another caller is compiling waits for
+    /// that compile and then counts a hit — so `misses` is exactly the
+    /// number of compilations. If the compile fails, one waiter retries it.
     pub fn get_or_insert_with<E>(
         &self,
         key: &K,
@@ -250,18 +269,28 @@ impl<K: Hash + Eq, V> ShardedLru<K, V> {
     where
         K: Clone,
     {
-        if let Some(found) = self.get(key) {
-            return Ok(found);
+        let slot = self.slot_of(key);
+        let mut shard = slot.lock();
+        loop {
+            if let Some(found) = shard.touch(key) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(found);
+            }
+            if !shard.compiling.contains(key) {
+                break;
+            }
+            shard = slot.compiled.wait(shard).unwrap_or_else(|e| e.into_inner());
         }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        shard.compiling.push(key.clone());
+        drop(shard);
+        let _flight = Flight { slot, key };
         Ok(self.insert(key.clone(), compile()?))
     }
 
     /// Entries currently stored across all shards.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).entries.len())
-            .sum()
+        self.shards.iter().map(|s| s.lock().entries.len()).sum()
     }
 
     /// True when no shard holds an entry.
@@ -273,11 +302,7 @@ impl<K: Hash + Eq, V> ShardedLru<K, V> {
     /// valid).
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .entries
-                .clear();
+            shard.lock().entries.clear();
         }
     }
 
@@ -407,6 +432,36 @@ mod tests {
         assert_eq!(cache.len(), 64, "no key lost or duplicated");
         let stats = cache.stats();
         assert_eq!(stats.hits + stats.misses, 8 * 64);
-        assert!(stats.misses >= 64, "each key missed at least once");
+        assert_eq!(stats.misses, 64, "each key compiled exactly once");
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_key_compile_once() {
+        let cache: ShardedLru<u8, u8> = ShardedLru::new(CacheConfig::single_shard(4));
+        let compiles = AtomicU64::new(0);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    start.wait();
+                    let v: Result<_, ()> = cache.get_or_insert_with(&1, || {
+                        compiles.fetch_add(1, Ordering::Relaxed);
+                        // Long enough that every other caller misses while
+                        // this compile is in flight.
+                        std::thread::sleep(std::time::Duration::from_millis(50));
+                        Ok(Arc::new(9))
+                    });
+                    assert_eq!(*v.unwrap(), 9);
+                });
+            }
+        });
+        assert_eq!(compiles.load(Ordering::Relaxed), 1);
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 3));
+        // A failed compile wakes the waiters and leaves the key uncached.
+        let err: Result<Arc<u8>, &str> = cache.get_or_insert_with(&2, || Err("boom"));
+        assert!(err.is_err());
+        let ok: Result<_, &str> = cache.get_or_insert_with(&2, || Ok(Arc::new(2)));
+        assert_eq!(*ok.unwrap(), 2);
     }
 }

@@ -15,8 +15,8 @@
 //!   (§6), with full or buffered materialisation and Max/Min transfer.
 //!
 //! The provider canonicalises each statement (constant folding and parameter
-//! extraction), consults the compiled-query cache so that repeated query
-//! patterns skip code generation (§3), lowers the tree to a fused
+//! extraction), consults the plan cache so that repeated query patterns skip
+//! code generation (§3), lowers the tree to a fused
 //! [`QuerySpec`], emits the C#/C source that the paper's system would
 //! compile (available through [`Provider::explain`]) and dispatches to the
 //! chosen engine. Execution is deferred: [`Provider::query`] returns a
@@ -26,7 +26,7 @@
 //!
 //! A `Provider` is [`Sync`]: once its sources are bound, any number of
 //! client threads may call [`Provider::execute`] through a shared reference
-//! simultaneously — the compiled-query cache, result-recycling cache and
+//! simultaneously — the plan cache, result-recycling cache and
 //! statistics are interior-mutable behind locks, and all parallel execution
 //! runs on the process-wide persistent worker pool
 //! ([`mrq_common::pool::WorkerPool`]), never on per-query threads. For
@@ -58,6 +58,7 @@ use mrq_codegen::emit::{emit_source, Backend, CompileCostModel};
 use mrq_codegen::exec::{QueryOutput, TableAccess, ValueTable};
 use mrq_codegen::spec::{lower, Catalog, QuerySpec};
 use mrq_common::cancel::{self, CancelReason, CancelToken, JobControl};
+use mrq_common::plancache::ShardedLru;
 use mrq_common::pool::WorkerPool;
 use mrq_common::stream::{StreamReceiver, StreamSink};
 use mrq_common::{fault, panic_message, AdmissionGate};
@@ -66,10 +67,11 @@ use mrq_engine_csharp::HeapTable;
 use mrq_engine_hybrid::HybridConfig;
 use mrq_engine_native::RowStore;
 use mrq_expr::optimize::{optimize, OptimizerConfig, Rewrite};
-use mrq_expr::{canonicalize, CanonicalQuery, Expr, QueryCache, SourceId};
+use mrq_expr::{canonicalize, CanonicalQuery, Expr, SourceId};
 use mrq_mheap::{Heap, ListId};
 use parking_lot::Mutex;
 use std::future::Future;
+use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -87,15 +89,15 @@ pub mod recycle;
 pub mod stream;
 
 pub use owned::OwnedProvider;
-pub use prepared::{OwnedPreparedQuery, PlanCache, PlanKey, PreparedQuery};
+pub use prepared::{OwnedPreparedQuery, PreparedQuery};
 pub use stream::QueryStream;
 
 /// The row-batch payload type [`QueryStream`] yields, re-exported from
 /// [`mrq_common::stream`].
 pub use mrq_common::stream::RowBatch;
 
-/// Sizing knobs and counter snapshots of the shared [`PlanCache`],
-/// re-exported from [`mrq_common::plancache`] under serving-layer names.
+/// Sizing and counter snapshots of the shared [`PlanCache`], re-exported
+/// from [`mrq_common::plancache`] under serving-layer names.
 pub use mrq_common::plancache::{CacheConfig as PlanCacheConfig, CacheStats as PlanCacheStats};
 
 /// The error type the serving layer resolves handles to — the same
@@ -112,10 +114,12 @@ pub use recycle::{RecycleStats, ResultCache, ResultKey};
 
 /// Which execution strategy to use for a statement.
 ///
-/// `Eq`/`Hash` cover the strategy's full configuration (including any
-/// embedded [`ParallelConfig`]/[`HybridConfig`]), so a strategy can key
-/// cached plans: the same statement prepared under two strategies occupies
-/// two [`PlanCache`] entries.
+/// The strategy picks the engine a compiled plan runs on, not the plan: the
+/// lowered [`QuerySpec`] and its generated sources are the same for every
+/// strategy, so one statement executed or prepared under several strategies
+/// (and parallel configurations) shares one [`PlanCache`] entry.
+///
+/// [`QuerySpec`]: mrq_codegen::spec::QuerySpec
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// The interpreted enumerable pipeline (baseline).
@@ -241,9 +245,9 @@ enum Binding<'a> {
     Values(SourceRef<'a, ValueTable>),
 }
 
-/// One unit of submitted work: an ad-hoc statement (compiled — or pattern-
-/// cache-fetched — on the pool worker) or an already-prepared plan with its
-/// parameters resolved at submission, which the worker only executes.
+/// One unit of submitted work: an ad-hoc statement (compiled — or fetched
+/// from the plan cache — on the pool worker) or an already-prepared plan with
+/// its parameters resolved at submission, which the worker only executes.
 enum Job {
     Statement(Expr),
     Prepared {
@@ -257,6 +261,48 @@ enum Job {
 /// cancel token, and — for a streamed submission — the receiving end of
 /// its batch channel.
 type Submission = (Arc<QueryState>, Arc<CancelToken>, Option<StreamReceiver>);
+
+/// The identity of a cached plan: canonical expression structure and the
+/// schemas of the sources the statement reads, in first-appearance order.
+///
+/// Two statements that differ only in literal values produce equal keys
+/// (literals are lifted into parameter slots before keying); re-binding a
+/// source to a schema with different fields produces a different key and
+/// therefore a cache miss. The execution [`Strategy`] is not part of the
+/// key — every strategy runs the same plan. Equality compares the full
+/// canonical tree — the precomputed structural hash accelerates shard
+/// selection and bucket lookup but never decides equality, so hash
+/// collisions cannot alias two plans.
+#[derive(Clone, PartialEq, Eq)]
+pub struct PlanKey {
+    shape_hash: u64,
+    expr: Expr,
+    schemas: Vec<Schema>,
+}
+
+impl Hash for PlanKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // The canonical tree is folded into the precomputed structural hash;
+        // the schemas hash directly.
+        self.shape_hash.hash(state);
+        self.schemas.hash(state);
+    }
+}
+
+impl PlanKey {
+    /// The canonical expression's structural hash (stable across literal
+    /// values).
+    pub fn shape_hash(&self) -> u64 {
+        self.shape_hash
+    }
+}
+
+/// The provider's one compile cache: a sharded, bounded LRU
+/// ([`mrq_common::plancache::ShardedLru`]) from [`PlanKey`] to the compiled
+/// artefact, behind [`Provider::compile`] and so behind every statement
+/// front end — ad-hoc, prepared, streamed, explained. Share one across
+/// providers with [`Provider::set_plan_cache`].
+pub type PlanCache = ShardedLru<PlanKey, CompiledQuery>;
 
 /// The compiled artefact cached per query pattern.
 pub struct CompiledQuery {
@@ -272,13 +318,10 @@ pub struct CompiledQuery {
     pub generation_time: Duration,
 }
 
-/// Aggregated provider statistics.
+/// Aggregated provider statistics (plan-cache counters are
+/// [`Provider::plan_cache_stats`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ProviderStats {
-    /// Query-cache hits.
-    pub cache_hits: u64,
-    /// Query-cache misses (patterns that had to be compiled).
-    pub cache_misses: u64,
     /// Result-recycling counters (all zero unless recycling is enabled).
     pub recycling: RecycleStats,
 }
@@ -287,9 +330,8 @@ pub struct ProviderStats {
 pub struct Provider<'a> {
     heap: Option<SourceRef<'a, Heap>>,
     bindings: Vec<(SourceId, Binding<'a>)>,
-    cache: QueryCache<CompiledQuery>,
-    /// The sharded LRU the prepared-query path keys plans by (expression
-    /// structure + strategy + source schemas). `Arc`-shared so several
+    /// The one compile cache behind [`Provider::compile`], keyed by
+    /// expression structure + source schemas. `Arc`-shared so several
     /// providers can serve one cache ([`Provider::set_plan_cache`]).
     plan_cache: Arc<PlanCache>,
     cost_model: CompileCostModel,
@@ -366,8 +408,7 @@ impl<'a> Provider<'a> {
         Provider {
             heap: None,
             bindings: Vec::new(),
-            cache: QueryCache::new(),
-            plan_cache: Arc::new(PlanCache::from_env()),
+            plan_cache: Arc::new(PlanCache::new(PlanCacheConfig::default())),
             cost_model: CompileCostModel::default(),
             optimizer: OptimizerConfig::default(),
             recycling: false,
@@ -499,18 +540,17 @@ impl<'a> Provider<'a> {
         self.results.lock().clear();
     }
 
-    /// Replaces the plan cache backing [`Provider::prepare`]. The default is
-    /// a private cache sized from the environment
-    /// ([`PlanCacheConfig::from_env`]: `MRQ_PLAN_CACHE_SHARDS` ×
-    /// `MRQ_PLAN_CACHE_CAP`); pass a shared `Arc` to let several providers —
-    /// say, one per schema tenant — serve one cache, or a
-    /// [`PlanCacheConfig::single_shard`] cache for deterministic LRU order.
+    /// Replaces the plan cache behind [`Provider::compile`]. The default is a
+    /// private [`PlanCacheConfig::default`] cache (8 shards × 32 plans);
+    /// pass a shared `Arc` to let several providers — say, one per schema
+    /// tenant — serve one cache, or a [`PlanCacheConfig::single_shard`]
+    /// cache for deterministic LRU order.
     pub fn set_plan_cache(&mut self, cache: Arc<PlanCache>) -> &mut Self {
         self.plan_cache = cache;
         self
     }
 
-    /// The plan cache backing [`Provider::prepare`].
+    /// The plan cache behind [`Provider::compile`].
     pub fn plan_cache(&self) -> &Arc<PlanCache> {
         &self.plan_cache
     }
@@ -521,13 +561,11 @@ impl<'a> Provider<'a> {
         self.plan_cache.stats()
     }
 
-    /// Drops every compiled artefact — both the pattern cache behind
-    /// [`Provider::execute`] and the plan cache behind [`Provider::prepare`]
-    /// (counters are preserved; plans still held by a [`PreparedQuery`]
-    /// stay valid). This is the compile-every-time baseline the
-    /// amortization benchmarks measure against.
+    /// Drops every compiled artefact from the plan cache (counters are
+    /// preserved; plans still held by a [`PreparedQuery`] stay valid). This
+    /// is the compile-every-time baseline the amortization benchmarks
+    /// measure against.
     pub fn clear_compiled(&self) {
-        self.cache.clear();
         self.plan_cache.clear();
     }
 
@@ -548,19 +586,31 @@ impl<'a> Provider<'a> {
         provider
     }
 
-    /// Binds a source id to a managed list (the `QList<T>` wrapper of §3).
-    pub fn bind_managed(&mut self, source: SourceId, list: ListId, schema: Schema) -> &mut Self {
-        self.bindings
-            .push((source, Binding::Managed { list, schema }));
+    /// Binds `source` to `binding`, replacing any earlier binding of it.
+    /// A re-bind also invalidates recycled results, which may have been
+    /// computed over the old data; cached plans need no invalidation, as
+    /// their key holds the bound schemas.
+    fn bind(&mut self, source: SourceId, binding: Binding<'a>) -> &mut Self {
+        match self.bindings.iter_mut().find(|(id, _)| *id == source) {
+            Some(slot) => {
+                slot.1 = binding;
+                self.invalidate_results();
+            }
+            None => self.bindings.push((source, binding)),
+        }
         self
+    }
+
+    /// Binds a source id to a managed list (the `QList<T>` wrapper of §3).
+    /// Every `bind_*` replaces an earlier binding of the same source.
+    pub fn bind_managed(&mut self, source: SourceId, list: ListId, schema: Schema) -> &mut Self {
+        self.bind(source, Binding::Managed { list, schema })
     }
 
     /// Binds a source id to a native row store (the array-of-structs case of
     /// §5).
     pub fn bind_native(&mut self, source: SourceId, store: &'a RowStore) -> &mut Self {
-        self.bindings
-            .push((source, Binding::Native(SourceRef::Borrowed(store))));
-        self
+        self.bind(source, Binding::Native(SourceRef::Borrowed(store)))
     }
 
     /// Binds a source id to a *shared* native row store. Unlike
@@ -568,26 +618,20 @@ impl<'a> Provider<'a> {
     /// whose bindings are all shared (or managed) is `'static` and can seal
     /// into an [`OwnedProvider`] whose handles escape the binding scope.
     pub fn bind_native_shared(&mut self, source: SourceId, store: Arc<RowStore>) -> &mut Self {
-        self.bindings
-            .push((source, Binding::Native(SourceRef::Shared(store))));
-        self
+        self.bind(source, Binding::Native(SourceRef::Shared(store)))
     }
 
     /// Binds a source id to a materialised value table (used for multi-step
     /// queries such as the decorrelated Q2 inner result).
     pub fn bind_values(&mut self, source: SourceId, table: &'a ValueTable) -> &mut Self {
-        self.bindings
-            .push((source, Binding::Values(SourceRef::Borrowed(table))));
-        self
+        self.bind(source, Binding::Values(SourceRef::Borrowed(table)))
     }
 
     /// Binds a source id to a *shared* materialised value table (the
     /// `'static` counterpart of [`Provider::bind_values`]; see
     /// [`Provider::bind_native_shared`]).
     pub fn bind_values_shared(&mut self, source: SourceId, table: Arc<ValueTable>) -> &mut Self {
-        self.bindings
-            .push((source, Binding::Values(SourceRef::Shared(table))));
-        self
+        self.bind(source, Binding::Values(SourceRef::Shared(table)))
     }
 
     /// The bound managed heap, borrowed or shared.
@@ -611,34 +655,57 @@ impl<'a> Provider<'a> {
         }
     }
 
-    /// Compiles (or fetches from the cache) the artefact for a statement:
-    /// heuristic rewrites, canonicalisation, cache lookup, lowering and
-    /// source emission.
+    /// Compiles (or fetches from the plan cache) the artefact for a
+    /// statement: heuristic rewrites, canonicalisation, plan-cache lookup,
+    /// and on a miss lowering and source emission. Every statement front
+    /// end — [`Provider::execute`], [`Provider::prepare`], the ad-hoc
+    /// `submit`/`submit_stream` paths and the `explain` family — compiles
+    /// through here, so one shape compiles once whichever way it arrives.
+    ///
+    /// The cache key is the canonical structure plus the schemas of the
+    /// bound sources ([`PlanKey`]). On a hit nothing is lowered or emitted.
+    /// A miss lowers and emits outside the shard lock, and is
+    /// panic-isolated: a panic in lowering/codegen (or injected at the
+    /// `plancache.insert` fault point) becomes a clean per-statement error,
+    /// and the cache — whose shard locks recover from poisoning — keeps
+    /// serving other shapes.
     pub fn compile(&self, expr: Expr) -> Result<(CanonicalQuery, Arc<CompiledQuery>)> {
         let optimized = optimize(expr, self.optimizer);
         let canonical = canonicalize(optimized.expr);
-        let catalog = ProviderCatalog { provider: self };
-        // The cache cannot return a Result from its closure, so pre-lower on
-        // a miss and report errors eagerly.
-        if let Some(hit) = self.cache.lookup(&canonical) {
-            return Ok((canonical, hit));
+        let rewrites = optimized.rewrites;
+        let mut schemas = Vec::new();
+        for source in canonical.expr.sources() {
+            schemas.push(
+                self.schema_of(source)
+                    .ok_or_else(|| MrqError::Codegen(format!("source {source:?} is not bound")))?,
+            );
         }
-        let start = std::time::Instant::now();
-        let spec = lower(&canonical, &catalog)?;
-        let csharp_source = emit_source(&spec, Backend::CSharp);
-        let c_source = emit_source(&spec, Backend::C);
-        let generation_time = start.elapsed();
-        let artefact = self.cache.insert(
-            &canonical,
-            Arc::new(CompiledQuery {
-                spec,
-                csharp_source,
-                c_source,
-                rewrites: optimized.rewrites,
-                generation_time,
-            }),
-        );
-        Ok((canonical, artefact))
+        let key = PlanKey {
+            shape_hash: canonical.shape_hash,
+            expr: canonical.expr.clone(),
+            schemas,
+        };
+        let catalog = ProviderCatalog { provider: self };
+        let compiled = catch_unwind(AssertUnwindSafe(|| {
+            self.plan_cache.get_or_insert_with(&key, || {
+                fault::point("plancache.insert")?;
+                let start = Instant::now();
+                let spec = lower(&canonical, &catalog)?;
+                let csharp_source = emit_source(&spec, Backend::CSharp);
+                let c_source = emit_source(&spec, Backend::C);
+                Ok::<_, MrqError>(Arc::new(CompiledQuery {
+                    spec,
+                    csharp_source,
+                    c_source,
+                    rewrites,
+                    generation_time: start.elapsed(),
+                }))
+            })
+        }));
+        match compiled {
+            Ok(plan) => Ok((canonical, plan?)),
+            Err(payload) => Err(MrqError::Internal(panic_message(payload))),
+        }
     }
 
     /// Returns the generated source for a statement (the paper's listings).
@@ -1247,12 +1314,9 @@ impl<'a> Provider<'a> {
         }
     }
 
-    /// Cache statistics (hit/miss counts).
+    /// Result-recycling statistics.
     pub fn stats(&self) -> ProviderStats {
-        let cache = self.cache.stats();
         ProviderStats {
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
             recycling: self.results.lock().stats(),
         }
     }
@@ -1652,9 +1716,9 @@ mod tests {
         provider
             .execute(statement("Paris"), Strategy::CompiledCSharp)
             .unwrap();
-        let stats = provider.stats();
-        assert_eq!(stats.cache_misses, 1, "one compilation for the pattern");
-        assert!(stats.cache_hits >= 1, "second instance must hit the cache");
+        let stats = provider.plan_cache_stats();
+        assert_eq!(stats.misses, 1, "one compilation for the pattern");
+        assert!(stats.hits >= 1, "second instance must hit the cache");
     }
 
     #[test]
@@ -1906,9 +1970,9 @@ mod tests {
         assert!(matches!(handle.join(), Err(MrqError::DeadlineExceeded)));
         // The expired query was resolved at dispatch: it never reached the
         // compiler, let alone a morsel.
-        let stats = provider.stats();
-        assert_eq!(stats.cache_misses, 0);
-        assert_eq!(stats.cache_hits, 0);
+        let stats = provider.plan_cache_stats();
+        assert_eq!(stats.misses, 0);
+        assert_eq!(stats.hits, 0);
     }
 
     #[test]
@@ -1974,8 +2038,8 @@ mod tests {
                 QueryOptions::default(),
             ));
         }
-        let stats = provider.stats();
-        assert_eq!(stats.cache_misses, 1, "pattern compiled once, then cached");
+        let stats = provider.plan_cache_stats();
+        assert_eq!(stats.misses, 1, "pattern compiled once, then cached");
     }
 
     #[test]

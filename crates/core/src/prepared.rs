@@ -9,11 +9,11 @@
 //! `price > 10` and `price > 99` share one plan — and executes the cached
 //! plan for every request. This module is that serving path:
 //!
-//! * [`Provider::prepare`] canonicalizes a statement, keys it by
-//!   ([`PlanKey`]: expression structure + [`Strategy`] + the bound sources'
-//!   schemas) and compiles it through the provider's shared [`PlanCache`]
-//!   (a sharded LRU from [`mrq_common::plancache`], sized by
-//!   `MRQ_PLAN_CACHE_SHARDS` / `MRQ_PLAN_CACHE_CAP`);
+//! * [`Provider::prepare`] compiles a statement through
+//!   [`Provider::compile`] — the same bounded [`PlanCache`] (keyed by
+//!   [`PlanKey`]: expression structure + the bound sources' schemas) that
+//!   ad-hoc execution uses — and pairs the plan with a [`Strategy`] and the
+//!   statement's literals as default bindings;
 //! * the returned [`PreparedQuery`] executes the plan with caller-supplied
 //!   bindings — blocking ([`PreparedQuery::execute`]), queued on the worker
 //!   pool as a handle to join, poll or cancel ([`PreparedQuery::submit`]),
@@ -28,84 +28,31 @@
 //! Prepared execution is bit-identical to ad-hoc execution of the same
 //! statement — the equivalence suite in `tests/prepared_equivalence.rs`
 //! asserts this for every strategy × scheduler shape.
+//!
+//! [`PlanCache`]: crate::PlanCache
+//! [`PlanKey`]: crate::PlanKey
 
 use crate::stream::QueryStream;
-use crate::{
-    CompiledQuery, Job, OwnedProvider, Provider, ProviderCatalog, QueryHandle, QueryOptions,
-    Strategy,
-};
-use mrq_codegen::emit::{emit_source, Backend};
+use crate::{CompiledQuery, Job, OwnedProvider, Provider, QueryHandle, QueryOptions, Strategy};
 use mrq_codegen::exec::QueryOutput;
-use mrq_codegen::spec::{lower, QuerySpec};
-use mrq_common::plancache::ShardedLru;
-use mrq_common::{MrqError, Result, Schema, Value};
-use mrq_expr::optimize::optimize;
-use mrq_expr::{canonicalize, Expr};
-use std::hash::{Hash, Hasher};
+use mrq_codegen::spec::QuerySpec;
+use mrq_common::{Result, Value};
+use mrq_expr::Expr;
 use std::sync::Arc;
-use std::time::Instant;
-
-/// The identity of a cached plan: canonical expression structure, execution
-/// [`Strategy`] (including any embedded parallel/hybrid configuration), and
-/// the schemas of the sources the statement reads, in first-appearance
-/// order.
-///
-/// Two statements that differ only in literal values produce equal keys
-/// (literals are lifted into parameter slots before keying); changing the
-/// strategy, or re-binding a source to a schema with different fields,
-/// produces a different key and therefore a cache miss. Equality compares
-/// the full canonical tree — the precomputed structural hash accelerates
-/// shard selection and bucket lookup but never decides equality, so hash
-/// collisions cannot alias two plans.
-#[derive(Clone, PartialEq, Eq)]
-pub struct PlanKey {
-    shape_hash: u64,
-    expr: Expr,
-    strategy: Strategy,
-    schemas: Vec<Schema>,
-}
-
-impl Hash for PlanKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // The canonical tree is folded into the precomputed structural hash;
-        // strategy and schemas hash directly.
-        self.shape_hash.hash(state);
-        self.strategy.hash(state);
-        self.schemas.hash(state);
-    }
-}
-
-impl PlanKey {
-    /// The canonical expression's structural hash (stable across literal
-    /// values).
-    pub fn shape_hash(&self) -> u64 {
-        self.shape_hash
-    }
-
-    /// The strategy this plan was prepared for.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
-    }
-}
-
-/// The concrete plan cache [`Provider::prepare`] compiles through: a
-/// sharded LRU ([`mrq_common::plancache::ShardedLru`]) from [`PlanKey`] to
-/// the compiled artefact. Share one across providers with
-/// [`Provider::set_plan_cache`].
-pub type PlanCache = ShardedLru<PlanKey, CompiledQuery>;
 
 impl<'a> Provider<'a> {
-    /// Compiles a statement once — through the shared [`PlanCache`] — and
-    /// returns a [`PreparedQuery`] that executes the plan with fresh
-    /// parameter bindings, any number of times.
+    /// Compiles a statement once — through [`Provider::compile`] and so the
+    /// provider's [`PlanCache`](crate::PlanCache) — and returns a [`PreparedQuery`] that
+    /// executes the plan under `strategy` with fresh parameter bindings, any
+    /// number of times.
     ///
     /// The statement is optimized and canonicalized exactly as
     /// [`Provider::execute`] would: every literal becomes a positional
     /// parameter slot, and the literal values observed at prepare time
     /// become the plan's *default* bindings. The cache key is the canonical
-    /// structure plus `strategy` plus the schemas of the bound sources, so
-    /// a repeated `prepare` of the same shape is a cache hit that skips
-    /// lowering and code generation entirely.
+    /// structure plus the schemas of the bound sources, so a `prepare` of a
+    /// shape already prepared or executed — under any strategy — is a cache
+    /// hit that skips lowering and code generation entirely.
     ///
     /// # Examples
     ///
@@ -139,51 +86,11 @@ impl<'a> Provider<'a> {
     /// # Ok::<(), mrq_common::MrqError>(())
     /// ```
     pub fn prepare(&self, expr: Expr, strategy: Strategy) -> Result<PreparedQuery<'_, 'a>> {
-        let optimized = optimize(expr, self.optimizer);
-        let canonical = canonicalize(optimized.expr);
-        let rewrites = optimized.rewrites;
-        let mut schemas = Vec::new();
-        for source in canonical.expr.sources() {
-            schemas.push(
-                self.schema_of(source)
-                    .ok_or_else(|| MrqError::Codegen(format!("source {source:?} is not bound")))?,
-            );
-        }
-        let key = PlanKey {
-            shape_hash: canonical.shape_hash,
-            expr: canonical.expr.clone(),
-            strategy,
-            schemas,
-        };
-        let catalog = ProviderCatalog { provider: self };
-        // The compile-and-insert composite is panic-isolated: a panic in
-        // lowering/codegen (or injected at the `plancache.insert` fault
-        // point) becomes a clean per-statement error, and the cache — whose
-        // shard locks recover from poisoning — keeps serving other shapes.
-        let compiled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.plan_cache.get_or_insert_with(&key, || {
-                mrq_common::fault::point("plancache.insert")?;
-                let start = Instant::now();
-                let spec = lower(&canonical, &catalog)?;
-                let csharp_source = emit_source(&spec, Backend::CSharp);
-                let c_source = emit_source(&spec, Backend::C);
-                Ok::<_, MrqError>(Arc::new(CompiledQuery {
-                    spec,
-                    csharp_source,
-                    c_source,
-                    rewrites,
-                    generation_time: start.elapsed(),
-                }))
-            })
-        }));
-        let plan = match compiled {
-            Ok(plan) => plan?,
-            Err(payload) => return Err(MrqError::Internal(mrq_common::panic_message(payload))),
-        };
+        let (canonical, compiled) = self.compile(expr)?;
         Ok(PreparedQuery {
             provider: self,
             plan: PreparedPlan {
-                compiled: plan,
+                compiled,
                 strategy,
                 shape_hash: canonical.shape_hash,
                 defaults: canonical.params,
@@ -333,7 +240,7 @@ impl<'p, 'a> PreparedQuery<'p, 'a> {
 
 impl OwnedProvider {
     /// The `'static` counterpart of [`Provider::prepare`]: compiles through
-    /// the sealed provider's [`PlanCache`] and returns an
+    /// the sealed provider's [`PlanCache`](crate::PlanCache) and returns an
     /// [`OwnedPreparedQuery`] whose handles escape the binding scope (and
     /// whose tasks each keep the provider alive with their own clone).
     pub fn prepare(&self, expr: Expr, strategy: Strategy) -> Result<OwnedPreparedQuery> {

@@ -1,5 +1,5 @@
 //! LINQ-style expression trees, the query builder, canonicalisation and the
-//! query cache.
+//! heuristic optimizer.
 //!
 //! In the paper, a LINQ query statement is captured by the C# compiler as an
 //! *expression tree* (§2.2, Figure 1): a `MethodCallExpression` chain whose
@@ -10,24 +10,23 @@
 //!    (`ConstantEvaluator`),
 //! 2. consults a cache of already-compiled queries keyed by the canonical
 //!    tree, treating embedded literals as parameters so the same compiled
-//!    code is reused across parameter values (`QueryCache`), and
+//!    code is reused across parameter values, and
 //! 3. hands the tree to the code generators.
 //!
-//! This crate reproduces that front half: [`Expr`] is the tree, [`Query`] is
-//! the fluent builder standing in for the C# query syntax, [`canonical`]
-//! contains constant folding and parameter extraction, and [`cache`] holds
-//! the compiled-query cache.
+//! This crate reproduces the first step and the cache key of the second:
+//! [`Expr`] is the tree, [`Query`] is the fluent builder standing in for the
+//! C# query syntax, and [`canonical`] contains constant folding and parameter
+//! extraction, whose [`CanonicalQuery`] (structural hash plus parameterised
+//! tree) keys the provider's plan cache (`mrq_core::PlanCache`).
 
 #![warn(missing_docs)]
 
 pub mod builder;
-pub mod cache;
 pub mod canonical;
 pub mod optimize;
 pub mod tree;
 
 pub use builder::{and_all, col, lam, lit, member, param, str_method, var, Query};
-pub use cache::QueryCache;
 pub use canonical::{canonicalize, fold_constants, CanonicalQuery};
 pub use optimize::{optimize, Optimized, OptimizerConfig, Rewrite};
 pub use tree::{AggFunc, BinaryOp, Expr, QueryMethod, SortDirection, SourceId, UnaryOp};

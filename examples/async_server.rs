@@ -309,7 +309,7 @@ fn main() {
         (6, 4, 6)
     );
     // Shed (and still-held) statements generated zero compilation traffic.
-    assert_eq!(bounded.stats().cache_misses, 0);
+    assert_eq!(bounded.plan_cache_stats().misses, 0);
     fault::release("pool.dispatch");
     let (burst_results, _) = drive_all(burst_futures);
     let mut completed = 0usize;

@@ -1,8 +1,8 @@
 //! Concurrent query serving: N client threads sharing one `Provider`.
 //!
 //! The provider is `Sync` and all parallel work runs on the process-wide
-//! persistent worker pool, so a single provider instance — one compiled-
-//! query cache, one set of bindings — can serve many clients at once. Each
+//! persistent worker pool, so a single provider instance — one plan
+//! cache, one set of bindings — can serve many clients at once. Each
 //! client thread here queues its queries with `Provider::submit`, joins the
 //! `QueryHandle`s, and records per-query latency; the main thread prints a
 //! per-client latency line plus aggregate throughput, and verifies every

@@ -159,10 +159,12 @@ fn main() {
         print!("{}", out.render(3));
         println!();
     }
-    let stats = provider.stats();
+    let plans = provider.plan_cache_stats();
     println!(
-        "provider statistics: {} compilation(s), {} compiled-cache hit(s), {} recycled result(s)",
-        stats.cache_misses, stats.cache_hits, stats.recycling.hits
+        "provider statistics: {} compilation(s), {} plan-cache hit(s), {} recycled result(s)",
+        plans.misses,
+        plans.hits,
+        provider.stats().recycling.hits
     );
 
     // 5. The same statement with the optimizer off evaluates the filters

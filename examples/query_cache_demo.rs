@@ -1,5 +1,5 @@
-//! Demonstrates the compiled-query cache: the same query pattern with
-//! different parameters compiles once and reuses the artefact, exactly the
+//! Demonstrates the plan cache: the same query pattern with different
+//! parameters compiles once and reuses the artefact, exactly the
 //! amortisation argument of §3/§7.4.
 //!
 //! Run with `cargo run --release --example query_cache_demo`.
@@ -28,13 +28,13 @@ fn main() {
         let out = provider
             .execute(queries::q1_with_cutoff(cutoff), Strategy::CompiledCSharp)
             .unwrap();
-        let stats = provider.stats();
+        let stats = provider.plan_cache_stats();
         println!(
             "run {i}: cutoff {cutoff}  {:>8.2} ms  {} groups   cache: {} misses / {} hits",
             start.elapsed().as_secs_f64() * 1e3,
             out.rows.len(),
-            stats.cache_misses,
-            stats.cache_hits,
+            stats.misses,
+            stats.hits,
         );
     }
 

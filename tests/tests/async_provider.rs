@@ -317,9 +317,9 @@ fn deadline_expired_futures_resolve_without_executing() {
         Err(QueryError::DeadlineExceeded)
     ));
     // Resolved at dispatch: the statement never reached the compiler.
-    let stats = provider.stats();
-    assert_eq!(stats.cache_misses, 0);
-    assert_eq!(stats.cache_hits, 0);
+    let stats = provider.plan_cache_stats();
+    assert_eq!(stats.misses, 0);
+    assert_eq!(stats.hits, 0);
 }
 
 #[test]
@@ -379,7 +379,7 @@ fn dropping_unresolved_owned_futures_neither_leaks_nor_deadlocks() {
 }
 
 #[test]
-fn many_futures_one_driver_interleave_across_classes_and_stealing_modes() {
+fn many_futures_one_driver_interleave_across_classes() {
     let store = RowStore::from_rows(schema(), &rows(60_000));
     let mut provider = Provider::new();
     provider.bind_native(SourceId(0), &store);

@@ -114,8 +114,8 @@ fn zero_deadline_always_fires_before_any_morsel() {
     // Dispatch resolved every expired query before it reached the
     // compiler — the observable proof that no morsel (or anything else)
     // ever executed.
-    assert_eq!(provider.stats().cache_misses, 0);
-    assert_eq!(provider.stats().cache_hits, 0);
+    assert_eq!(provider.plan_cache_stats().misses, 0);
+    assert_eq!(provider.plan_cache_stats().hits, 0);
 }
 
 #[test]
@@ -153,7 +153,7 @@ fn cancel_mid_query_leaves_the_pool_drainable() {
     // the pool was busy and it never started, the dispatch check covers
     // it — either way the pool must come back clean).
     let victim = provider.submit(long_scan(), Strategy::CompiledNative, QueryOptions::new());
-    while !victim.is_finished() && provider.stats().cache_misses == 0 {
+    while !victim.is_finished() && provider.plan_cache_stats().misses == 0 {
         std::thread::yield_now();
     }
     victim.cancel();
@@ -211,7 +211,7 @@ fn intra_morsel_checkpoints_stop_a_giant_morsel_scan() {
 
     let victim = provider.submit(long_scan(), Strategy::CompiledNative, QueryOptions::new());
     // Let it reach execution (compile observed), then cancel mid-morsel.
-    while !victim.is_finished() && provider.stats().cache_hits == 0 {
+    while !victim.is_finished() && provider.plan_cache_stats().hits == 0 {
         std::thread::yield_now();
     }
     let cancelled_at = std::time::Instant::now();

@@ -327,7 +327,7 @@ fn overload_burst_sheds_by_class_with_exact_stats() {
     let reference = native
         .execute(workload.clone(), Strategy::CompiledNative)
         .expect("reference");
-    let compiled_before = native.stats().cache_misses;
+    let compiled_before = native.plan_cache_stats().misses;
 
     // 4 in-flight slots + 2 queue slots, reserve 1 per tier below
     // Interactive: class limits are Interactive 6, Batch 5, Maintenance 4.
@@ -375,7 +375,7 @@ fn overload_burst_sheds_by_class_with_exact_stats() {
     assert_eq!(stats.in_flight, 6);
     // Nothing compiled yet — shed (and held) statements generated zero
     // compilation traffic.
-    assert_eq!(native.stats().cache_misses, compiled_before);
+    assert_eq!(native.plan_cache_stats().misses, compiled_before);
 
     fault::release("pool.dispatch");
     for handle in admitted {
@@ -549,7 +549,7 @@ fn shed_statements_never_touch_the_plan_cache() {
                 "{error}"
             );
         }
-        // Ad-hoc submissions shed before the pattern cache too.
+        // Ad-hoc submissions shed before the plan cache too.
         let error = native
             .submit(
                 workload.clone(),
@@ -793,7 +793,7 @@ fn overload_sheds_cross_the_wire_with_exact_admission_numbers() {
     let reference = provider
         .execute(workload.clone(), Strategy::CompiledNative)
         .expect("in-process reference");
-    let baseline_misses = provider.stats().cache_misses;
+    let baseline_misses = provider.plan_cache_stats().misses;
     let server = Server::start(provider.clone(), "127.0.0.1:0").expect("bind loopback server");
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
@@ -843,7 +843,7 @@ fn overload_sheds_cross_the_wire_with_exact_admission_numbers() {
     assert_eq!(stats.peak_in_flight, 6);
     assert_eq!(stats.in_flight, 6);
     // Shed and held statements generated zero compilation traffic.
-    assert_eq!(provider.stats().cache_misses, baseline_misses);
+    assert_eq!(provider.plan_cache_stats().misses, baseline_misses);
 
     fault::release("pool.dispatch");
     for (ticket, (_, expected)) in tickets.into_iter().zip(&burst) {

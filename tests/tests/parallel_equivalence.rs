@@ -435,7 +435,7 @@ mod join_fixtures {
 /// threads {1, 2, 8} with many small morsels: rows, order and decimal
 /// aggregates must be bit-identical to the sequential engines.
 #[test]
-fn join_builds_match_sequential_with_skew_and_stealing() {
+fn join_builds_match_sequential_with_skew() {
     use join_fixtures::*;
     let (sales_store, cities_store) = stores(6_000, 64);
     let (heap, sales_list, cities_list) = heap(6_000, 64);
@@ -524,7 +524,7 @@ fn empty_build_side_joins_match_sequential() {
 /// the sequential build; integer keys partition) through the provider, at
 /// every thread count: bit-identical to the sequential provider.
 #[test]
-fn q3_through_the_provider_matches_with_stealing_on_and_off() {
+fn q3_through_the_provider_matches_at_every_thread_count() {
     let wb = workbench();
     let sequential = wb.managed_provider();
     let reference = sequential

@@ -1,6 +1,7 @@
 //! Deterministic behaviour suite for the sharded LRU plan cache behind
-//! [`Provider::prepare`]: counter exactness, LRU eviction order at capacity
-//! 1 and N, key sensitivity (literals must *not* miss; strategy and schema
+//! [`Provider::compile`] — and so behind `prepare`, `execute` and ad-hoc
+//! submission alike: counter exactness, LRU eviction order at capacity 1
+//! and N, key sensitivity (literals and strategies must *not* miss; schema
 //! changes must), and a concurrent prepare/execute stress test.
 //!
 //! Shard-level determinism comes from
@@ -87,38 +88,103 @@ fn literals_share_a_plan_but_structure_does_not() {
     assert_eq!((stats.misses, stats.hits, stats.entries), (2, 1, 2));
 }
 
-/// Strategy is part of the key: the same statement prepared under two
-/// strategies (including two parallel configurations of one strategy)
-/// occupies distinct entries.
+/// Strategy is not part of the key: the same statement prepared under
+/// three strategies (including two parallel configurations of one
+/// strategy) compiles one plan, and all three run it to bit-identical
+/// output.
 #[test]
-fn strategy_change_is_a_cache_miss() {
+fn strategies_share_one_plan() {
     let data = store(50);
     let mut provider = Provider::new();
     provider.bind_native(SourceId(0), &data);
     provider.set_plan_cache(Arc::new(PlanCache::new(PlanCacheConfig::default())));
 
     let parallel = mrq_common::ParallelConfig::with_threads(4);
-    for strategy in [
+    let outputs: Vec<_> = [
         Strategy::CompiledNative,
         Strategy::CompiledNativeParallel(parallel),
         Strategy::CompiledNativeParallel(parallel.with_morsel_rows(1024)),
-    ] {
+    ]
+    .into_iter()
+    .map(|strategy| {
         provider
             .prepare(shape(BinaryOp::Lt, 7), strategy)
-            .expect("prepare");
+            .expect("prepare")
+            .execute(&[])
+            .expect("execute")
+    })
+    .collect();
+    let stats = provider.plan_cache_stats();
+    assert_eq!(stats.misses, 1, "every strategy runs the one plan");
+    assert_eq!(stats.entries, 1);
+    assert_eq!(outputs[0].rows.len(), 7);
+    assert_eq!(outputs[0], outputs[1]);
+    assert_eq!(outputs[0], outputs[2]);
+}
+
+/// Ad-hoc and prepared statements compile through one cache: `execute`,
+/// `prepare` and an owned ad-hoc `submit` of one shape compile it once.
+#[test]
+fn adhoc_and_prepared_share_one_plan() {
+    let data = Arc::new(store(50));
+    let provider = {
+        let mut provider = Provider::new();
+        provider.bind_native_shared(SourceId(0), Arc::clone(&data));
+        provider.into_shared()
+    };
+    let executed = provider
+        .execute(shape(BinaryOp::Lt, 7), Strategy::CompiledNative)
+        .expect("execute");
+    let prepared = provider
+        .prepare(shape(BinaryOp::Lt, 7), Strategy::CompiledNative)
+        .expect("prepare");
+    let submitted = provider
+        .submit(
+            shape(BinaryOp::Lt, 7),
+            Strategy::CompiledNative,
+            QueryOptions::new(),
+        )
+        .join()
+        .expect("submit");
+    assert_eq!(executed, prepared.execute(&[]).expect("prepared"));
+    assert_eq!(executed, submitted);
+    let stats = provider.plan_cache_stats();
+    assert_eq!(stats.misses, 1, "one compilation across all front ends");
+    assert_eq!((stats.hits, stats.entries), (2, 1));
+}
+
+/// Ad-hoc traffic is bounded like prepared traffic: ten distinct shapes
+/// executed ad hoc through a four-plan cache keep four and evict six.
+#[test]
+fn adhoc_shapes_are_bounded_by_the_cache() {
+    let data = store(50);
+    let mut provider = Provider::new();
+    provider.bind_native(SourceId(0), &data);
+    provider.set_plan_cache(Arc::new(PlanCache::new(PlanCacheConfig::single_shard(4))));
+
+    // Ten structurally distinct shapes: five operators, with and without a
+    // projection.
+    let ops = [
+        BinaryOp::Lt,
+        BinaryOp::Le,
+        BinaryOp::Gt,
+        BinaryOp::Ge,
+        BinaryOp::Eq,
+    ];
+    for op in ops {
+        let filtered = Query::from_source(SourceId(0))
+            .where_(lam("x", Expr::binary(op, col("x", "n"), lit(5i64))))
+            .into_expr();
+        for stmt in [shape(op, 5), filtered] {
+            provider
+                .execute(stmt, Strategy::CompiledNative)
+                .expect("execute");
+        }
     }
     let stats = provider.plan_cache_stats();
-    assert_eq!(stats.misses, 3, "each strategy compiles its own plan");
-    assert_eq!(stats.entries, 3);
-
-    // Re-preparing any of them is now a hit.
-    provider
-        .prepare(
-            shape(BinaryOp::Lt, 99),
-            Strategy::CompiledNativeParallel(parallel),
-        )
-        .expect("re-prepare");
-    assert_eq!(provider.plan_cache_stats().hits, 1);
+    assert_eq!(stats.misses, 10);
+    assert_eq!(stats.entries, 4);
+    assert_eq!(stats.evictions, 6);
 }
 
 /// Source schema is part of the key: two providers sharing one cache but
@@ -296,8 +362,8 @@ fn under_binding_errors_instead_of_panicking() {
 /// Eight clients hammering one shared provider: every thread prepares and
 /// executes every shape repeatedly. No compilation is lost (every shape
 /// lands in the cache exactly once), no lookup is miscounted, and every
-/// execution returns correct rows. Misses may exceed the shape count only
-/// by benign first-insert races, never entries.
+/// execution returns correct rows. Each shape compiles exactly once: a
+/// client that misses while another compiles the shape waits for it.
 #[test]
 fn concurrent_prepare_execute_stress() {
     let data = Arc::new(store(200));
@@ -348,9 +414,7 @@ fn concurrent_prepare_execute_stress() {
         (CLIENTS * ROUNDS * ops.len()) as u64,
         "every prepare counted exactly once"
     );
-    assert!(stats.misses >= ops.len() as u64);
-    // Racing first-compiles are bounded by the client count per shape.
-    assert!(stats.misses <= (CLIENTS * ops.len()) as u64);
+    assert_eq!(stats.misses, ops.len() as u64, "one compilation per shape");
     assert_eq!(stats.evictions, 0);
 }
 

@@ -1,9 +1,11 @@
-//! Provider-level behaviour: caching, deferred execution, GC interaction and
-//! cache-simulation ordering.
+//! Provider-level behaviour: caching, re-binding, deferred execution, GC
+//! interaction and cache-simulation ordering.
 
 use mrq_bench::{fig14_cache, Workbench};
-use mrq_core::Strategy;
-use mrq_expr::SourceId;
+use mrq_common::{DataType, Field, Schema, Value};
+use mrq_core::{Provider, Strategy};
+use mrq_engine_native::RowStore;
+use mrq_expr::{col, lam, Query, SourceId};
 use mrq_tpch::load::{schema_of, HeapDataset, TABLE_NAMES};
 use mrq_tpch::queries;
 use mrq_xtests::small_dataset;
@@ -22,9 +24,43 @@ fn query_cache_amortises_compilation_across_parameters() {
             .execute(queries::q1_with_cutoff(cutoff), Strategy::CompiledCSharp)
             .unwrap();
     }
-    let stats = provider.stats();
-    assert_eq!(stats.cache_misses, 1, "one compilation for the Q1 pattern");
-    assert_eq!(stats.cache_hits, 2);
+    let stats = provider.plan_cache_stats();
+    assert_eq!(stats.misses, 1, "one compilation for the Q1 pattern");
+    assert_eq!(stats.hits, 2);
+}
+
+/// Re-binding a source replaces its data: the next `execute` reads the new
+/// store (new rows, new schema), with and without result recycling — a
+/// recycled result of the old data is never served.
+#[test]
+fn rebinding_a_source_serves_the_new_rows() {
+    let int_column = |name: &str| Field::new(name, DataType::Int64);
+    let old_rows: Vec<Vec<Value>> = (0..10).map(|i| vec![Value::Int64(i)]).collect();
+    let old = RowStore::from_rows(Schema::new("Old", vec![int_column("n")]), &old_rows);
+    // Same row count, so only the re-bind itself can tell the two apart.
+    let new_rows: Vec<Vec<Value>> = (0..10)
+        .map(|i| vec![Value::Int64(100 + i), Value::Int64(-i)])
+        .collect();
+    let new = RowStore::from_rows(
+        Schema::new("New", vec![int_column("n"), int_column("m")]),
+        &new_rows,
+    );
+    let stmt = || {
+        Query::from_source(SourceId(0))
+            .select(lam("x", col("x", "n")))
+            .into_expr()
+    };
+    for recycling in [false, true] {
+        let mut provider = Provider::new();
+        provider.set_result_recycling(recycling);
+        provider.bind_native(SourceId(0), &old);
+        let before = provider.execute(stmt(), Strategy::CompiledNative).unwrap();
+        assert_eq!(before.rows[0], vec![Value::Int64(0)]);
+        provider.bind_native(SourceId(0), &new);
+        let after = provider.execute(stmt(), Strategy::CompiledNative).unwrap();
+        let want: Vec<Vec<Value>> = (0..10).map(|i| vec![Value::Int64(100 + i)]).collect();
+        assert_eq!(after.rows, want, "recycling {recycling}");
+    }
 }
 
 #[test]
