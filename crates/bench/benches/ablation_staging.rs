@@ -17,7 +17,6 @@ fn bench(c: &mut Criterion) {
             let strategy = Strategy::Hybrid(HybridConfig {
                 materialization: Materialization::Buffered { rows_per_buffer },
                 transfer: TransferPolicy::Max,
-                layout: mrq_engine_hybrid::StagingLayout::RowWise,
                 ..HybridConfig::default()
             });
             b.iter(|| run_strategy(&wb, &canon, &spec, strategy).1.rows.len())
@@ -35,24 +34,6 @@ fn bench(c: &mut Criterion) {
         let (canon, spec) = wb.lower(queries::aggregation_micro(cutoff, n));
         group.bench_function(format!("aggregates_{n}"), |b| {
             let strategy = Strategy::Hybrid(HybridConfig::default());
-            b.iter(|| run_strategy(&wb, &canon, &spec, strategy).1.rows.len())
-        });
-    }
-    group.finish();
-
-    let mut group = c.benchmark_group("ablation_staging_layout");
-    group.sample_size(10);
-    for (label, layout) in [
-        ("row_wise", mrq_engine_hybrid::StagingLayout::RowWise),
-        ("columnar", mrq_engine_hybrid::StagingLayout::Columnar),
-    ] {
-        group.bench_function(label, |b| {
-            let strategy = Strategy::Hybrid(HybridConfig {
-                materialization: Materialization::Full,
-                transfer: TransferPolicy::Max,
-                layout,
-                ..HybridConfig::default()
-            });
             b.iter(|| run_strategy(&wb, &canon, &spec, strategy).1.rows.len())
         });
     }

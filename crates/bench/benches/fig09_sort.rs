@@ -18,7 +18,6 @@ fn bench(c: &mut Criterion) {
             Strategy::Hybrid(HybridConfig {
                 materialization: Materialization::Full,
                 transfer: TransferPolicy::Min,
-                layout: mrq_engine_hybrid::StagingLayout::RowWise,
                 ..HybridConfig::default()
             }),
         ),

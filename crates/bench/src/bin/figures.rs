@@ -167,15 +167,6 @@ fn main() {
                     );
                 }
                 println!();
-                println!("== §6.1.1 staging layout: struct rows vs primitive columns ==");
-                for (label, elapsed, staged) in staging_layout_comparison(&bench) {
-                    println!(
-                        "  {label:<28} {:>10.3} ms   staged {:>12} bytes",
-                        elapsed.as_secs_f64() * 1e3,
-                        staged
-                    );
-                }
-                println!();
             }
             "parallel" => {
                 println!("== Extension: parallel native execution (TPC-H Q1) ==");

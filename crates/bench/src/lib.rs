@@ -217,7 +217,6 @@ pub fn standard_strategies() -> Vec<(&'static str, Strategy)> {
             Strategy::Hybrid(HybridConfig {
                 materialization: Materialization::Full,
                 transfer: TransferPolicy::Max,
-                layout: mrq_engine_hybrid::StagingLayout::RowWise,
                 ..HybridConfig::default()
             }),
         ),
@@ -228,7 +227,6 @@ pub fn standard_strategies() -> Vec<(&'static str, Strategy)> {
                     rows_per_buffer: 2048,
                 },
                 transfer: TransferPolicy::Max,
-                layout: mrq_engine_hybrid::StagingLayout::RowWise,
                 ..HybridConfig::default()
             }),
         ),
@@ -285,7 +283,6 @@ pub fn fig09_sort(bench: &Workbench, selectivities: &[f64]) -> Vec<Point> {
                 Strategy::Hybrid(HybridConfig {
                     materialization: Materialization::Full,
                     transfer: TransferPolicy::Min,
-                    layout: mrq_engine_hybrid::StagingLayout::RowWise,
                     ..HybridConfig::default()
                 }),
             ),
@@ -330,7 +327,6 @@ pub fn fig11_join(bench: &Workbench, selectivities: &[f64]) -> Vec<Point> {
                 Strategy::Hybrid(HybridConfig {
                     materialization,
                     transfer: TransferPolicy::Max,
-                    layout: mrq_engine_hybrid::StagingLayout::RowWise,
                     ..HybridConfig::default()
                 }),
             ));
@@ -349,7 +345,6 @@ pub fn fig11_join(bench: &Workbench, selectivities: &[f64]) -> Vec<Point> {
                 Strategy::Hybrid(HybridConfig {
                     materialization,
                     transfer: TransferPolicy::Min,
-                    layout: mrq_engine_hybrid::StagingLayout::RowWise,
                     ..HybridConfig::default()
                 }),
             ));
@@ -650,7 +645,6 @@ pub fn agg_extras_buffer_sweep(
                     rows_per_buffer: rows,
                 },
                 transfer: TransferPolicy::Max,
-                layout: mrq_engine_hybrid::StagingLayout::RowWise,
                 ..HybridConfig::default()
             },
         )
@@ -669,39 +663,6 @@ pub fn agg_extras_buffer_sweep(
         start.elapsed(),
         run.staged_bytes,
     ));
-    out
-}
-
-/// §6.1.1 staging layouts: the same Q1 aggregation staged row-wise (arrays of
-/// generated structs) versus columnar (arrays of primitives). Returns
-/// (label, elapsed, staged bytes).
-pub fn staging_layout_comparison(bench: &Workbench) -> Vec<(String, Duration, usize)> {
-    let cutoff = bench.data.shipdate_for_selectivity(1.0);
-    let (canon, spec) = bench.lower(queries::q1_with_cutoff(cutoff));
-    let tables = bench.heap_tables(&spec);
-    let refs: Vec<&HeapTable<'_>> = tables.iter().collect();
-    let mut out = Vec::new();
-    for (label, layout) in [
-        (
-            "row-wise staging",
-            mrq_engine_hybrid::StagingLayout::RowWise,
-        ),
-        (
-            "columnar staging",
-            mrq_engine_hybrid::StagingLayout::Columnar,
-        ),
-    ] {
-        let config = HybridConfig {
-            materialization: Materialization::Full,
-            transfer: TransferPolicy::Max,
-            layout,
-            ..HybridConfig::default()
-        };
-        let start = Instant::now();
-        let run =
-            mrq_engine_hybrid::execute(&spec, &canon.params, &refs, config).expect("hybrid run");
-        out.push((label.to_string(), start.elapsed(), run.staged_bytes));
-    }
     out
 }
 

@@ -286,7 +286,7 @@ mod tests {
     }
 
     #[test]
-    fn working_set_smaller_than_cache_hits_on_second_pass() {
+    fn working_set_smaller_than_cache_is_resident_on_second_pass() {
         let cfg = CacheConfig::tiny(); // 4 KiB = 64 lines
         let mut sim = CacheSim::new(cfg);
         for _ in 0..2 {

@@ -1268,12 +1268,8 @@ impl<'a> Provider<'a> {
                 let heap = self.heap().ok_or_else(|| {
                     MrqError::Unsupported("managed strategies need a heap-backed provider".into())
                 })?;
-                // Managed strategies accept managed lists; value-table
-                // bindings (materialised sub-query results) are loaded into
-                // temporary managed tables is unnecessary — instead we reject
-                // them for LINQ/C# and allow them only as join build sides by
-                // materialising through a scratch list would complicate the
-                // provider, so for now every source must be a managed list.
+                // Managed strategies read managed lists only: a source bound
+                // to a row store or a value table is `Unsupported` here.
                 let mut tables = Vec::new();
                 for source in &sources {
                     match self.binding(*source)? {

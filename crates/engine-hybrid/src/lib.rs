@@ -7,6 +7,13 @@
 //! buffers; generated native code then does the heavy lifting over the
 //! staged, flat data.
 //!
+//! §6.1.1 offers two views of a staged buffer page: an array of a generated
+//! struct (row-wise, the paper's default) or one array per primitive column
+//! (columnar). MRQ stages row-wise only, into the native engine's
+//! [`RowStore`], so the native phase runs the same `ExecState<'_, RowStore>`
+//! instantiation as the native engine. On TPC-H Q1 with full staging (SF
+//! 0.05, 2 vCPUs) the two layouts measured as a tie, within noise.
+//!
 //! Two materialisation policies are reproduced:
 //!
 //! * **Full materialisation** (§6.1.1) — all qualifying rows are staged
@@ -34,10 +41,8 @@ use mrq_common::{
     morsel, DataType, Field, MrqError, ParallelConfig, Result, Schema, Value, WorkStats,
 };
 use mrq_engine_csharp::HeapTable;
+use mrq_engine_native::RowStore;
 use std::time::{Duration, Instant};
-
-pub mod staging;
-pub use staging::{ColumnBuffer, StagedTable};
 
 /// How probe-side data is materialised into unmanaged memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,18 +67,6 @@ pub enum TransferPolicy {
     Min,
 }
 
-/// How the unmanaged staging buffers are laid out (§6.1.1: the buffer pages
-/// are cast either to arrays of a generated struct type — row-wise — or to
-/// arrays of primitive types — columnar).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
-pub enum StagingLayout {
-    /// One generated struct per staged row (the paper's default).
-    #[default]
-    RowWise,
-    /// One primitive array per staged column.
-    Columnar,
-}
-
 /// Configuration of a hybrid execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HybridConfig {
@@ -81,8 +74,6 @@ pub struct HybridConfig {
     pub materialization: Materialization,
     /// Transfer policy.
     pub transfer: TransferPolicy,
-    /// Staging-buffer layout.
-    pub layout: StagingLayout,
     /// Degree of parallelism for staging (probe and build sides), the
     /// partitioned join build and native processing. The default
     /// ([`ParallelConfig::sequential`]) reproduces the paper's
@@ -98,7 +89,6 @@ impl Default for HybridConfig {
         HybridConfig {
             materialization: Materialization::Full,
             transfer: TransferPolicy::Max,
-            layout: StagingLayout::RowWise,
             parallel: ParallelConfig::sequential(),
         }
     }
@@ -114,12 +104,6 @@ impl HybridConfig {
             },
             ..HybridConfig::default()
         }
-    }
-
-    /// The same configuration with columnar staging buffers.
-    pub fn columnar(mut self) -> Self {
-        self.layout = StagingLayout::Columnar;
-        self
     }
 
     /// The same configuration with the given degree of parallelism.
@@ -389,20 +373,15 @@ pub fn execute(
     // Totals are derived from input/output lengths, not per-worker counts,
     // so they are identical whatever `config.parallel` says.
     let mut staging_work = WorkStats::default();
-    let mut build_stores: Vec<StagedTable> = Vec::new();
-    for (j, join) in spec.joins.iter().enumerate() {
-        let slot = join.slot;
-        let table = tables[slot];
-        let staging = &slots[slot];
+    let mut build_stores: Vec<RowStore> = Vec::new();
+    for join in &spec.joins {
+        let table = tables[join.slot];
         let store = breakdown.time(phases::STAGING, || {
-            stage_table_parallel(
+            stage_table(
                 table,
-                &staging.schema,
-                &staging.mapping,
-                staging.index_col,
+                &slots[join.slot],
                 &join.build_filters,
                 params,
-                config.layout,
                 config.parallel,
             )
         });
@@ -411,7 +390,6 @@ pub fn execute(
         staging_work.scanned_rows(table.len() as u64);
         staging_work.staged_rows(store.len() as u64);
         build_stores.push(store);
-        let _ = j;
     }
 
     // ------------------------------------------------------------------
@@ -420,7 +398,7 @@ pub fn execute(
     // thread-local staging shard per worker.
     // ------------------------------------------------------------------
     let slot_schemas: Vec<Schema> = slots.iter().map(|s| s.schema.clone()).collect();
-    let build_refs: Vec<&StagedTable> = build_stores.iter().collect();
+    let build_refs: Vec<&RowStore> = build_stores.iter().collect();
     // Join hash tables over the staged build sides are themselves built
     // with hash-partitioned parallel workers (string build keys fall back
     // to the sequential build inside the executor).
@@ -468,7 +446,7 @@ pub fn execute(
     // fork of `state`). Staged `__idx` columns (Min transfer) hold absolute
     // row indexes, so Min-mode result reconstruction is oblivious to the
     // partitioning.
-    let run_range = |worker_state: &mut ExecState<'_, StagedTable>,
+    let run_range = |worker_state: &mut ExecState<'_, RowStore>,
                      range: std::ops::Range<usize>|
      -> RangeRun {
         let mut run = RangeRun {
@@ -485,16 +463,7 @@ pub fn execute(
         loop {
             let end = (cursor + chunk).min(range.end);
             let start = Instant::now();
-            let mut buffer = StagedTable::new(root_staging.schema.clone(), config.layout);
-            stage_range(
-                root,
-                cursor..end,
-                &root_staging.mapping,
-                root_staging.index_col,
-                &spec.root_filters,
-                params,
-                &mut buffer,
-            );
+            let buffer = stage_range(root, cursor..end, root_staging, &spec.root_filters, params);
             run.staging_time += start.elapsed();
             run.staged_bytes = run.staged_bytes.max(buffer.payload_bytes());
             run.staged_rows += buffer.len();
@@ -532,8 +501,8 @@ pub fn execute(
         breakdown.add(phase, run.native_time);
     } else {
         // Morsel-parallel staging: every worker filters its morsel of the
-        // managed collection into a thread-local staging shard (row-wise or
-        // columnar) and immediately consumes it with a forked native state.
+        // managed collection into a thread-local `RowStore` shard and
+        // immediately consumes it with a forked native state.
         // Workers come from the persistent pool; morsels come from the
         // pool's shared cursor; join hash tables were built once above and
         // are shared behind an `Arc`. Partial states merge in morsel order,
@@ -549,7 +518,7 @@ pub fn execute(
             (worker_state, run)
         };
         let publish = sink.as_ref().map(|sink| {
-            |_: usize, partial: &mut (ExecState<'_, StagedTable>, RangeRun)| {
+            |_: usize, partial: &mut (ExecState<'_, RowStore>, RangeRun)| {
                 partial.0.flush_rows_to(sink)
             }
         });
@@ -623,94 +592,40 @@ fn native_phase(spec: &QuerySpec) -> &'static str {
     }
 }
 
-/// Stages qualifying rows of a managed table into a fresh staging buffer in
-/// the configured layout.
-#[allow(clippy::too_many_arguments)]
+/// Stages qualifying rows of a managed build-side table. Morsel workers run
+/// the managed-side filter evaluation and column reads (the expensive part
+/// of staging) over morsels of the collection, each into its own shard, and
+/// the shards are appended in morsel order — so the staged store is
+/// byte-identical to a sequential pass. Sequential configs and tiny tables
+/// stage in one morsel on the calling thread.
 fn stage_table(
     table: &HeapTable<'_>,
-    schema: &Schema,
-    mapping: &[(usize, usize)],
-    index_col: Option<usize>,
+    staging: &SlotStaging,
     filters: &[ScalarExpr],
     params: &[Value],
-    layout: StagingLayout,
-) -> StagedTable {
-    let mut store = StagedTable::new(schema.clone(), layout);
-    stage_range(
-        table,
-        0..table.len(),
-        mapping,
-        index_col,
-        filters,
-        params,
-        &mut store,
-    );
-    store
-}
-
-/// Stages qualifying rows of a managed build-side table with morsel
-/// workers: the managed-side filter evaluation and column reads (the
-/// expensive part of staging) run in parallel over morsels of the
-/// collection, and the qualifying rows are appended to the staging buffer
-/// in morsel order — so the staged table is byte-identical to what the
-/// sequential [`stage_table`] produces. Sequential configs and tiny tables
-/// take the sequential path directly.
-#[allow(clippy::too_many_arguments)]
-fn stage_table_parallel(
-    table: &HeapTable<'_>,
-    schema: &Schema,
-    mapping: &[(usize, usize)],
-    index_col: Option<usize>,
-    filters: &[ScalarExpr],
-    params: &[Value],
-    layout: StagingLayout,
     config: ParallelConfig,
-) -> StagedTable {
-    if config.partitions_for(table.len()) <= 1 {
-        return stage_table(table, schema, mapping, index_col, filters, params, layout);
-    }
-    let width = schema.len();
-    let partials: Vec<Vec<Vec<Value>>> = morsel::dispatch(table.len(), config, |_, range| {
-        let mut staged = Vec::new();
-        'rows: for row in range {
-            for f in filters {
-                if !eval_managed_predicate(f, table, row, params) {
-                    continue 'rows;
-                }
-            }
-            let mut buf = vec![Value::Null; width];
-            for (orig, staged_col) in mapping {
-                buf[*staged_col] = table.get_value(row, *orig);
-            }
-            if let Some(idx_col) = index_col {
-                buf[idx_col] = Value::Int64(row as i64);
-            }
-            staged.push(buf);
-        }
-        staged
-    });
-    let mut store = StagedTable::new(schema.clone(), layout);
-    for rows in &partials {
-        for row in rows {
-            store.push_values(row);
-        }
+) -> RowStore {
+    let mut shards = morsel::dispatch(table.len(), config, |_, range| {
+        stage_range(table, range, staging, filters, params)
+    })
+    .into_iter();
+    let mut store = shards.next().expect("at least one morsel");
+    for shard in shards {
+        store.append(shard);
     }
     store
 }
 
-/// Stages qualifying rows of a range of a managed table into `store`.
-#[allow(clippy::too_many_arguments)]
+/// Stages qualifying rows of a range of a managed table into a new store.
 fn stage_range(
     table: &HeapTable<'_>,
     range: std::ops::Range<usize>,
-    mapping: &[(usize, usize)],
-    index_col: Option<usize>,
+    staging: &SlotStaging,
     filters: &[ScalarExpr],
     params: &[Value],
-    store: &mut StagedTable,
-) {
-    let width = store.schema().len();
-    let mut row_buf: Vec<Value> = vec![Value::Null; width];
+) -> RowStore {
+    let mut store = RowStore::new(staging.schema.clone());
+    let mut row_buf: Vec<Value> = vec![Value::Null; staging.schema.len()];
     'rows: for row in range {
         // Intra-morsel cancellation cadence, shared with every fused loop:
         // a no-op outside a cancel scope.
@@ -722,14 +637,15 @@ fn stage_range(
                 continue 'rows;
             }
         }
-        for (orig, staged) in mapping {
+        for (orig, staged) in &staging.mapping {
             row_buf[*staged] = table.get_value(row, *orig);
         }
-        if let Some(idx_col) = index_col {
+        if let Some(idx_col) = staging.index_col {
             row_buf[idx_col] = Value::Int64(row as i64);
         }
         store.push_values(&row_buf);
     }
+    store
 }
 
 /// Evaluates a single-slot predicate against a managed table row. This is
@@ -936,7 +852,6 @@ mod tests {
                     rows_per_buffer: 64,
                 },
                 transfer: TransferPolicy::Max,
-                layout: StagingLayout::RowWise,
                 ..HybridConfig::default()
             },
         )
@@ -969,44 +884,6 @@ mod tests {
     }
 
     #[test]
-    fn columnar_staging_matches_row_wise_staging() {
-        let (heap, list) = setup(600);
-        let mut catalog = HashMap::new();
-        catalog.insert(SourceId(0), schema());
-        let canon = agg_query();
-        let spec = lower(&canon, &catalog).unwrap();
-        let table = HeapTable::new(&heap, list, schema());
-        let row_wise = execute(&spec, &canon.params, &[&table], HybridConfig::default()).unwrap();
-        let columnar = execute(
-            &spec,
-            &canon.params,
-            &[&table],
-            HybridConfig::default().columnar(),
-        )
-        .unwrap();
-        let columnar_buffered = execute(
-            &spec,
-            &canon.params,
-            &[&table],
-            HybridConfig {
-                materialization: Materialization::Buffered {
-                    rows_per_buffer: 128,
-                },
-                transfer: TransferPolicy::Max,
-                layout: StagingLayout::Columnar,
-                ..HybridConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(columnar.output, row_wise.output);
-        assert_eq!(columnar_buffered.output, row_wise.output);
-        assert!(columnar.staged_rows > 0);
-        // The columnar layout stages only the raw column payloads (no per-row
-        // struct padding), so its footprint is never larger.
-        assert!(columnar.staged_bytes <= row_wise.staged_bytes);
-    }
-
-    #[test]
     fn parallel_staging_matches_sequential_for_every_policy() {
         let (heap, list) = setup(3_000);
         let mut catalog = HashMap::new();
@@ -1014,13 +891,7 @@ mod tests {
         let canon = agg_query();
         let spec = lower(&canon, &catalog).unwrap();
         let table = HeapTable::new(&heap, list, schema());
-        let configs = [
-            HybridConfig::default(),
-            HybridConfig::buffered(),
-            HybridConfig::default().columnar(),
-            HybridConfig::buffered().columnar(),
-        ];
-        for base in configs {
+        for base in [HybridConfig::default(), HybridConfig::buffered()] {
             let sequential = execute(&spec, &canon.params, &[&table], base).unwrap();
             for threads in [2usize, 4, 8] {
                 let config = base.parallel(ParallelConfig {
@@ -1034,8 +905,88 @@ mod tests {
                     "{base:?} at {threads} threads"
                 );
                 assert_eq!(parallel.staged_rows, sequential.staged_rows);
+                if base.materialization == Materialization::Full {
+                    assert_eq!(parallel.staged_bytes, sequential.staged_bytes);
+                }
                 assert!(parallel.breakdown.get(phases::STAGING).is_some());
             }
+        }
+    }
+
+    #[test]
+    fn parallel_build_staging_matches_sequential_for_a_two_list_join() {
+        let store_schema = Schema::new(
+            "Store",
+            vec![
+                Field::new("id", DataType::Int64),
+                Field::new("name", DataType::Str),
+                Field::new("region", DataType::Str),
+            ],
+        );
+        let (mut heap, sales) = setup(3_000);
+        let class = heap.register_class(ClassDesc::from_schema(&store_schema));
+        let stores = heap.new_list("stores", Some(class));
+        for i in 0..2_000i64 {
+            let obj = heap.alloc(class);
+            heap.set_i64(obj, 0, i);
+            heap.set_str(obj, 1, &format!("store-{i}"));
+            heap.set_str(obj, 2, if i % 2 == 0 { "North" } else { "South" });
+            heap.list_push(stores, obj);
+        }
+        let mut catalog = HashMap::new();
+        catalog.insert(SourceId(0), schema());
+        catalog.insert(SourceId(1), store_schema.clone());
+        // The build side is filtered on the managed side and stages a
+        // string column, so its shards exercise `RowStore::append`.
+        let canon = canonicalize(
+            Query::from_source(SourceId(0))
+                .join_query(
+                    Query::from_source(SourceId(1)).where_(lam(
+                        "t",
+                        Expr::binary(BinaryOp::Eq, col("t", "region"), lit("North")),
+                    )),
+                    lam("s", col("s", "id")),
+                    lam("t", col("t", "id")),
+                    lam(
+                        "s",
+                        lam(
+                            "t",
+                            Expr::Constructor {
+                                name: "Out".into(),
+                                fields: vec![
+                                    ("id".into(), col("s", "id")),
+                                    ("store".into(), col("t", "name")),
+                                    ("price".into(), col("s", "price")),
+                                ],
+                            },
+                        ),
+                    ),
+                )
+                .into_expr(),
+        );
+        let spec = lower(&canon, &catalog).unwrap();
+        let tables = [
+            HeapTable::new(&heap, sales, schema()),
+            HeapTable::new(&heap, stores, store_schema),
+        ];
+        let refs: Vec<&HeapTable<'_>> = tables.iter().collect();
+        let reference = mrq_engine_csharp::execute(&spec, &canon.params, &refs).unwrap();
+        let sequential = execute(&spec, &canon.params, &refs, HybridConfig::default()).unwrap();
+        assert_eq!(sequential.output, reference);
+        assert_eq!(sequential.output.rows.len(), 1_000);
+        for threads in [1usize, 2, 8] {
+            let config = HybridConfig::default().parallel(ParallelConfig {
+                threads,
+                min_rows_per_thread: 64,
+                ..ParallelConfig::default()
+            });
+            let run = execute(&spec, &canon.params, &refs, config).unwrap();
+            assert_eq!(run.output, sequential.output, "{threads} threads");
+            assert_eq!(run.staged_rows, sequential.staged_rows, "{threads} threads");
+            assert_eq!(
+                run.staged_bytes, sequential.staged_bytes,
+                "{threads} threads"
+            );
         }
     }
 
@@ -1133,7 +1084,6 @@ mod tests {
             HybridConfig {
                 materialization: Materialization::Full,
                 transfer: TransferPolicy::Min,
-                layout: StagingLayout::RowWise,
                 ..HybridConfig::default()
             },
         )
@@ -1145,7 +1095,6 @@ mod tests {
             HybridConfig {
                 materialization: Materialization::Full,
                 transfer: TransferPolicy::Max,
-                layout: StagingLayout::RowWise,
                 ..HybridConfig::default()
             },
         )

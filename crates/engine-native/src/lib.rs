@@ -153,6 +153,30 @@ impl RowStore {
         self.len += 1;
     }
 
+    /// Appends every row of `other`, a store of the same schema, after this
+    /// store's rows. Fixed-width fields are copied as they are; string
+    /// fields are re-pointed past this store's arena, so the result equals
+    /// pushing `other`'s rows one by one.
+    pub fn append(&mut self, mut other: RowStore) {
+        assert_eq!(self.columns, other.columns, "row layout mismatch");
+        // Every shifted offset is below the combined arena length.
+        u32::try_from(self.strings.len() + other.strings.len())
+            .expect("string arena offsets fit in u32");
+        let shift = self.strings.len() as u32;
+        if shift > 0 {
+            for lay in self.columns.iter().filter(|c| c.dtype == DataType::Str) {
+                for row in other.data.chunks_exact_mut(self.stride) {
+                    let field = &mut row[lay.offset..lay.offset + 4];
+                    let offset = u32::from_le_bytes((&*field).try_into().expect("4-byte field"));
+                    field.copy_from_slice(&(offset + shift).to_le_bytes());
+                }
+            }
+        }
+        self.data.extend_from_slice(&other.data);
+        self.strings.extend_from_slice(&other.strings);
+        self.len += other.len;
+    }
+
     fn intern_string(&mut self, s: &str) -> u32 {
         let offset = self.strings.len() as u32;
         let bytes = s.as_bytes();
@@ -439,6 +463,43 @@ mod tests {
         assert!(!s.get_bool(1, 4));
         assert_eq!(s.get_i32(0, 5), -3);
         assert_eq!(s.get_value(2, 1), Value::str("London"));
+    }
+
+    #[test]
+    fn append_re_points_strings_and_sums_payload() {
+        let first = store();
+        let mut second = RowStore::new(schema());
+        second.push_values(&[
+            Value::Int64(4),
+            Value::str("Berlin"),
+            Value::Decimal(Decimal::from_int(40)),
+            Value::Date(Date::from_ymd(1998, 2, 2)),
+            Value::Bool(false),
+            Value::Int32(9),
+        ]);
+        let mut joined = first.clone();
+        joined.append(second.clone());
+        assert_eq!(joined.len(), 4);
+        assert_eq!(
+            joined.payload_bytes(),
+            first.payload_bytes() + second.payload_bytes()
+        );
+        for (row, city) in ["London", "Paris", "London", "Berlin"].iter().enumerate() {
+            assert_eq!(joined.get_str(row, 1), *city);
+        }
+        assert_eq!(joined.get_i64(3, 0), 4);
+        assert_eq!(joined.get_decimal(3, 2), Decimal::from_int(40));
+        assert_eq!(joined.get_date(3, 3), Date::from_ymd(1998, 2, 2));
+        assert!(!joined.get_bool(3, 4));
+        assert_eq!(joined.get_i32(3, 5), 9);
+        assert_eq!(joined.get_i32(0, 5), -3);
+    }
+
+    #[test]
+    #[should_panic(expected = "row arity mismatch")]
+    fn arity_mismatch_is_rejected() {
+        let mut s = RowStore::new(schema());
+        s.push_values(&[Value::Int64(1)]);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::wire::{put_bool, put_f64, put_i32, put_i64, put_str, put_u32, put_u64
 use crate::ProtocolError;
 use mrq_common::{DataType, Date, Decimal, Field, MrqError, QosClass, Schema, Value};
 use mrq_core::{ParallelConfig, QueryOptions, Strategy};
-use mrq_engine_hybrid::{HybridConfig, Materialization, StagingLayout, TransferPolicy};
+use mrq_engine_hybrid::{HybridConfig, Materialization, TransferPolicy};
 use mrq_expr::{BinaryOp, Expr, QueryMethod, SortDirection, SourceId, UnaryOp};
 use std::sync::Arc;
 use std::time::Duration;
@@ -435,7 +435,9 @@ pub fn put_strategy(buf: &mut Vec<u8>, s: &Strategy) {
                 }
             }
             put_u8(buf, matches!(h.transfer, TransferPolicy::Min) as u8);
-            put_u8(buf, matches!(h.layout, StagingLayout::Columnar) as u8);
+            // Reserved byte, formerly the staging layout: always written as
+            // 0; decoders check that it is a bool and ignore it.
+            put_bool(buf, false);
             put_parallel(buf, &h.parallel);
         }
     }
@@ -461,16 +463,11 @@ pub fn get_strategy(r: &mut Reader<'_>) -> Result<Strategy, ProtocolError> {
             } else {
                 TransferPolicy::Max
             };
-            let layout = if r.bool()? {
-                StagingLayout::Columnar
-            } else {
-                StagingLayout::RowWise
-            };
+            r.bool()?;
             let parallel = get_parallel(r)?;
             Strategy::Hybrid(HybridConfig {
                 materialization,
                 transfer,
-                layout,
                 parallel,
             })
         }
@@ -648,7 +645,6 @@ mod tests {
                     rows_per_buffer: 4096,
                 },
                 transfer: TransferPolicy::Min,
-                layout: StagingLayout::Columnar,
                 parallel: ParallelConfig::sequential(),
             }),
         ];

@@ -13,7 +13,7 @@
 //! * [`load`] — loaders that materialise a generated dataset as managed
 //!   objects in an [`mrq_mheap::Heap`] (the representation the paper's
 //!   baseline and C# strategies query) and value-oriented row iterators used
-//!   by the native/columnar loaders of other crates.
+//!   by the native row-store loaders of other crates.
 //! * [`queries`] — the evaluation workloads as expression trees: TPC-H Q1,
 //!   the decorrelated Q2, Q3, and the selectivity-swept micro-workloads of
 //!   §7.1–7.3 (aggregation, sorting, join).

@@ -27,7 +27,7 @@ pub fn schema_of(table: &str) -> Schema {
 }
 
 /// Produces the rows of a table as `Vec<Value>` in schema column order.
-/// Used by the native and columnar loaders of other crates, and by the
+/// Used by the native row-store loaders of other crates, and by the
 /// result-equivalence tests.
 pub fn value_rows(data: &TpchData, table: &str) -> Vec<Vec<Value>> {
     match table {

@@ -205,16 +205,12 @@ fn q2_and_q3_agree_across_all_strategies_at_small_scale() {
 }
 
 #[test]
-fn q6_agrees_across_all_strategies_including_columnar_staging_and_parallel() {
+fn q6_agrees_across_all_strategies_including_parallel() {
     let wb = workbench();
     let (canon, spec) = wb.lower(queries::q6());
     let reference = run_strategy(&wb, &canon, &spec, Strategy::LinqToObjects).1;
     assert_eq!(reference.rows.len(), 1, "Q6 is a single aggregate row");
     let mut strategies = standard_strategies();
-    strategies.push((
-        "C#/C Code (columnar staging)",
-        Strategy::Hybrid(mrq_engine_hybrid::HybridConfig::default().columnar()),
-    ));
     strategies.push((
         "C Code (parallel)",
         Strategy::CompiledNativeParallel(ParallelConfig {

@@ -14,7 +14,7 @@ use mrq_codegen::exec::QueryOutput;
 use mrq_common::ParallelConfig;
 use mrq_core::{Provider, Strategy};
 use mrq_engine_csharp::HeapTable;
-use mrq_engine_hybrid::{HybridConfig, Materialization, StagingLayout, TransferPolicy};
+use mrq_engine_hybrid::{HybridConfig, Materialization, TransferPolicy};
 use mrq_tpch::queries;
 
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -67,10 +67,6 @@ fn managed_strategies_match_sequential_at_every_thread_count() {
             "hybrid buffered/max",
             Strategy::Hybrid(HybridConfig::buffered()),
         ),
-        (
-            "hybrid full/max columnar",
-            Strategy::Hybrid(HybridConfig::default().columnar()),
-        ),
     ];
     for workload in [queries::q1(), queries::q3()] {
         let sequential = wb.managed_provider();
@@ -116,7 +112,6 @@ fn min_transfer_result_construction_matches_at_every_thread_count() {
             let config = HybridConfig {
                 materialization,
                 transfer: TransferPolicy::Min,
-                layout: StagingLayout::RowWise,
                 ..HybridConfig::default()
             }
             .parallel(config_for(threads));

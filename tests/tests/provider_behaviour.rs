@@ -79,7 +79,7 @@ fn results_survive_an_explicit_garbage_collection() {
 }
 
 #[test]
-fn simulated_cache_misses_rank_strategies_like_figure_14() {
+fn simulated_cpu_cache_ranks_strategies_like_figure_14() {
     let wb = Workbench::new(0.002);
     let rows = fig14_cache(&wb, false);
     let get = |name: &str| {

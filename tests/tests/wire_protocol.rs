@@ -6,7 +6,7 @@
 
 use mrq_common::{DataType, Date, Decimal, Field, MrqError, Schema, Value};
 use mrq_core::{ParallelConfig, QueryOptions, Strategy};
-use mrq_engine_hybrid::{HybridConfig, Materialization, StagingLayout, TransferPolicy};
+use mrq_engine_hybrid::{HybridConfig, Materialization, TransferPolicy};
 use mrq_expr::{col, lam, lit, BinaryOp, Expr, Query, SourceId};
 use mrq_protocol::frame::{read_frame, write_frame, Request, Response, MAX_FRAME};
 use mrq_protocol::ProtocolError;
@@ -78,7 +78,6 @@ fn all_strategies() -> Vec<Strategy> {
                 rows_per_buffer: 4096,
             },
             transfer: TransferPolicy::Min,
-            layout: StagingLayout::Columnar,
             parallel: ParallelConfig::sequential(),
         }),
     ]
@@ -367,6 +366,53 @@ fn the_reserved_parallel_byte_is_ignored_but_validated() {
     assert_eq!(hex(&expected.encode()), GOLDEN_QUERY, "encoders write 1");
 
     let mut corrupted = golden;
+    corrupted[reserved] = 2;
+    assert!(matches!(
+        Request::decode(&corrupted),
+        Err(ProtocolError::Invalid(_))
+    ));
+}
+
+/// The byte after a Hybrid strategy's transfer flag is reserved: encoders
+/// write `0`, and a `1` — what an older client asking for the retired
+/// columnar staging layout wrote — decodes to the same request. A value
+/// that is not a bool is still a typed error.
+#[test]
+fn the_reserved_layout_byte_is_ignored_but_validated() {
+    let request = Request::Query {
+        id: 11,
+        streamed: false,
+        strategy: Strategy::Hybrid(HybridConfig::default().parallel(ParallelConfig {
+            threads: 2,
+            min_rows_per_thread: 16,
+            morsel_rows: 64,
+        })),
+        options: QueryOptions::new(),
+        expr: sample_expr(),
+    };
+    let encoded = request.encode();
+    // Strategy tag 4, Full materialisation, Max transfer, the reserved
+    // byte, then the parallel config.
+    let hybrid = unhex(concat!(
+        "04000000",
+        "0200000000000000",
+        "1000000000000000",
+        "4000000000000000",
+        "01"
+    ));
+    let reserved = encoded
+        .windows(hybrid.len())
+        .position(|w| w == hybrid.as_slice())
+        .expect("the query carries the hybrid strategy")
+        + 3;
+
+    let mut old_client = encoded.clone();
+    old_client[reserved] = 1;
+    let decoded = Request::decode(&old_client).unwrap();
+    assert_eq!(decoded, request);
+    assert_eq!(hex(&decoded.encode()), hex(&encoded), "encoders write 0");
+
+    let mut corrupted = encoded;
     corrupted[reserved] = 2;
     assert!(matches!(
         Request::decode(&corrupted),
