@@ -11,23 +11,25 @@
 //! which strategy wins and by roughly how much — is what the figures compare.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use mrq_cachesim::CacheSim;
 use mrq_codegen::exec::{QueryOutput, ValueTable};
 use mrq_codegen::spec::{lower, QuerySpec};
 use mrq_common::profile::CostBreakdown;
 use mrq_common::{ParallelConfig, Schema, WorkStats};
-use mrq_core::{Provider, QueryOptions, Strategy};
+use mrq_core::{Provider, QueryOptions, QueryStream, Strategy};
 use mrq_dbms::ColumnTable;
 use mrq_engine_csharp::{HeapTable, TracedHeapTable};
 use mrq_engine_hybrid::{HybridConfig, Materialization, TransferPolicy};
 use mrq_engine_native::RowStore;
 use mrq_expr::{canonicalize, CanonicalQuery, Expr, SourceId};
-use mrq_mheap::ListId;
+use mrq_mheap::{Heap, ListId};
 use mrq_tpch::gen::{GenConfig, TpchData};
 use mrq_tpch::load::{schema_of, value_rows, HeapDataset, TABLE_NAMES};
 use mrq_tpch::queries;
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The strategies compared throughout the evaluation, in the paper's order.
@@ -52,10 +54,13 @@ pub fn default_scale_factor() -> f64 {
 pub struct Workbench {
     /// The generated base data.
     pub data: TpchData,
-    /// Managed-heap representation (baseline, C#, hybrid strategies).
-    pub heap: HeapDataset,
+    /// Managed-heap representation (baseline, C#, hybrid strategies),
+    /// shared with every provider [`Workbench::managed_provider`] builds.
+    pub heap: Arc<Heap>,
+    /// The managed list holding each table's objects.
+    lists: HashMap<&'static str, ListId>,
     /// Native row stores per table (the §5 arrays of structs).
-    pub stores: HashMap<&'static str, RowStore>,
+    pub stores: HashMap<&'static str, Arc<RowStore>>,
     /// Column tables per table (Table 1 comparators).
     pub columns: HashMap<&'static str, ColumnTable>,
     /// Scale factor used.
@@ -66,19 +71,22 @@ impl Workbench {
     /// Generates and loads a dataset at the given scale factor.
     pub fn new(scale_factor: f64) -> Workbench {
         let data = TpchData::generate(GenConfig::scale(scale_factor));
-        let heap = HeapDataset::load(&data);
+        let dataset = HeapDataset::load(&data);
+        let mut lists = HashMap::new();
         let mut stores = HashMap::new();
         let mut columns = HashMap::new();
         for table in TABLE_NAMES {
+            lists.insert(table, dataset.list(table));
             let schema = schema_of(table);
             let rows = value_rows(&data, table);
-            stores.insert(table, RowStore::from_rows(schema.clone(), &rows));
+            stores.insert(table, Arc::new(RowStore::from_rows(schema.clone(), &rows)));
             let names: Vec<&str> = schema.fields().iter().map(|f| f.name.as_str()).collect();
             columns.insert(table, ColumnTable::from_value_rows(&names, &rows));
         }
         Workbench {
             data,
-            heap,
+            heap: Arc::new(dataset.heap),
+            lists,
             stores,
             columns,
             scale_factor,
@@ -113,13 +121,14 @@ impl Workbench {
             .into_iter()
             .map(|s| {
                 let table = queries::source_table(s);
-                HeapTable::new(&self.heap.heap, self.heap.list(table), schema_of(table))
+                HeapTable::new(&self.heap, self.list(table), schema_of(table))
             })
             .collect()
     }
 
-    fn list_of(&self, source: SourceId) -> ListId {
-        self.heap.list(queries::source_table(source))
+    /// The managed list holding a table's objects.
+    fn list(&self, table: &str) -> ListId {
+        self.lists[table]
     }
 
     /// Native row stores (root first, then join build sides) for a spec.
@@ -128,20 +137,15 @@ impl Workbench {
         sources.extend(spec.joins.iter().map(|j| j.source));
         sources
             .into_iter()
-            .map(|s| &self.stores[queries::source_table(s)])
+            .map(|s| &*self.stores[queries::source_table(s)])
             .collect()
     }
 
     /// Builds a provider with every table bound as a managed collection.
-    pub fn managed_provider(&self) -> Provider<'_> {
-        let mut provider = Provider::over_heap(&self.heap.heap);
+    pub fn managed_provider(&self) -> Provider<'static> {
+        let mut provider = Provider::over_shared_heap(Arc::clone(&self.heap));
         for (i, table) in TABLE_NAMES.iter().enumerate() {
-            provider.bind_managed(
-                SourceId(i as u32),
-                self.list_of(SourceId(i as u32)),
-                schema_of(table),
-            );
-            let _ = table;
+            provider.bind_managed(SourceId(i as u32), self.list(table), schema_of(table));
         }
         provider
     }
@@ -471,18 +475,15 @@ pub fn fig14_cache(bench: &Workbench, include_q3: bool) -> Vec<(String, String, 
                 // only plus build tables untraced, which captures the
                 // dominant traffic (the probe-side scan).
                 let root_table = queries::source_table(spec.root);
-                let traced_root = HeapTable::new(
-                    &bench.heap.heap,
-                    bench.heap.list(root_table),
-                    schema_of(root_table),
-                )
-                .with_tracer(&mut sim);
+                let traced_root =
+                    HeapTable::new(&bench.heap, bench.list(root_table), schema_of(root_table))
+                        .with_tracer(&mut sim);
                 let mut tables: Vec<TracedHeapTable<'_>> = vec![traced_root];
                 for s in &sources[1..] {
                     let table = queries::source_table(*s);
                     tables.push(TracedHeapTable::untraced(HeapTable::new(
-                        &bench.heap.heap,
-                        bench.heap.list(table),
+                        &bench.heap,
+                        bench.list(table),
                         schema_of(table),
                     )));
                 }
@@ -872,20 +873,17 @@ pub fn fig14_hierarchy(
             let mut sim = CacheHierarchy::paper_machine();
             {
                 let root_table = queries::source_table(spec.root);
-                let traced_root = HeapTable::new(
-                    &bench.heap.heap,
-                    bench.heap.list(root_table),
-                    schema_of(root_table),
-                )
-                .with_tracer(&mut sim);
+                let traced_root =
+                    HeapTable::new(&bench.heap, bench.list(root_table), schema_of(root_table))
+                        .with_tracer(&mut sim);
                 let mut tables: Vec<TracedHeapTable<'_>> = vec![traced_root];
                 let mut sources = vec![spec.root];
                 sources.extend(spec.joins.iter().map(|j| j.source));
                 for s in &sources[1..] {
                     let table = queries::source_table(*s);
                     tables.push(TracedHeapTable::untraced(HeapTable::new(
-                        &bench.heap.heap,
-                        bench.heap.list(table),
+                        &bench.heap,
+                        bench.list(table),
                         schema_of(table),
                     )));
                 }
@@ -1048,6 +1046,23 @@ fn counted_strategies() -> Vec<(&'static str, Strategy)> {
     ]
 }
 
+/// Drains a counted stream, then waits for its task to finish, so the
+/// provider's work stats include the stream's batch and row tallies (the
+/// end of the stream is visible before the task records them).
+fn drain(mut stream: QueryStream) {
+    for batch in stream.by_ref() {
+        batch.expect("streamed counted batch");
+    }
+    let start = Instant::now();
+    while !stream.is_finished() {
+        assert!(
+            start.elapsed() < Duration::from_secs(60),
+            "stream task never finished"
+        );
+        std::thread::yield_now();
+    }
+}
+
 fn push_work(out: &mut Vec<CountedPoint>, group: &str, point: &str, work: &WorkStats) {
     for (counter, value) in work.as_pairs() {
         out.push(CountedPoint {
@@ -1114,12 +1129,13 @@ pub fn counted_report(bench: &Workbench) -> Vec<CountedPoint> {
     // cache — and every time for an ad-hoc statement whose compiled
     // artefacts are dropped before each run.
     let stmt = queries::q6();
-    let managed = bench.managed_provider();
+    let managed = bench.managed_provider().into_shared();
     let mut native = Provider::new();
-    native.bind_native(
+    native.bind_native_shared(
         queries::SRC_LINEITEM,
-        &bench.stores[queries::source_table(queries::SRC_LINEITEM)],
+        Arc::clone(&bench.stores[queries::source_table(queries::SRC_LINEITEM)]),
     );
+    let native = native.into_shared();
     let mut amortization = Vec::new();
     for (slug, provider, strategy) in [
         ("csharp", &managed, Strategy::CompiledCSharp),
@@ -1172,16 +1188,13 @@ pub fn counted_report(bench: &Workbench) -> Vec<CountedPoint> {
     // — every strategy here runs sequentially and every counter is stable.
     let scan = queries::scan_micro(bench.data.shipdate_for_selectivity(0.5));
     let stream_options = QueryOptions::default().with_stream_batch_rows(64);
-    let managed = bench.managed_provider();
+    let managed = bench.managed_provider().into_shared();
     for (slug, strategy) in [
         ("linq", Strategy::LinqToObjects),
         ("csharp", Strategy::CompiledCSharp),
         ("hybrid", Strategy::Hybrid(HybridConfig::default())),
     ] {
-        let stream = managed.submit_stream(scan.clone(), strategy, stream_options);
-        for batch in stream {
-            batch.expect("streamed counted batch");
-        }
+        drain(managed.submit_stream(scan.clone(), strategy, stream_options));
         push_work(
             &mut out,
             "counted_streaming",
@@ -1189,10 +1202,7 @@ pub fn counted_report(bench: &Workbench) -> Vec<CountedPoint> {
             &managed.last_work_stats(),
         );
     }
-    let stream = native.submit_stream(scan, Strategy::CompiledNative, stream_options);
-    for batch in stream {
-        batch.expect("streamed counted batch");
-    }
+    drain(native.submit_stream(scan, Strategy::CompiledNative, stream_options));
     push_work(
         &mut out,
         "counted_streaming",

@@ -16,6 +16,7 @@
 //! lines than strategies that stream flat buffers.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use mrq_common::trace::{AccessKind, MemTracer};
 

@@ -19,6 +19,7 @@
 //! the constants captured at prepare time).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use mrq_common::{MrqError, Schema, Value};
 use mrq_core::{QueryOptions, Strategy};

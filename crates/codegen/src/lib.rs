@@ -31,6 +31,7 @@
 //! [`TableAccess`]: exec::TableAccess
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod emit;
 pub mod exec;

@@ -51,7 +51,7 @@ impl QueryState {
 
     /// A latch that is already resolved to `result`: what a shed
     /// submission's handle or stream wraps. No task exists; `join`/`poll`
-    /// return immediately and drop-waits are trivially satisfied.
+    /// return immediately.
     pub(crate) fn completed(result: Result<QueryOutput>) -> Arc<QueryState> {
         Arc::new(QueryState {
             slot: Mutex::new(QuerySlot {
@@ -115,14 +115,6 @@ impl QueryState {
         slot.result
             .take()
             .expect("a query result is joined at most once")
-    }
-
-    /// Blocks until the task finished without consuming the result.
-    pub(crate) fn wait_finished(&self) {
-        let mut slot = self.lock();
-        while !slot.finished {
-            slot = self.done.wait(slot).unwrap_or_else(|e| e.into_inner());
-        }
     }
 
     /// One async poll step: takes the result if the task finished, else

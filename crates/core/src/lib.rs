@@ -19,8 +19,17 @@
 //! code generation (§3), lowers the tree to a fused
 //! [`QuerySpec`], emits the C#/C source that the paper's system would
 //! compile (available through [`Provider::explain`]) and dispatches to the
-//! chosen engine. Execution is deferred: [`Provider::query`] returns a
-//! [`DeferredQuery`] that does no work until its results are consumed.
+//! chosen engine.
+//!
+//! # Ownership
+//!
+//! Bound data is shared, never borrowed: a provider holds its heap and row
+//! stores as `Arc`s ([`Provider::over_shared_heap`],
+//! [`Provider::bind_native_shared`]), and submission runs on an
+//! [`OwnedProvider`] — an `Arc<Provider>` ([`Provider::into_shared`]).
+//! Every pool task holds its own clone of that `Arc`, so handles, streams
+//! and prepared queries are `'static`, cross threads freely, and drop
+//! without blocking.
 //!
 //! # Concurrent serving
 //!
@@ -41,21 +50,17 @@
 //! The same [`QueryHandle`] is also a plain, executor-agnostic
 //! [`std::future::Future`] whose waker hangs off the query's completion
 //! latch, so one driver thread can multiplex thousands of in-flight
-//! queries without blocking a thread per query. Bindings can be borrowed
-//! (handles confined to the binding scope) or shared (`Arc`-backed, via
-//! [`Provider::over_shared_heap`] / [`Provider::bind_native_shared`] /
-//! [`Provider::bind_values_shared`]); a fully shared provider seals into an
-//! [`OwnedProvider`] whose handles are `'static` and escape the scope
-//! entirely. See `docs/SERVING.md` for the async model and
-//! `examples/async_server.rs` for a dependency-free mini-executor driving
-//! it end to end.
+//! queries without blocking a thread per query. See `docs/SERVING.md` for
+//! the async model and `examples/async_server.rs` for a dependency-free
+//! mini-executor driving it end to end.
 //!
 //! [`QuerySpec`]: mrq_codegen::spec::QuerySpec
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use mrq_codegen::emit::{emit_source, Backend, CompileCostModel};
-use mrq_codegen::exec::{QueryOutput, TableAccess, ValueTable};
+use mrq_codegen::exec::{QueryOutput, TableAccess};
 use mrq_codegen::spec::{lower, Catalog, QuerySpec};
 use mrq_common::cancel::{self, CancelReason, CancelToken, JobControl};
 use mrq_common::plancache::ShardedLru;
@@ -73,23 +78,20 @@ use parking_lot::Mutex;
 use std::future::Future;
 use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
-use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
 use crate::future::QueryState;
 
 mod future;
-mod owned;
 mod prepared;
 pub mod recycle;
 pub mod stream;
 
-pub use owned::OwnedProvider;
-pub use prepared::{OwnedPreparedQuery, PreparedQuery};
+pub use prepared::PreparedQuery;
 pub use stream::QueryStream;
 
 /// The row-batch payload type [`QueryStream`] yields, re-exported from
@@ -137,8 +139,7 @@ pub enum Strategy {
 
 /// Per-query options for every submission front end —
 /// [`Provider::submit`] / [`Provider::submit_stream`] and their prepared
-/// and owned mirrors: an
-/// optional deadline, the QoS class the query's pool tickets are scheduled
+/// mirrors: an optional deadline, the QoS class the query's pool tickets are scheduled
 /// under, and the streamed-batch size.
 ///
 /// # Defaults (documented here, nowhere else)
@@ -220,29 +221,10 @@ impl QueryOptions {
     }
 }
 
-/// A borrowed-or-shared reference to bound data. Borrowed bindings pin the
-/// provider (and everything submitted through it) to the owning stack
-/// frame; shared (`Arc`) bindings are what let a fully-shared provider
-/// become `'static` and seal into an [`OwnedProvider`].
-enum SourceRef<'a, T> {
-    Borrowed(&'a T),
-    Shared(Arc<T>),
-}
-
-impl<T> SourceRef<'_, T> {
-    fn get(&self) -> &T {
-        match self {
-            SourceRef::Borrowed(t) => t,
-            SourceRef::Shared(t) => t,
-        }
-    }
-}
-
 /// How a source id is bound to data.
-enum Binding<'a> {
+enum Binding {
     Managed { list: ListId, schema: Schema },
-    Native(SourceRef<'a, RowStore>),
-    Values(SourceRef<'a, ValueTable>),
+    Native(Arc<RowStore>),
 }
 
 /// One unit of submitted work: an ad-hoc statement (compiled — or fetched
@@ -327,9 +309,13 @@ pub struct ProviderStats {
 }
 
 /// Binds sources to data and executes query statements.
+///
+/// Every constructor returns a `Provider<'static>`; submission runs on the
+/// `Arc`-shared [`OwnedProvider`] that [`Provider::into_shared`] seals it
+/// into.
 pub struct Provider<'a> {
-    heap: Option<SourceRef<'a, Heap>>,
-    bindings: Vec<(SourceId, Binding<'a>)>,
+    heap: Option<Arc<Heap>>,
+    bindings: Vec<(SourceId, Binding)>,
     /// The one compile cache behind [`Provider::compile`], keyed by
     /// expression structure + source schemas. `Arc`-shared so several
     /// providers can serve one cache ([`Provider::set_plan_cache`]).
@@ -340,9 +326,6 @@ pub struct Provider<'a> {
     parallel: ParallelConfig,
     results: Mutex<ResultCache>,
     epoch: std::sync::atomic::AtomicU64,
-    /// Submitted queries still running on the pool; `Drop` waits for zero,
-    /// the second line of defence behind `QueryHandle`'s own drop-wait.
-    in_flight: Arc<InFlight>,
     /// The admission gate every submission path consults *before* arming,
     /// compiling, or touching any cache: over the configured limits a
     /// submission is shed with [`QueryError::Overloaded`] instead of
@@ -352,6 +335,13 @@ pub struct Provider<'a> {
     /// plus the running total across every execution this provider served
     /// (see [`Provider::last_work_stats`]).
     work: Mutex<WorkTally>,
+    /// The provider's only lifetime, which nothing borrows: every
+    /// constructor returns `Provider<'static>`, and the methods that hand
+    /// the provider to a pool task require `'a: 'static`. It remains
+    /// because the benchmark's `NativeData::provider` and
+    /// `ManagedData::provider` (`benchmark/src/env.rs:84,134`) name the
+    /// type as `Provider<'static>`.
+    _lifetime: PhantomData<&'a ()>,
 }
 
 /// Last-execution + cumulative [`WorkStats`] behind the provider's lock.
@@ -361,50 +351,52 @@ struct WorkTally {
     cumulative: WorkStats,
 }
 
-/// Counter + latch for submitted queries in flight on the pool.
-struct InFlight {
-    count: StdMutex<usize>,
-    zero: Condvar,
-}
-
-impl InFlight {
-    fn lock(&self) -> std::sync::MutexGuard<'_, usize> {
-        self.count.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn increment(&self) {
-        *self.lock() += 1;
-    }
-
-    fn decrement(&self) {
-        let mut count = self.lock();
-        *count -= 1;
-        if *count == 0 {
-            drop(count);
-            self.zero.notify_all();
-        }
-    }
-
-    fn wait_for_zero(&self) {
-        let mut count = self.lock();
-        while *count > 0 {
-            count = self.zero.wait(count).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
-impl Drop for Provider<'_> {
-    /// Blocks until every submitted query finished, so a provider can never
-    /// be torn down under a pool task that still references it — even if a
-    /// [`QueryHandle`] was leaked without running its own drop-wait.
-    fn drop(&mut self) {
-        self.in_flight.wait_for_zero();
-    }
-}
+/// An `Arc`-shared [`Provider`], the form submission runs on: every
+/// `submit`/`submit_stream`/`prepare` takes `self: &Arc<Provider>`, and each
+/// pool task holds its own clone. Built with [`Provider::into_shared`].
+///
+/// # Examples
+///
+/// A handle that outlives the scope that built the provider and is joined
+/// on a different thread:
+///
+/// ```
+/// use mrq_common::{DataType, Field, Schema, Value};
+/// use mrq_core::{OwnedProvider, Provider, QueryOptions, Strategy};
+/// use mrq_engine_native::RowStore;
+/// use mrq_expr::{col, lam, lit, BinaryOp, Expr, Query, SourceId};
+/// use std::sync::Arc;
+///
+/// let schema = Schema::new("N", vec![Field::new("n", DataType::Int64)]);
+/// let rows: Vec<Vec<Value>> = (0..100).map(|i| vec![Value::Int64(i)]).collect();
+/// let store = Arc::new(RowStore::from_rows(schema, &rows));
+///
+/// let provider: OwnedProvider = {
+///     // The binding scope: nothing from it escapes except the Arcs.
+///     let mut provider = Provider::new();
+///     provider.bind_native_shared(SourceId(0), Arc::clone(&store));
+///     provider.into_shared()
+/// };
+///
+/// let stmt = Query::from_source(SourceId(0))
+///     .where_(lam("x", Expr::binary(BinaryOp::Lt, col("x", "n"), lit(10i64))))
+///     .select(lam("x", col("x", "n")))
+///     .into_expr();
+/// let handle = provider.submit(stmt, Strategy::CompiledNative, QueryOptions::new());
+///
+/// // `handle` is 'static: hand it to another thread and join it there.
+/// let rows = std::thread::spawn(move || handle.join())
+///     .join()
+///     .expect("driver thread")?
+///     .rows;
+/// assert_eq!(rows.len(), 10);
+/// # Ok::<(), mrq_core::QueryError>(())
+/// ```
+pub type OwnedProvider = Arc<Provider<'static>>;
 
 impl<'a> Provider<'a> {
     /// Creates a provider without managed bindings (native-only use).
-    pub fn new() -> Self {
+    pub fn new() -> Provider<'static> {
         Provider {
             heap: None,
             bindings: Vec::new(),
@@ -415,13 +407,20 @@ impl<'a> Provider<'a> {
             parallel: ParallelConfig::sequential(),
             results: Mutex::new(ResultCache::new()),
             epoch: std::sync::atomic::AtomicU64::new(0),
-            in_flight: Arc::new(InFlight {
-                count: StdMutex::new(0),
-                zero: Condvar::new(),
-            }),
             admission: AdmissionGate::default(),
             work: Mutex::new(WorkTally::default()),
+            _lifetime: PhantomData,
         }
+    }
+
+    /// Seals a fully bound provider into an [`OwnedProvider`], the shared
+    /// form that submission and serving run on. Configuration is fixed at
+    /// sealing time: set parallelism, the optimizer and recycling first.
+    pub fn into_shared(self) -> OwnedProvider
+    where
+        'a: 'static,
+    {
+        Arc::new(self)
     }
 
     /// Sets the provider-wide degree of parallelism applied by the compiled
@@ -472,7 +471,7 @@ impl<'a> Provider<'a> {
 
     /// Bounds concurrent submissions with an [`AdmissionConfig`]: once the
     /// limit for a QoS class is reached, further `submit`/`submit_stream`
-    /// calls (and their prepared/owned counterparts) of
+    /// calls (and their prepared counterparts) of
     /// that class resolve immediately to [`QueryError::Overloaded`] — no
     /// task is spawned, nothing is compiled, and no plan-cache traffic
     /// happens for the shed statement. Shedding is QoS-aware: Maintenance
@@ -569,20 +568,11 @@ impl<'a> Provider<'a> {
         self.plan_cache.clear();
     }
 
-    /// Creates a provider over a managed heap.
-    pub fn over_heap(heap: &'a Heap) -> Self {
-        let mut provider = Provider::new();
-        provider.heap = Some(SourceRef::Borrowed(heap));
-        provider
-    }
-
-    /// Creates a provider over a *shared* managed heap: the `'static`
-    /// counterpart of [`Provider::over_heap`], for providers that will be
-    /// sealed into an [`OwnedProvider`]. The provider keeps the `Arc`
-    /// alive; so does every in-flight owned submission.
+    /// Creates a provider over a shared managed heap. The provider keeps
+    /// the `Arc` alive, and so does every query in flight on it.
     pub fn over_shared_heap(heap: Arc<Heap>) -> Provider<'static> {
         let mut provider = Provider::new();
-        provider.heap = Some(SourceRef::Shared(heap));
+        provider.heap = Some(heap);
         provider
     }
 
@@ -590,7 +580,7 @@ impl<'a> Provider<'a> {
     /// A re-bind also invalidates recycled results, which may have been
     /// computed over the old data; cached plans need no invalidation, as
     /// their key holds the bound schemas.
-    fn bind(&mut self, source: SourceId, binding: Binding<'a>) -> &mut Self {
+    fn bind(&mut self, source: SourceId, binding: Binding) -> &mut Self {
         match self.bindings.iter_mut().find(|(id, _)| *id == source) {
             Some(slot) => {
                 slot.1 = binding;
@@ -607,39 +597,13 @@ impl<'a> Provider<'a> {
         self.bind(source, Binding::Managed { list, schema })
     }
 
-    /// Binds a source id to a native row store (the array-of-structs case of
-    /// §5).
-    pub fn bind_native(&mut self, source: SourceId, store: &'a RowStore) -> &mut Self {
-        self.bind(source, Binding::Native(SourceRef::Borrowed(store)))
-    }
-
-    /// Binds a source id to a *shared* native row store. Unlike
-    /// [`Provider::bind_native`], the binding does not borrow: a provider
-    /// whose bindings are all shared (or managed) is `'static` and can seal
-    /// into an [`OwnedProvider`] whose handles escape the binding scope.
+    /// Binds a source id to a shared native row store (the array-of-structs
+    /// case of §5).
     pub fn bind_native_shared(&mut self, source: SourceId, store: Arc<RowStore>) -> &mut Self {
-        self.bind(source, Binding::Native(SourceRef::Shared(store)))
+        self.bind(source, Binding::Native(store))
     }
 
-    /// Binds a source id to a materialised value table (used for multi-step
-    /// queries such as the decorrelated Q2 inner result).
-    pub fn bind_values(&mut self, source: SourceId, table: &'a ValueTable) -> &mut Self {
-        self.bind(source, Binding::Values(SourceRef::Borrowed(table)))
-    }
-
-    /// Binds a source id to a *shared* materialised value table (the
-    /// `'static` counterpart of [`Provider::bind_values`]; see
-    /// [`Provider::bind_native_shared`]).
-    pub fn bind_values_shared(&mut self, source: SourceId, table: Arc<ValueTable>) -> &mut Self {
-        self.bind(source, Binding::Values(SourceRef::Shared(table)))
-    }
-
-    /// The bound managed heap, borrowed or shared.
-    fn heap(&self) -> Option<&Heap> {
-        self.heap.as_ref().map(SourceRef::get)
-    }
-
-    fn binding(&self, source: SourceId) -> Result<&Binding<'a>> {
+    fn binding(&self, source: SourceId) -> Result<&Binding> {
         self.bindings
             .iter()
             .find(|(id, _)| *id == source)
@@ -650,8 +614,7 @@ impl<'a> Provider<'a> {
     fn schema_of(&self, source: SourceId) -> Option<Schema> {
         match self.binding(source).ok()? {
             Binding::Managed { schema, .. } => Some(schema.clone()),
-            Binding::Native(store) => Some(store.get().schema().clone()),
-            Binding::Values(table) => Some(table.get().schema().clone()),
+            Binding::Native(store) => Some(store.schema().clone()),
         }
     }
 
@@ -737,16 +700,6 @@ impl<'a> Provider<'a> {
         ))
     }
 
-    /// Builds a deferred query: nothing executes until the result is
-    /// consumed.
-    pub fn query(&'a self, expr: Expr, strategy: Strategy) -> DeferredQuery<'a> {
-        DeferredQuery {
-            provider: self,
-            expr,
-            strategy,
-        }
-    }
-
     /// Executes a statement immediately with the given strategy. When result
     /// recycling is enabled, a repeated statement with identical parameters
     /// over unchanged collections is served from the result cache.
@@ -761,6 +714,7 @@ impl<'a> Provider<'a> {
     /// use mrq_core::{Provider, Strategy};
     /// use mrq_expr::{col, lam, lit, BinaryOp, Expr, Query, SourceId};
     /// use mrq_mheap::{ClassDesc, Heap};
+    /// use std::sync::Arc;
     ///
     /// // An application collection: four Sale objects on the managed heap.
     /// let schema = Schema::new(
@@ -781,7 +735,7 @@ impl<'a> Provider<'a> {
     /// }
     ///
     /// // Bind the collection and run a LINQ-style statement compiled to C#.
-    /// let mut provider = Provider::over_heap(&heap);
+    /// let mut provider = Provider::over_shared_heap(Arc::new(heap));
     /// provider.bind_managed(SourceId(0), list, schema);
     /// let stmt = Query::from_source(SourceId(0))
     ///     .where_(lam(
@@ -872,16 +826,13 @@ impl<'a> Provider<'a> {
     ///
     /// `options` carries the per-query lifecycle controls ([`QueryOptions`]
     /// — pass `QueryOptions::default()` for none); the same signature shape
-    /// is mirrored on [`OwnedProvider`], [`PreparedQuery`] and
-    /// [`OwnedPreparedQuery`], and by the streaming
+    /// is mirrored on [`PreparedQuery`] and by the streaming
     /// ([`Provider::submit_stream`]) front end.
     ///
-    /// The handle can be joined, polled as a [`Future`], or cancelled. It
-    /// borrows the provider: dropping it without joining blocks until the
-    /// query finished, so in-flight work never outlives the provider or its
-    /// bound collections. For `'static` handles that escape the binding
-    /// scope — and drop without blocking — seal the provider into an
-    /// [`OwnedProvider`].
+    /// The handle can be joined, polled as a [`Future`], or cancelled. It is
+    /// `'static`: the pool task holds its own clone of the provider's `Arc`,
+    /// so the handle may cross threads, and dropping it without joining
+    /// abandons the result without blocking.
     ///
     /// # Deadlines and scheduling class
     ///
@@ -908,14 +859,15 @@ impl<'a> Provider<'a> {
     /// use mrq_common::{DataType, Field, Schema, Value};
     /// use mrq_core::{Provider, QueryError, QueryOptions, Strategy};
     /// use mrq_engine_native::RowStore;
+    /// use std::sync::Arc;
     /// use mrq_expr::{col, lam, lit, BinaryOp, Expr, Query, SourceId};
     /// use std::time::Duration;
     ///
     /// let schema = Schema::new("N", vec![Field::new("n", DataType::Int64)]);
     /// let rows: Vec<Vec<Value>> = (0..100).map(|i| vec![Value::Int64(i)]).collect();
-    /// let store = RowStore::from_rows(schema, &rows);
     /// let mut provider = Provider::new();
-    /// provider.bind_native(SourceId(0), &store);
+    /// provider.bind_native_shared(SourceId(0), Arc::new(RowStore::from_rows(schema, &rows)));
+    /// let provider = provider.into_shared();
     /// let stmt = Query::from_source(SourceId(0))
     ///     .where_(lam("x", Expr::binary(BinaryOp::Lt, col("x", "n"), lit(10i64))))
     ///     .select(lam("x", col("x", "n")))
@@ -939,11 +891,16 @@ impl<'a> Provider<'a> {
     /// assert!(matches!(handle.join(), Err(QueryError::DeadlineExceeded)));
     /// # Ok::<(), mrq_common::MrqError>(())
     /// ```
-    pub fn submit(&self, expr: Expr, strategy: Strategy, options: QueryOptions) -> QueryHandle<'_> {
-        QueryHandle::new(
-            Self::spawn(self, Job::Statement(expr), strategy, options, false),
-            None,
-        )
+    pub fn submit(
+        self: &Arc<Self>,
+        expr: Expr,
+        strategy: Strategy,
+        options: QueryOptions,
+    ) -> QueryHandle
+    where
+        'a: 'static,
+    {
+        QueryHandle::new(self.spawn(Job::Statement(expr), strategy, options, false))
     }
 
     /// Queues a statement and returns a [`QueryStream`] that yields its
@@ -964,10 +921,8 @@ impl<'a> Provider<'a> {
     /// Min/Max-transfer — still work: they deliver everything as one final
     /// flush at completion, with the same contents.
     ///
-    /// Dropping the stream cancels the query through its
-    /// [`CancelToken`] and waits for it to unwind — the streaming analogue
-    /// of [`QueryHandle`]'s drop-wait — so in-flight work never outlives
-    /// the provider's bindings.
+    /// Dropping the stream cancels the query through its [`CancelToken`]
+    /// without blocking; the task unwinds at its next checkpoint.
     ///
     /// # Examples
     ///
@@ -975,13 +930,14 @@ impl<'a> Provider<'a> {
     /// use mrq_common::{DataType, Field, Schema, Value};
     /// use mrq_core::{Provider, QueryOptions, Strategy};
     /// use mrq_engine_native::RowStore;
+    /// use std::sync::Arc;
     /// use mrq_expr::{col, lam, lit, BinaryOp, Expr, Query, SourceId};
     ///
     /// let schema = Schema::new("N", vec![Field::new("n", DataType::Int64)]);
     /// let rows: Vec<Vec<Value>> = (0..100).map(|i| vec![Value::Int64(i)]).collect();
-    /// let store = RowStore::from_rows(schema, &rows);
     /// let mut provider = Provider::new();
-    /// provider.bind_native(SourceId(0), &store);
+    /// provider.bind_native_shared(SourceId(0), Arc::new(RowStore::from_rows(schema, &rows)));
+    /// let provider = provider.into_shared();
     /// let stmt = Query::from_source(SourceId(0))
     ///     .where_(lam("x", Expr::binary(BinaryOp::Lt, col("x", "n"), lit(10i64))))
     ///     .select(lam("x", col("x", "n")))
@@ -997,15 +953,15 @@ impl<'a> Provider<'a> {
     /// # Ok::<(), mrq_common::MrqError>(())
     /// ```
     pub fn submit_stream(
-        &self,
+        self: &Arc<Self>,
         expr: Expr,
         strategy: Strategy,
         options: QueryOptions,
-    ) -> QueryStream<'_> {
-        QueryStream::new(
-            Self::spawn(self, Job::Statement(expr), strategy, options, true),
-            None,
-        )
+    ) -> QueryStream
+    where
+        'a: 'static,
+    {
+        QueryStream::new(self.spawn(Job::Statement(expr), strategy, options, true))
     }
 
     /// Arms a submission's cancel token (deadline measured from now — queue
@@ -1082,8 +1038,7 @@ impl<'a> Provider<'a> {
     }
 
     /// The one spawn path behind every `submit` and `submit_stream` front
-    /// end, borrowed (`provider` is `&Provider`) or owned (`provider` is
-    /// the task's own `Arc<Provider<'static>>` keep-alive). Returns the
+    /// end; the task owns a clone of the provider's `Arc`. Returns the
     /// [`Submission`] the front end wraps in a [`QueryHandle`] or
     /// [`QueryStream`]; `streamed` decides whether the task runs inside a
     /// stream scope wired to a bounded batch channel.
@@ -1093,17 +1048,17 @@ impl<'a> Provider<'a> {
     /// the load that makes it necessary. A shed submission queues no task:
     /// its state is already resolved to [`QueryError::Overloaded`] and, when
     /// streamed, its channel is already closed with that error.
-    fn spawn<'p, P>(
-        provider: P,
+    fn spawn(
+        self: &Arc<Self>,
         job: Job,
         strategy: Strategy,
         options: QueryOptions,
         streamed: bool,
     ) -> Submission
     where
-        P: Deref<Target = Provider<'a>> + Send + 'p,
+        'a: 'static,
     {
-        if let Err(error) = provider.admission.try_admit(options.class) {
+        if let Err(error) = self.admission.try_admit(options.class) {
             let token = Arc::new(CancelToken::new());
             let receiver = streamed.then(|| {
                 let (sink, receiver) = mrq_common::stream::channel(1, Arc::clone(&token));
@@ -1122,9 +1077,8 @@ impl<'a> Provider<'a> {
         };
         let state = QueryState::new();
         let completion = Arc::clone(&state);
-        let in_flight = Arc::clone(&provider.in_flight);
-        in_flight.increment();
-        let task: Box<dyn FnOnce() + Send + 'p> = Box::new(move || {
+        let provider = Arc::clone(self);
+        let task = Box::new(move || {
             let mut result = provider.run_submitted(&control, job, strategy, sink.as_ref());
             if let Some(sink) = &sink {
                 result = provider.finish_stream(sink, result);
@@ -1133,25 +1087,12 @@ impl<'a> Provider<'a> {
             // client woken by `complete` may re-submit at once and must not
             // be shed by its own finished query.
             provider.admission.release();
+            // Release the task's provider clone before the result becomes
+            // visible too: once `join` or `is_finished` returns, the pool
+            // holds no reference to the provider or its bound data.
+            drop(provider);
             completion.complete(result);
-            // From here on the task never dereferences `provider`. The
-            // decrement goes through the task's own `Arc<InFlight>`, and the
-            // keep-alive `provider` drops when the task returns, after it:
-            // if that is the last `Arc` clone, `Provider::drop` then sees
-            // zero in flight instead of waiting on this very task.
-            in_flight.decrement();
         });
-        // SAFETY (lifetime erasure): the pool requires a `'static` task, but
-        // the task holds `provider: P`, which is only `'p`. For the owned
-        // path `P` is an `Arc<Provider<'static>>` and the erasure changes
-        // nothing. For the borrowed path `P` is `&Provider`: every
-        // dereference the task makes happens before `complete`, and a
-        // borrowed `QueryHandle` or `QueryStream` holds that borrow until
-        // `complete` — its `join` and `Drop` wait for it. If a handle is
-        // leaked (`mem::forget`) instead, `Provider::drop` still waits for
-        // the in-flight decrement before the provider and its borrowed
-        // bindings can go away.
-        let task: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(task) };
         WorkerPool::global().spawn_as(options.class, task);
         (state, token, receiver)
     }
@@ -1197,13 +1138,12 @@ impl<'a> Provider<'a> {
         for source in sources {
             let rows = match self.binding(source)? {
                 Binding::Managed { list, .. } => {
-                    let heap = self.heap().ok_or_else(|| {
+                    let heap = self.heap.as_deref().ok_or_else(|| {
                         MrqError::Unsupported("managed bindings need a heap-backed provider".into())
                     })?;
                     heap.list_len(*list)
                 }
-                Binding::Native(store) => store.get().len(),
-                Binding::Values(table) => table.get().rows().len(),
+                Binding::Native(store) => store.len(),
             };
             fingerprint.push((source, rows));
         }
@@ -1241,7 +1181,7 @@ impl<'a> Provider<'a> {
                 let mut tables = Vec::new();
                 for source in &sources {
                     match self.binding(*source)? {
-                        Binding::Native(store) => tables.push(store.get()),
+                        Binding::Native(store) => tables.push(&**store),
                         _ => {
                             return Err(MrqError::Unsupported(format!(
                                 "source {source:?} is not bound to a native row store; \
@@ -1265,11 +1205,11 @@ impl<'a> Provider<'a> {
                 }
             }
             Strategy::LinqToObjects | Strategy::CompiledCSharp | Strategy::Hybrid(_) => {
-                let heap = self.heap().ok_or_else(|| {
+                let heap = self.heap.as_deref().ok_or_else(|| {
                     MrqError::Unsupported("managed strategies need a heap-backed provider".into())
                 })?;
                 // Managed strategies read managed lists only: a source bound
-                // to a row store or a value table is `Unsupported` here.
+                // to a row store is `Unsupported` here.
                 let mut tables = Vec::new();
                 for source in &sources {
                     match self.binding(*source)? {
@@ -1318,7 +1258,7 @@ impl<'a> Provider<'a> {
     }
 }
 
-impl Default for Provider<'_> {
+impl Default for Provider<'static> {
     fn default() -> Self {
         Self::new()
     }
@@ -1334,37 +1274,9 @@ impl Catalog for ProviderCatalog<'_, '_> {
     }
 }
 
-/// A query whose execution is deferred until its result is consumed,
-/// mirroring LINQ's deferred-execution semantics.
-pub struct DeferredQuery<'a> {
-    provider: &'a Provider<'a>,
-    expr: Expr,
-    strategy: Strategy,
-}
-
-impl DeferredQuery<'_> {
-    /// Executes the query and returns all result rows.
-    pub fn to_rows(&self) -> Result<Vec<Vec<Value>>> {
-        Ok(self
-            .provider
-            .execute(self.expr.clone(), self.strategy)?
-            .rows)
-    }
-
-    /// Executes the query and returns the full output (schema + rows).
-    pub fn to_output(&self) -> Result<QueryOutput> {
-        self.provider.execute(self.expr.clone(), self.strategy)
-    }
-
-    /// The statement text (C#-flavoured), for diagnostics.
-    pub fn statement(&self) -> String {
-        self.expr.to_string()
-    }
-}
-
 /// A query queued on the worker pool by [`Provider::submit`] and its
-/// prepared/owned counterparts — the one unary result type, which can be
-/// joined, polled and cancelled.
+/// prepared counterpart — the one unary result type, which can be joined,
+/// polled and cancelled.
 ///
 /// The result is exactly what [`Provider::execute`] would have returned for
 /// the same statement and strategy: `Ok(QueryOutput)` bit-identical to the
@@ -1398,19 +1310,9 @@ impl DeferredQuery<'_> {
 ///
 /// # Drop semantics
 ///
-/// A *borrowed* handle (from a [`Provider`] or [`PreparedQuery`]) borrows
-/// the provider for as long as it lives, which is what lets the queued task
-/// safely reference the provider and its bound collections from a pool
-/// worker: dropping it without joining blocks until the query finished (the
-/// result is then discarded), mirroring `std::thread::scope`'s completion
-/// guarantee. Even a handle leaked with `mem::forget` cannot outrun the
-/// provider: the provider's own `Drop` waits for every submitted query
-/// before returning.
-///
-/// An *owned* handle (from an [`OwnedProvider`] or [`OwnedPreparedQuery`])
-/// is `'static` and its drop does not block: the in-flight task holds its
-/// own provider clone, finishes in the background, and releases everything
-/// it holds.
+/// A handle is `'static` and its drop never blocks: the pool task holds its
+/// own clone of the provider's `Arc`, finishes in the background, and
+/// releases that clone before it completes the latch.
 ///
 /// # Examples
 ///
@@ -1448,9 +1350,9 @@ impl DeferredQuery<'_> {
 ///
 /// # let schema = Schema::new("N", vec![Field::new("n", DataType::Int64)]);
 /// # let rows: Vec<Vec<Value>> = (0..100).map(|i| vec![Value::Int64(i)]).collect();
-/// # let store = RowStore::from_rows(schema, &rows);
 /// # let mut provider = Provider::new();
-/// # provider.bind_native(SourceId(0), &store);
+/// # provider.bind_native_shared(SourceId(0), Arc::new(RowStore::from_rows(schema, &rows)));
+/// # let provider = provider.into_shared();
 /// # let stmt = Query::from_source(SourceId(0))
 /// #     .where_(lam("x", Expr::binary(BinaryOp::Lt, col("x", "n"), lit(10i64))))
 /// #     .select(lam("x", col("x", "n")))
@@ -1471,12 +1373,13 @@ impl DeferredQuery<'_> {
 /// # use mrq_common::{DataType, Field, Schema, Value};
 /// # use mrq_core::{Provider, QueryOptions, Strategy};
 /// # use mrq_engine_native::RowStore;
+/// # use std::sync::Arc;
 /// # use mrq_expr::{col, lam, lit, BinaryOp, Expr, Query, SourceId};
 /// # let schema = Schema::new("N", vec![Field::new("n", DataType::Int64)]);
 /// # let rows: Vec<Vec<Value>> = (0..100).map(|i| vec![Value::Int64(i)]).collect();
-/// # let store = RowStore::from_rows(schema, &rows);
 /// # let mut provider = Provider::new();
-/// # provider.bind_native(SourceId(0), &store);
+/// # provider.bind_native_shared(SourceId(0), Arc::new(RowStore::from_rows(schema, &rows)));
+/// # let provider = provider.into_shared();
 /// # let stmt = Query::from_source(SourceId(0))
 /// #     .where_(lam("x", Expr::binary(BinaryOp::Lt, col("x", "n"), lit(10i64))))
 /// #     .select(lam("x", col("x", "n")))
@@ -1489,25 +1392,14 @@ impl DeferredQuery<'_> {
 /// assert_eq!(provider.plan_cache_stats().entries, 1);
 /// # Ok::<(), mrq_core::QueryError>(())
 /// ```
-pub struct QueryHandle<'p> {
+pub struct QueryHandle {
     state: Arc<QueryState>,
     token: Arc<CancelToken>,
-    /// `Some` for handles from an `OwnedProvider`: the task keeps its own
-    /// provider clone alive, so dropping the handle is non-blocking; this
-    /// clone only marks the handle as owned. `None` for borrowed handles,
-    /// whose drop must wait for the query.
-    owner: Option<Arc<Provider<'static>>>,
-    _provider: PhantomData<&'p ()>,
 }
 
-impl<'p> QueryHandle<'p> {
-    fn new((state, token, _): Submission, owner: Option<Arc<Provider<'static>>>) -> Self {
-        QueryHandle {
-            state,
-            token,
-            owner,
-            _provider: PhantomData,
-        }
+impl QueryHandle {
+    fn new((state, token, _): Submission) -> Self {
+        QueryHandle { state, token }
     }
 
     /// True once the query finished (successfully or not). Non-blocking.
@@ -1528,13 +1420,14 @@ impl<'p> QueryHandle<'p> {
     /// use mrq_common::{DataType, Field, Schema, Value};
     /// use mrq_core::{Provider, QueryError, QueryOptions, Strategy};
     /// use mrq_engine_native::RowStore;
+    /// use std::sync::Arc;
     /// use mrq_expr::{col, lam, lit, BinaryOp, Expr, Query, SourceId};
     ///
     /// let schema = Schema::new("N", vec![Field::new("n", DataType::Int64)]);
     /// let rows: Vec<Vec<Value>> = (0..100).map(|i| vec![Value::Int64(i)]).collect();
-    /// let store = RowStore::from_rows(schema, &rows);
     /// let mut provider = Provider::new();
-    /// provider.bind_native(SourceId(0), &store);
+    /// provider.bind_native_shared(SourceId(0), Arc::new(RowStore::from_rows(schema, &rows)));
+    /// let provider = provider.into_shared();
     /// let stmt = Query::from_source(SourceId(0))
     ///     .where_(lam("x", Expr::binary(BinaryOp::Lt, col("x", "n"), lit(10i64))))
     ///     .select(lam("x", col("x", "n")))
@@ -1556,16 +1449,13 @@ impl<'p> QueryHandle<'p> {
 
     /// Blocks until the query finished and returns its result.
     pub fn join(self) -> Result<QueryOutput> {
-        let result = self.state.wait_take();
-        // `self` is dropped here; its drop-wait returns immediately because
-        // the completion latch already fired.
-        result
+        self.state.wait_take()
     }
 
     /// Polls for completion: returns the result if the query finished, or
     /// hands the handle back to try again later. Never blocks.
     #[allow(clippy::result_large_err)]
-    pub fn try_join(self) -> std::result::Result<Result<QueryOutput>, QueryHandle<'p>> {
+    pub fn try_join(self) -> std::result::Result<Result<QueryOutput>, QueryHandle> {
         if self.is_finished() {
             Ok(self.join())
         } else {
@@ -1574,7 +1464,7 @@ impl<'p> QueryHandle<'p> {
     }
 }
 
-impl Future for QueryHandle<'_> {
+impl Future for QueryHandle {
     type Output = Result<QueryOutput>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
@@ -1582,28 +1472,24 @@ impl Future for QueryHandle<'_> {
     }
 }
 
-impl Drop for QueryHandle<'_> {
-    /// Unregisters the waker; a borrowed handle then waits for the query,
-    /// so abandoning it can never leave a pool task referencing a dead
-    /// provider, while an owned handle returns at once — its task keeps
-    /// its own provider clone alive.
+impl Drop for QueryHandle {
+    /// Unregisters the waker. Never blocks: the task finishes on its own.
     fn drop(&mut self) {
         self.state.clear_waker();
-        if self.owner.is_none() {
-            self.state.wait_finished();
-        }
     }
 }
 
-/// `Provider` must stay shareable across client threads (the concurrent
-/// serving front end depends on it); this fails to compile if a field ever
-/// loses `Sync`.
+/// The serving layer must stay thread-mobile: a shared provider serves
+/// many client threads, and the handles, streams and prepared queries it
+/// mints cross threads. This fails to compile if a field regresses.
 #[allow(dead_code)]
-fn _assert_provider_is_sync() {
-    fn is_sync<T: Sync>() {}
-    is_sync::<Provider<'static>>();
-    fn is_send<T: Send>() {}
-    is_send::<QueryHandle<'static>>();
+fn _assert_serving_types_are_send_sync() {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<OwnedProvider>();
+    send_sync::<PreparedQuery>();
+    fn send_unpin<T: Send + Unpin>() {}
+    send_unpin::<QueryHandle>();
+    send_unpin::<QueryStream>();
 }
 
 #[cfg(test)]
@@ -1624,7 +1510,7 @@ mod tests {
         )
     }
 
-    fn heap_with_data() -> (Heap, ListId) {
+    fn heap_with_data() -> (Arc<Heap>, ListId) {
         let mut heap = Heap::new();
         let class = heap.register_class(ClassDesc::from_schema(&schema()));
         let list = heap.new_list("sales", Some(class));
@@ -1635,7 +1521,15 @@ mod tests {
             heap.set_decimal(obj, 2, Decimal::from_int(i));
             heap.list_push(list, obj);
         }
-        (heap, list)
+        (Arc::new(heap), list)
+    }
+
+    /// A provider over [`heap_with_data`] with the list bound to source 0.
+    fn managed_provider() -> Provider<'static> {
+        let (heap, list) = heap_with_data();
+        let mut provider = Provider::over_shared_heap(heap);
+        provider.bind_managed(SourceId(0), list, schema());
+        provider
     }
 
     fn statement(city: &str) -> Expr {
@@ -1650,9 +1544,7 @@ mod tests {
 
     #[test]
     fn all_managed_strategies_return_identical_results() {
-        let (heap, list) = heap_with_data();
-        let mut provider = Provider::over_heap(&heap);
-        provider.bind_managed(SourceId(0), list, schema());
+        let provider = managed_provider();
         let linq = provider
             .execute(statement("London"), Strategy::LinqToObjects)
             .unwrap();
@@ -1672,9 +1564,7 @@ mod tests {
 
     #[test]
     fn native_strategy_requires_native_bindings() {
-        let (heap, list) = heap_with_data();
-        let mut provider = Provider::over_heap(&heap);
-        provider.bind_managed(SourceId(0), list, schema());
+        let provider = managed_provider();
         let err = provider
             .execute(statement("London"), Strategy::CompiledNative)
             .unwrap_err();
@@ -1692,9 +1582,8 @@ mod tests {
                 ]
             })
             .collect();
-        let store = RowStore::from_rows(schema(), &rows);
         let mut provider = Provider::new();
-        provider.bind_native(SourceId(0), &store);
+        provider.bind_native_shared(SourceId(0), Arc::new(RowStore::from_rows(schema(), &rows)));
         let out = provider
             .execute(statement("Paris"), Strategy::CompiledNative)
             .unwrap();
@@ -1703,9 +1592,7 @@ mod tests {
 
     #[test]
     fn query_cache_reuses_compiled_patterns_across_parameters() {
-        let (heap, list) = heap_with_data();
-        let mut provider = Provider::over_heap(&heap);
-        provider.bind_managed(SourceId(0), list, schema());
+        let provider = managed_provider();
         provider
             .execute(statement("London"), Strategy::CompiledCSharp)
             .unwrap();
@@ -1719,9 +1606,7 @@ mod tests {
 
     #[test]
     fn result_recycling_serves_repeated_statements_from_the_cache() {
-        let (heap, list) = heap_with_data();
-        let mut provider = Provider::over_heap(&heap);
-        provider.bind_managed(SourceId(0), list, schema());
+        let mut provider = managed_provider();
         provider.set_result_recycling(true);
         let first = provider
             .execute(statement("London"), Strategy::CompiledCSharp)
@@ -1749,8 +1634,7 @@ mod tests {
     #[test]
     fn recycling_is_invalidated_when_the_collection_grows() {
         let (mut heap, list) = heap_with_data();
-        let class = heap.class_by_name("Sale").unwrap();
-        let mut provider = Provider::over_heap(&heap);
+        let mut provider = Provider::over_shared_heap(Arc::clone(&heap));
         provider.bind_managed(SourceId(0), list, schema());
         provider.set_result_recycling(true);
         let before = provider
@@ -1760,12 +1644,14 @@ mod tests {
         drop(provider);
         // Append one more qualifying object; the fingerprint changes, so the
         // stale result is not reused.
-        let obj = heap.alloc(class);
-        heap.set_i64(obj, 0, 100);
-        heap.set_str(obj, 1, "London");
-        heap.set_decimal(obj, 2, Decimal::from_int(100));
-        heap.list_push(list, obj);
-        let mut provider = Provider::over_heap(&heap);
+        let heap_mut = Arc::get_mut(&mut heap).expect("the provider is gone");
+        let class = heap_mut.class_by_name("Sale").unwrap();
+        let obj = heap_mut.alloc(class);
+        heap_mut.set_i64(obj, 0, 100);
+        heap_mut.set_str(obj, 1, "London");
+        heap_mut.set_decimal(obj, 2, Decimal::from_int(100));
+        heap_mut.list_push(list, obj);
+        let mut provider = Provider::over_shared_heap(Arc::clone(&heap));
         provider.bind_managed(SourceId(0), list, schema());
         provider.set_result_recycling(true);
         let after = provider
@@ -1776,9 +1662,7 @@ mod tests {
 
     #[test]
     fn optimizer_pushes_filters_and_reports_rewrites() {
-        let (heap, list) = heap_with_data();
-        let mut provider = Provider::over_heap(&heap);
-        provider.bind_managed(SourceId(0), list, schema());
+        let provider = managed_provider();
         // A filter written after a projection: the optimizer pushes it onto
         // the source, LINQ-to-objects would evaluate it after projecting.
         let naive = Query::from_source(SourceId(0))
@@ -1831,8 +1715,7 @@ mod tests {
         // the compiled subset — the push-down is what makes it compilable,
         // exactly the "programmer must understand query processing" point of
         // §2.3.
-        let mut plain = Provider::over_heap(&heap);
-        plain.bind_managed(SourceId(0), list, schema());
+        let mut plain = managed_provider();
         plain.set_optimizer(OptimizerConfig::disabled());
         let err = plain.execute(naive, Strategy::CompiledCSharp).unwrap_err();
         assert!(matches!(err, MrqError::Unsupported(_)));
@@ -1849,9 +1732,8 @@ mod tests {
                 ]
             })
             .collect();
-        let store = RowStore::from_rows(schema(), &rows);
         let mut provider = Provider::new();
-        provider.bind_native(SourceId(0), &store);
+        provider.bind_native_shared(SourceId(0), Arc::new(RowStore::from_rows(schema(), &rows)));
         let sequential = provider
             .execute(statement("London"), Strategy::CompiledNative)
             .unwrap();
@@ -1872,9 +1754,9 @@ mod tests {
     #[test]
     fn provider_parallelism_applies_to_every_compiled_strategy() {
         let (heap, list) = heap_with_data();
-        let mut sequential = Provider::over_heap(&heap);
+        let mut sequential = Provider::over_shared_heap(Arc::clone(&heap));
         sequential.bind_managed(SourceId(0), list, schema());
-        let mut parallel = Provider::over_heap(&heap);
+        let mut parallel = Provider::over_shared_heap(Arc::clone(&heap));
         parallel.bind_managed(SourceId(0), list, schema());
         parallel.set_parallelism(ParallelConfig {
             threads: 4,
@@ -1908,9 +1790,7 @@ mod tests {
 
     #[test]
     fn submitted_queries_join_with_execute_identical_results() {
-        let (heap, list) = heap_with_data();
-        let mut provider = Provider::over_heap(&heap);
-        provider.bind_managed(SourceId(0), list, schema());
+        let provider = managed_provider().into_shared();
         let reference = provider
             .execute(statement("London"), Strategy::CompiledCSharp)
             .unwrap();
@@ -1940,9 +1820,7 @@ mod tests {
 
     #[test]
     fn submitted_query_errors_surface_on_join() {
-        let (heap, list) = heap_with_data();
-        let mut provider = Provider::over_heap(&heap);
-        provider.bind_managed(SourceId(0), list, schema());
+        let provider = managed_provider().into_shared();
         // Native strategy over a managed binding is an error; it must travel
         // through the pool to the joining client, not panic a worker.
         let handle = provider.submit(
@@ -1958,9 +1836,7 @@ mod tests {
 
     #[test]
     fn expired_deadlines_resolve_before_compilation() {
-        let (heap, list) = heap_with_data();
-        let mut provider = Provider::over_heap(&heap);
-        provider.bind_managed(SourceId(0), list, schema());
+        let provider = managed_provider().into_shared();
         let options = QueryOptions::new().with_deadline(Duration::ZERO);
         let handle = provider.submit(statement("London"), Strategy::CompiledCSharp, options);
         assert!(matches!(handle.join(), Err(MrqError::DeadlineExceeded)));
@@ -1973,9 +1849,7 @@ mod tests {
 
     #[test]
     fn batch_class_queries_with_generous_deadlines_complete_normally() {
-        let (heap, list) = heap_with_data();
-        let mut provider = Provider::over_heap(&heap);
-        provider.bind_managed(SourceId(0), list, schema());
+        let provider = managed_provider().into_shared();
         let reference = provider
             .execute(statement("London"), Strategy::CompiledCSharp)
             .unwrap();
@@ -1987,9 +1861,7 @@ mod tests {
 
     #[test]
     fn cancelling_a_finished_query_keeps_its_result() {
-        let (heap, list) = heap_with_data();
-        let mut provider = Provider::over_heap(&heap);
-        provider.bind_managed(SourceId(0), list, schema());
+        let provider = managed_provider().into_shared();
         let handle = provider.submit(
             statement("Paris"),
             Strategy::CompiledCSharp,
@@ -2003,46 +1875,54 @@ mod tests {
         assert_eq!(handle.join().unwrap().rows.len(), 25);
     }
 
+    /// Spins until at most `clones` references to the provider remain: a
+    /// task releases its own when its query finishes.
+    fn wait_for_clones(provider: &std::sync::Weak<Provider<'static>>, clones: usize) {
+        let start = Instant::now();
+        while provider.strong_count() > clones {
+            assert!(
+                start.elapsed() < Duration::from_secs(30),
+                "tasks still hold the provider"
+            );
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
-    fn provider_drop_waits_for_leaked_handles() {
-        let (heap, list) = heap_with_data();
-        let mut provider = Provider::over_heap(&heap);
-        provider.bind_managed(SourceId(0), list, schema());
-        // Leak the handle: its drop-wait never runs, so the only thing
-        // keeping the pool task from outliving the provider is the
-        // provider's own in-flight wait on drop.
+    fn a_leaked_handle_does_not_leak_its_provider() {
+        let provider = managed_provider().into_shared();
+        let weak = Arc::downgrade(&provider);
+        // Leak the handle and drop the caller's provider at once: the task's
+        // own clone keeps the provider alive until the query completes, and
+        // then releases it, so nothing outlives the query.
         std::mem::forget(provider.submit(
             statement("London"),
             Strategy::CompiledCSharp,
             QueryOptions::default(),
         ));
-        drop(provider); // must block until the leaked query finished
+        drop(provider);
+        wait_for_clones(&weak, 0);
     }
 
     #[test]
-    fn dropped_handles_complete_before_the_provider_unbinds() {
-        let (heap, list) = heap_with_data();
-        let mut provider = Provider::over_heap(&heap);
-        provider.bind_managed(SourceId(0), list, schema());
+    fn dropped_handles_do_not_block_and_their_queries_finish() {
+        let provider = managed_provider().into_shared();
         for _ in 0..4 {
-            // Dropping without joining blocks until done; the provider (and
-            // heap) must outlive the in-flight query, which this exercises
-            // under miri-visible rules by dropping immediately.
             drop(provider.submit(
                 statement("London"),
                 Strategy::CompiledCSharp,
                 QueryOptions::default(),
             ));
         }
+        wait_for_clones(&Arc::downgrade(&provider), 1);
         let stats = provider.plan_cache_stats();
         assert_eq!(stats.misses, 1, "pattern compiled once, then cached");
+        assert_eq!(stats.hits, 3);
     }
 
     #[test]
     fn a_shared_provider_serves_concurrent_clients() {
-        let (heap, list) = heap_with_data();
-        let mut provider = Provider::over_heap(&heap);
-        provider.bind_managed(SourceId(0), list, schema());
+        let mut provider = managed_provider();
         provider.set_parallelism(ParallelConfig {
             threads: 2,
             min_rows_per_thread: 8,
@@ -2068,15 +1948,8 @@ mod tests {
     }
 
     #[test]
-    fn deferred_queries_execute_on_consumption_and_explain_emits_source() {
-        let (heap, list) = heap_with_data();
-        let mut provider = Provider::over_heap(&heap);
-        provider.bind_managed(SourceId(0), list, schema());
-        let q = provider.query(statement("London"), Strategy::CompiledCSharp);
-        assert!(q.statement().contains("Where"));
-        let rows = q.to_rows().unwrap();
-        assert_eq!(rows.len(), 25);
-
+    fn explain_emits_source_and_compile_cost() {
+        let provider = managed_provider();
         let cs = provider
             .explain(statement("London"), Backend::CSharp)
             .unwrap();

@@ -20,10 +20,8 @@
 //!   or as an incremental batch stream ([`PreparedQuery::submit_stream`])
 //!   — under exactly the same
 //!   [`QueryOptions`] lifecycle (cancel, deadline, QoS class) as ad-hoc
-//!   submission;
-//! * [`OwnedProvider::prepare`] is the `'static` counterpart for sealed
-//!   providers: its [`OwnedPreparedQuery`] mints handles that escape the
-//!   binding scope.
+//!   submission. It owns a clone of the provider's `Arc`, so it is
+//!   `'static`, cloneable and shareable across server threads.
 //!
 //! Prepared execution is bit-identical to ad-hoc execution of the same
 //! statement — the equivalence suite in `tests/prepared_equivalence.rs`
@@ -61,12 +59,13 @@ impl<'a> Provider<'a> {
     /// use mrq_core::{Provider, Strategy};
     /// use mrq_engine_native::RowStore;
     /// use mrq_expr::{col, lam, lit, BinaryOp, Expr, Query, SourceId};
+    /// use std::sync::Arc;
     ///
     /// let schema = Schema::new("N", vec![Field::new("n", DataType::Int64)]);
     /// let rows: Vec<Vec<Value>> = (0..100).map(|i| vec![Value::Int64(i)]).collect();
-    /// let store = RowStore::from_rows(schema, &rows);
     /// let mut provider = Provider::new();
-    /// provider.bind_native(SourceId(0), &store);
+    /// provider.bind_native_shared(SourceId(0), Arc::new(RowStore::from_rows(schema, &rows)));
+    /// let provider = provider.into_shared();
     ///
     /// // Prepare once: the literal 10 becomes parameter slot 0.
     /// let stmt = Query::from_source(SourceId(0))
@@ -85,32 +84,82 @@ impl<'a> Provider<'a> {
     /// assert_eq!(provider.plan_cache_stats().entries, 1);
     /// # Ok::<(), mrq_common::MrqError>(())
     /// ```
-    pub fn prepare(&self, expr: Expr, strategy: Strategy) -> Result<PreparedQuery<'_, 'a>> {
+    pub fn prepare(self: &Arc<Self>, expr: Expr, strategy: Strategy) -> Result<PreparedQuery>
+    where
+        'a: 'static,
+    {
         let (canonical, compiled) = self.compile(expr)?;
         Ok(PreparedQuery {
-            provider: self,
-            plan: PreparedPlan {
-                compiled,
-                strategy,
-                shape_hash: canonical.shape_hash,
-                defaults: canonical.params,
-            },
+            provider: Arc::clone(self),
+            compiled,
+            strategy,
+            shape_hash: canonical.shape_hash,
+            defaults: canonical.params,
         })
     }
 }
 
-/// What a prepared statement carries, borrowed or owned: the shared plan,
-/// the strategy it was prepared for, its canonical shape, and the literal
-/// values captured at prepare time.
+/// A statement compiled once, executable many times with fresh parameter
+/// bindings — the handle [`Provider::prepare`] returns.
+///
+/// Bindings are positional: slot `i` replaces the `i`-th literal of the
+/// original statement (in canonicalization order; [`PreparedQuery::defaults`]
+/// shows the prepare-time values, so the order is inspectable). Passing an
+/// empty slice executes with the defaults. Supplying fewer values than the
+/// plan reads is an error, not a panic — every engine checks arity before
+/// touching a slot.
+///
+/// All three front ends accept bindings:
+/// [`execute`](PreparedQuery::execute) runs on the calling thread;
+/// [`submit`](PreparedQuery::submit) queues on the worker pool and returns
+/// a [`QueryHandle`] to join, poll or cancel;
+/// [`submit_stream`](PreparedQuery::submit_stream) returns a
+/// [`QueryStream`] of in-order row batches. The submitted paths skip
+/// compilation on the worker — the plan rides along — but are otherwise
+/// identical to ad-hoc submission, including [`QueryOptions`] deadlines,
+/// cancellation and QoS classes.
+///
+/// The prepared query owns a clone of its provider's `Arc`: it is
+/// `'static`, and cloning it is cheap.
 #[derive(Clone)]
-struct PreparedPlan {
+pub struct PreparedQuery {
+    provider: OwnedProvider,
     compiled: Arc<CompiledQuery>,
     strategy: Strategy,
     shape_hash: u64,
     defaults: Vec<Value>,
 }
 
-impl PreparedPlan {
+impl PreparedQuery {
+    /// Number of parameter slots the plan actually reads. Bindings must
+    /// supply at least this many values (an empty slice means "use the
+    /// defaults").
+    pub fn param_slots(&self) -> usize {
+        self.compiled.spec.param_slots
+    }
+
+    /// The literal values captured at prepare time, in slot order — what an
+    /// empty bindings slice executes with.
+    pub fn defaults(&self) -> &[Value] {
+        &self.defaults
+    }
+
+    /// The strategy the plan was prepared for.
+    pub fn strategy(&self) -> Strategy {
+        self.strategy
+    }
+
+    /// The lowered plan (shared with the cache; eviction never invalidates
+    /// it).
+    pub fn spec(&self) -> &QuerySpec {
+        &self.compiled.spec
+    }
+
+    /// The full compiled artefact, including the generated sources.
+    pub fn compiled(&self) -> &CompiledQuery {
+        &self.compiled
+    }
+
     /// The parameter vector one execution uses: the caller's bindings, or
     /// the prepare-time defaults when `bindings` is empty. Arity is
     /// enforced downstream by [`QuerySpec::check_params`] so a submitted
@@ -134,93 +183,29 @@ impl PreparedPlan {
         }
     }
 
-    /// One execution on the calling thread, through `provider`'s result
-    /// recycling.
-    fn execute(&self, provider: &Provider<'_>, bindings: &[Value]) -> Result<QueryOutput> {
-        provider.execute_plan(
-            self.shape_hash,
-            &self.compiled.spec,
-            &self.params_for(bindings),
-            self.strategy,
-        )
-    }
-}
-
-/// A statement compiled once, executable many times with fresh parameter
-/// bindings — the handle [`Provider::prepare`] returns.
-///
-/// Bindings are positional: slot `i` replaces the `i`-th literal of the
-/// original statement (in canonicalization order; [`PreparedQuery::defaults`]
-/// shows the prepare-time values, so the order is inspectable). Passing an
-/// empty slice executes with the defaults. Supplying fewer values than the
-/// plan reads is an error, not a panic — every engine checks arity before
-/// touching a slot.
-///
-/// All three front ends accept bindings:
-/// [`execute`](PreparedQuery::execute) runs on the calling thread;
-/// [`submit`](PreparedQuery::submit) queues on the worker pool and returns
-/// a [`QueryHandle`] to join, poll or cancel;
-/// [`submit_stream`](PreparedQuery::submit_stream) returns a
-/// [`QueryStream`] of in-order row batches. The submitted paths skip
-/// compilation on the worker — the plan rides along — but are otherwise
-/// identical to ad-hoc submission, including [`QueryOptions`] deadlines,
-/// cancellation and QoS classes.
-pub struct PreparedQuery<'p, 'a> {
-    provider: &'p Provider<'a>,
-    plan: PreparedPlan,
-}
-
-impl<'p, 'a> PreparedQuery<'p, 'a> {
-    /// Number of parameter slots the plan actually reads. Bindings must
-    /// supply at least this many values (an empty slice means "use the
-    /// defaults").
-    pub fn param_slots(&self) -> usize {
-        self.plan.compiled.spec.param_slots
-    }
-
-    /// The literal values captured at prepare time, in slot order — what an
-    /// empty bindings slice executes with.
-    pub fn defaults(&self) -> &[Value] {
-        &self.plan.defaults
-    }
-
-    /// The strategy the plan was prepared for.
-    pub fn strategy(&self) -> Strategy {
-        self.plan.strategy
-    }
-
-    /// The lowered plan (shared with the cache; eviction never invalidates
-    /// it).
-    pub fn spec(&self) -> &QuerySpec {
-        &self.plan.compiled.spec
-    }
-
-    /// The full compiled artefact, including the generated sources.
-    pub fn compiled(&self) -> &CompiledQuery {
-        &self.plan.compiled
-    }
-
     /// Executes the prepared plan with the given bindings on the calling
     /// thread. Bit-identical to [`Provider::execute`] of the equivalent
     /// statement with the bindings inlined as literals; result recycling
     /// (when enabled) applies with the bound parameter values as part of
     /// the key.
     pub fn execute(&self, bindings: &[Value]) -> Result<QueryOutput> {
-        self.plan.execute(self.provider, bindings)
+        self.provider.execute_plan(
+            self.shape_hash,
+            &self.compiled.spec,
+            &self.params_for(bindings),
+            self.strategy,
+        )
     }
 
     /// Queues one execution with the given bindings on the worker pool and
     /// returns immediately with a [`QueryHandle`] — identical semantics to
     /// [`Provider::submit`] (deadline armed at submission, QoS class
-    /// routing, waker-driven polling), minus the compilation (the plan
-    /// rides along with the task). Pass `QueryOptions::default()` for no
-    /// lifecycle controls.
-    pub fn submit(&self, bindings: &[Value], options: QueryOptions) -> QueryHandle<'p> {
-        let job = self.plan.job(bindings);
-        QueryHandle::new(
-            Provider::spawn(self.provider, job, self.plan.strategy, options, false),
-            None,
-        )
+    /// routing, waker-driven polling, non-blocking drop), minus the
+    /// compilation (the plan rides along with the task). Pass
+    /// `QueryOptions::default()` for no lifecycle controls.
+    pub fn submit(&self, bindings: &[Value], options: QueryOptions) -> QueryHandle {
+        let job = self.job(bindings);
+        QueryHandle::new(self.provider.spawn(job, self.strategy, options, false))
     }
 
     /// Queues one execution with the given bindings and returns a
@@ -229,81 +214,8 @@ impl<'p, 'a> PreparedQuery<'p, 'a> {
     /// publication, deterministic batching and backpressure. Note that a
     /// streamed execution bypasses result recycling (its rows leave through
     /// the channel, so there is no complete output to cache or recycle).
-    pub fn submit_stream(&self, bindings: &[Value], options: QueryOptions) -> QueryStream<'p> {
-        let job = self.plan.job(bindings);
-        QueryStream::new(
-            Provider::spawn(self.provider, job, self.plan.strategy, options, true),
-            None,
-        )
-    }
-}
-
-impl OwnedProvider {
-    /// The `'static` counterpart of [`Provider::prepare`]: compiles through
-    /// the sealed provider's [`PlanCache`](crate::PlanCache) and returns an
-    /// [`OwnedPreparedQuery`] whose handles escape the binding scope (and
-    /// whose tasks each keep the provider alive with their own clone).
-    pub fn prepare(&self, expr: Expr, strategy: Strategy) -> Result<OwnedPreparedQuery> {
-        Ok(OwnedPreparedQuery {
-            provider: self.clone(),
-            plan: self.provider().prepare(expr, strategy)?.plan,
-        })
-    }
-}
-
-/// A prepared statement over a sealed [`OwnedProvider`]: cloneable,
-/// `'static`, and shareable across server threads — each clone (and each
-/// in-flight submission) keeps the provider and its bindings alive.
-///
-/// Binding semantics match [`PreparedQuery`]: positional values, empty
-/// slice for the prepare-time defaults, arity checked before execution.
-#[derive(Clone)]
-pub struct OwnedPreparedQuery {
-    provider: OwnedProvider,
-    plan: PreparedPlan,
-}
-
-impl OwnedPreparedQuery {
-    /// Number of parameter slots the plan reads.
-    pub fn param_slots(&self) -> usize {
-        self.plan.compiled.spec.param_slots
-    }
-
-    /// The literal values captured at prepare time, in slot order.
-    pub fn defaults(&self) -> &[Value] {
-        &self.plan.defaults
-    }
-
-    /// The strategy the plan was prepared for.
-    pub fn strategy(&self) -> Strategy {
-        self.plan.strategy
-    }
-
-    /// Executes the prepared plan with the given bindings on the calling
-    /// thread.
-    pub fn execute(&self, bindings: &[Value]) -> Result<QueryOutput> {
-        self.plan.execute(&self.provider, bindings)
-    }
-
-    /// Queues one execution with the given bindings and returns a `'static`
-    /// [`QueryHandle`] — the prepared counterpart of
-    /// [`OwnedProvider::submit`], with the same unified
-    /// `(bindings, options)` signature as [`PreparedQuery::submit`] and the
-    /// same non-blocking drop.
-    pub fn submit(&self, bindings: &[Value], options: QueryOptions) -> QueryHandle<'static> {
-        let job = self.plan.job(bindings);
-        let submission = self.provider.spawn(job, self.plan.strategy, options, false);
-        QueryHandle::new(submission, self.provider.owner())
-    }
-
-    /// Queues one execution with the given bindings and returns a `'static`
-    /// [`QueryStream`] of in-order row batches — the prepared counterpart
-    /// of [`OwnedProvider::submit_stream`]: dropping it mid-way cancels the
-    /// query without blocking, because the task keeps its own provider
-    /// clone alive.
-    pub fn submit_stream(&self, bindings: &[Value], options: QueryOptions) -> QueryStream<'static> {
-        let job = self.plan.job(bindings);
-        let submission = self.provider.spawn(job, self.plan.strategy, options, true);
-        QueryStream::new(submission, self.provider.owner())
+    pub fn submit_stream(&self, bindings: &[Value], options: QueryOptions) -> QueryStream {
+        let job = self.job(bindings);
+        QueryStream::new(self.provider.spawn(job, self.strategy, options, true))
     }
 }

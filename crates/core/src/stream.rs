@@ -24,16 +24,14 @@ use crate::Submission;
 use mrq_common::cancel::CancelToken;
 use mrq_common::stream::{RowBatch, StreamReceiver};
 use mrq_common::Result;
-use std::marker::PhantomData;
 use std::sync::Arc;
 use std::task::{Context, Poll};
 
 /// A query in flight on the worker pool, consumed as in-order row batches
 /// while it executes.
 ///
-/// Returned by `Provider::submit_stream` (borrowed — the stream cannot
-/// outlive the provider), `OwnedProvider::submit_stream` (`'static`), and
-/// the prepared-query equivalents. Three consumption styles share the one
+/// Returned by `Provider::submit_stream` and
+/// `PreparedQuery::submit_stream`. Three consumption styles share the one
 /// channel:
 ///
 /// * **Blocking iteration** — `for batch in stream { ... }`; the stream is
@@ -63,36 +61,22 @@ use std::task::{Context, Poll};
 /// # Drop semantics
 ///
 /// Dropping the stream — consumed to the end or abandoned mid-way —
-/// disconnects the channel and cancels the query via its token. A borrowed
-/// stream then waits for the task to unwind (the same lifetime-erasure
-/// safety contract as [`QueryHandle`](crate::QueryHandle)'s drop-wait;
-/// bounded by one checkpoint, since the disconnect unblocks any producer
-/// waiting on a full channel). A stream from an
-/// [`OwnedProvider`](crate::OwnedProvider) (`owner.is_some()`) skips the
-/// wait entirely — its task keeps the provider alive on its own.
-pub struct QueryStream<'p> {
-    /// `Some` until `Drop` takes it; disconnecting the receiver *before*
-    /// waiting for the task is what bounds the drop-wait.
-    receiver: Option<StreamReceiver>,
+/// disconnects the channel and cancels the query via its token, without
+/// blocking: the task holds its own clone of the provider's `Arc` and
+/// unwinds at its next checkpoint (the disconnect unblocks a producer
+/// waiting on a full channel).
+pub struct QueryStream {
+    receiver: StreamReceiver,
     state: Arc<QueryState>,
     token: Arc<CancelToken>,
-    /// `Some` for streams from an `OwnedProvider`: the task keeps its own
-    /// provider handle alive, so dropping the stream is non-blocking.
-    owner: Option<Arc<crate::Provider<'static>>>,
-    _provider: PhantomData<&'p ()>,
 }
 
-impl<'p> QueryStream<'p> {
-    pub(crate) fn new(
-        (state, token, receiver): Submission,
-        owner: Option<Arc<crate::Provider<'static>>>,
-    ) -> QueryStream<'p> {
+impl QueryStream {
+    pub(crate) fn new((state, token, receiver): Submission) -> QueryStream {
         QueryStream {
-            receiver,
+            receiver: receiver.expect("a streamed submission carries a channel"),
             state,
             token,
-            owner,
-            _provider: PhantomData,
         }
     }
 
@@ -100,7 +84,7 @@ impl<'p> QueryStream<'p> {
     /// query's error (once, after all pre-failure batches), or `None` at
     /// end of stream. The iterator facade calls exactly this.
     pub fn next_batch(&mut self) -> Option<Result<RowBatch>> {
-        self.receiver.as_mut()?.recv_blocking()
+        self.receiver.recv_blocking()
     }
 
     /// One async poll step: returns the next batch if one is queued,
@@ -112,10 +96,7 @@ impl<'p> QueryStream<'p> {
     /// driver should poll until `Pending` before parking. The stream is
     /// `Unpin`; no pinning ceremony is needed.
     pub fn poll_next_batch(&mut self, cx: &mut Context<'_>) -> Poll<Option<Result<RowBatch>>> {
-        match self.receiver.as_mut() {
-            Some(receiver) => receiver.poll_recv(cx.waker()),
-            None => Poll::Ready(None),
-        }
+        self.receiver.poll_recv(cx.waker())
     }
 
     /// Requests cooperative cancellation without consuming the stream:
@@ -134,7 +115,7 @@ impl<'p> QueryStream<'p> {
     }
 }
 
-impl Iterator for QueryStream<'_> {
+impl Iterator for QueryStream {
     type Item = Result<RowBatch>;
 
     fn next(&mut self) -> Option<Result<RowBatch>> {
@@ -142,16 +123,10 @@ impl Iterator for QueryStream<'_> {
     }
 }
 
-impl Drop for QueryStream<'_> {
-    /// Disconnects the channel (unblocking any backpressured producer),
-    /// trips the cancel token, and — for borrowed streams only — waits for
-    /// the task to finish, so in-flight work never outlives the provider's
-    /// bindings.
+impl Drop for QueryStream {
+    /// Trips the cancel token; dropping the receiver then disconnects the
+    /// channel, unblocking any backpressured producer. Never blocks.
     fn drop(&mut self) {
-        drop(self.receiver.take());
         self.token.cancel();
-        if self.owner.is_none() {
-            self.state.wait_finished();
-        }
     }
 }

@@ -19,6 +19,7 @@
 //! Hekaton's native mode either and reports a dash; we do the same).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use mrq_common::{Date, Decimal, Value};
 

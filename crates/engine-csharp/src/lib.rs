@@ -15,6 +15,7 @@
 //! one, but control flow is fused exactly like the generated C# of the paper.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use mrq_codegen::exec::{consume_partitioned, execute_once, ExecState, QueryOutput, TableAccess};
 use mrq_codegen::spec::QuerySpec;

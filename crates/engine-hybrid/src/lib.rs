@@ -33,6 +33,7 @@
 //!   from the original managed objects when results are constructed.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use mrq_codegen::exec::{ExecState, QueryOutput, TableAccess};
 use mrq_codegen::spec::{ColumnRef, OutputExpr, QuerySpec, ScalarExpr};

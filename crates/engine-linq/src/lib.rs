@@ -18,6 +18,7 @@
 //! overheads, which is what the paper's figures measure.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use mrq_codegen::exec::{QueryOutput, TableAccess};
 use mrq_codegen::spec::{AggSpec, OutputExpr, QuerySpec, ScalarExpr, StrOp};

@@ -15,6 +15,7 @@
 //! generated C# but reads a row store instead of chasing object references.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use mrq_codegen::exec::{execute_once, QueryOutput, TableAccess};
 use mrq_codegen::spec::QuerySpec;

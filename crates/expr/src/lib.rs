@@ -20,6 +20,7 @@
 //! tree) keys the provider's plan cache (`mrq_core::PlanCache`).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod builder;
 pub mod canonical;

@@ -25,6 +25,7 @@
 //! this crate's [`frame`] layer.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod codec;
 pub mod frame;

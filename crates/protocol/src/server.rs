@@ -28,7 +28,7 @@
 use crate::frame::{read_frame, write_frame, Request, Response, MAGIC, VERSION};
 use mrq_common::executor::{Multiplexer, MuxHandle};
 use mrq_common::MrqError;
-use mrq_core::{OwnedPreparedQuery, OwnedProvider, QueryHandle, QueryStream};
+use mrq_core::{OwnedProvider, PreparedQuery, QueryHandle, QueryStream};
 use std::collections::HashMap;
 use std::future::Future;
 use std::io;
@@ -231,7 +231,7 @@ fn read_requests(
         },
         _ => return,
     }
-    let mut statements: HashMap<u64, Arc<OwnedPreparedQuery>> = HashMap::new();
+    let mut statements: HashMap<u64, PreparedQuery> = HashMap::new();
     let mut next_statement: u64 = 1;
     loop {
         let payload = match read_frame(&mut read_half) {
@@ -287,7 +287,7 @@ fn read_requests(
                         let statement = next_statement;
                         next_statement += 1;
                         let param_slots = prepared.param_slots() as u64;
-                        statements.insert(statement, Arc::new(prepared));
+                        statements.insert(statement, prepared);
                         Response::Prepared {
                             id,
                             statement,
@@ -343,7 +343,7 @@ fn spawn_unary_task(
     handle: &MuxHandle,
     writer: &Arc<Mutex<TcpStream>>,
     id: u64,
-    query: QueryHandle<'static>,
+    query: QueryHandle,
 ) {
     let writer = Arc::clone(writer);
     let mut query = Some(query);
@@ -378,7 +378,7 @@ fn spawn_stream_task(
     handle: &MuxHandle,
     writer: &Arc<Mutex<TcpStream>>,
     id: u64,
-    stream: QueryStream<'static>,
+    stream: QueryStream,
 ) {
     let writer = Arc::clone(writer);
     let mut stream = Some(stream);

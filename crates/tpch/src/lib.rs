@@ -21,6 +21,7 @@
 //! [`Schema`]: mrq_common::Schema
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod gen;
 pub mod load;

@@ -7,7 +7,7 @@
 //! 1. an `OwnedProvider` is built in an inner scope over `Arc`-shared row
 //!    stores and escapes it — the binding scope ends, the provider lives on;
 //! 2. N interleaved clients submit their statements with
-//!    `OwnedProvider::submit`, mixing QoS classes (Interactive
+//!    `Provider::submit`, mixing QoS classes (Interactive
 //!    probes, Batch analytics, a Maintenance sweep), a deadline, a
 //!    mid-flight cancel, and one handle that is dropped unresolved;
 //! 3. the shared mini-executor ([`mrq_common::executor`]: `block_on` plus
@@ -20,12 +20,12 @@
 //!    connection with the same executor's dynamic `Multiplexer`);
 //! 4. every completed result is checked bit-identical to a sequential
 //!    `Provider::execute` of the same statement;
-//! 5. a **prepared** Q1 (`OwnedProvider::prepare`, one plan in the sharded
+//! 5. a **prepared** Q1 (`Provider::prepare`, one plan in the sharded
 //!    plan cache) serves a sweep of shipdate cutoffs by re-binding the
 //!    cached plan per request — each handle again bit-identical to the
 //!    ad-hoc execution of the same statement;
 //! 6. the same provider serves a **streamed** scan through
-//!    `OwnedProvider::submit_stream`: batches are consumed asynchronously
+//!    `Provider::submit_stream`: batches are consumed asynchronously
 //!    with `QueryStream::poll_next_batch` via `std::future::poll_fn` on the
 //!    same mini-executor, the first batch arrives long before the full
 //!    result would, the concatenation is bit-identical to `execute`, and a
@@ -101,9 +101,8 @@ fn main() {
     .collect();
 
     // The binding scope: a provider bound over the shared stores, sealed
-    // into an OwnedProvider. Only the Arcs escape — the borrow checker
-    // verifies nothing else does, which is exactly what makes the handles
-    // below 'static.
+    // into an OwnedProvider (an Arc). Every pool task holds its own clone,
+    // which is what makes the handles below 'static.
     let provider: OwnedProvider = {
         let mut provider = Provider::new();
         for (source, store) in &stores {
@@ -140,7 +139,7 @@ fn main() {
     println!("multiplexing {clients} clients on one driver thread:");
     let wall = Instant::now();
     let mut expected = Vec::with_capacity(clients);
-    let futures: Vec<QueryHandle<'static>> = (0..clients)
+    let futures: Vec<QueryHandle> = (0..clients)
         .map(|client| {
             let (_, stmt) = &workloads[client % workloads.len()];
             expected.push(client % workloads.len());
@@ -182,7 +181,7 @@ fn main() {
         .prepare(workloads[0].1.clone(), Strategy::CompiledNative)
         .expect("prepare Q1");
     let selectivities = [0.25, 0.5, 0.75];
-    let prepared_futures: Vec<QueryHandle<'static>> = selectivities
+    let prepared_futures: Vec<QueryHandle> = selectivities
         .iter()
         .map(|s| {
             let stmt = queries::q1_with_cutoff(data.shipdate_for_selectivity(*s));
@@ -289,7 +288,7 @@ fn main() {
         .chain((0..3).map(|_| ("batch", QueryOptions::batch())))
         .chain((0..2).map(|_| ("interactive", QueryOptions::new())))
         .collect();
-    let burst_futures: Vec<QueryHandle<'static>> = burst
+    let burst_futures: Vec<QueryHandle> = burst
         .iter()
         .map(|(_, options)| {
             bounded.submit(workloads[0].1.clone(), Strategy::CompiledNative, *options)
@@ -357,7 +356,7 @@ fn main() {
         Ok(_) => println!("  cancelled future     -> completed before the cancel landed"),
     }
 
-    // Dropping an unresolved owned handle is non-blocking: the task holds
+    // Dropping an unresolved handle is non-blocking: the task holds
     // its own provider clone and finishes in the background.
     let dropped = provider.submit(
         workloads[1].1.clone(),
@@ -370,10 +369,4 @@ fn main() {
         "  dropped unresolved   -> returned in {:.3} ms (task finishes in background)",
         drop_started.elapsed().as_secs_f64() * 1e3,
     );
-
-    // Teardown: the last OwnedProvider clone drops here. Provider::drop
-    // waits for the abandoned query above, so the bindings outlive every
-    // in-flight task — no leak, no deadlock.
-    drop(provider);
-    println!("  provider teardown    -> clean (waited for the background task) ✓");
 }

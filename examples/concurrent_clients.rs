@@ -20,7 +20,7 @@ use mrq_engine_native::RowStore;
 use mrq_tpch::gen::{GenConfig, TpchData};
 use mrq_tpch::load::{schema_of, value_rows};
 use mrq_tpch::queries;
-use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn env_or(name: &str, default: usize) -> usize {
@@ -40,23 +40,21 @@ fn main() {
 
     println!("generating TPC-H data at scale factor {scale} ...");
     let data = TpchData::generate(GenConfig::scale(scale));
-    let mut stores: HashMap<&str, RowStore> = HashMap::new();
-    for table in ["lineitem", "orders", "customer"] {
-        stores.insert(
-            table,
-            RowStore::from_rows(schema_of(table), &value_rows(&data, table)),
-        );
-    }
-
     // One shared provider: bound once, then only `&provider` crosses
     // threads. Per-query parallelism stays modest (2 workers) because the
     // clients themselves provide the parallelism; the pool multiplexes all
     // of them over the same persistent workers.
     let mut provider = Provider::new();
-    provider.bind_native(queries::SRC_LINEITEM, &stores["lineitem"]);
-    provider.bind_native(queries::SRC_ORDERS, &stores["orders"]);
-    provider.bind_native(queries::SRC_CUSTOMER, &stores["customer"]);
+    for (source, table) in [
+        (queries::SRC_LINEITEM, "lineitem"),
+        (queries::SRC_ORDERS, "orders"),
+        (queries::SRC_CUSTOMER, "customer"),
+    ] {
+        let store = RowStore::from_rows(schema_of(table), &value_rows(&data, table));
+        provider.bind_native_shared(source, Arc::new(store));
+    }
     provider.set_parallelism(ParallelConfig::with_threads(2));
+    let provider = provider.into_shared();
 
     // Sequential references for the bit-identity check.
     let workloads = [("Q1", queries::q1()), ("Q3", queries::q3())];

@@ -10,6 +10,7 @@ use mrq_common::{DataType, Date, Decimal, Field, Schema};
 use mrq_core::{Provider, QueryOptimizerConfig, Strategy};
 use mrq_expr::{and_all, col, lam, lit, BinaryOp, Expr, Query, SourceId};
 use mrq_mheap::{ClassDesc, Heap};
+use std::sync::Arc;
 
 const ORDERS: SourceId = SourceId(0);
 const CUSTOMERS: SourceId = SourceId(1);
@@ -102,7 +103,8 @@ fn main() {
         heap.list_push(orders, o);
     }
 
-    let mut provider = Provider::over_heap(&heap);
+    let heap = Arc::new(heap);
+    let mut provider = Provider::over_shared_heap(Arc::clone(&heap));
     provider.bind_managed(ORDERS, orders, orders_schema());
     provider.bind_managed(CUSTOMERS, customers, customers_schema());
     provider.set_result_recycling(true);
@@ -170,7 +172,7 @@ fn main() {
     // 5. The same statement with the optimizer off evaluates the filters
     //    after the join, exactly as written — the §2.3 behaviour the paper
     //    measures a ~35 % penalty for on Q3.
-    let mut unoptimized = Provider::over_heap(&heap);
+    let mut unoptimized = Provider::over_shared_heap(heap);
     unoptimized.bind_managed(ORDERS, orders, orders_schema());
     unoptimized.bind_managed(CUSTOMERS, customers, customers_schema());
     unoptimized.set_optimizer(QueryOptimizerConfig::disabled());

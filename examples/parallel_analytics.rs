@@ -15,6 +15,7 @@ use mrq_tpch::gen::{GenConfig, TpchData};
 use mrq_tpch::load::{schema_of, value_rows};
 use mrq_tpch::queries;
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
@@ -26,12 +27,10 @@ fn main() {
     let data = TpchData::generate(GenConfig::scale(scale));
 
     // Load the three Q3 tables into native row stores (arrays of structs).
-    let mut stores: HashMap<&str, RowStore> = HashMap::new();
+    let mut stores: HashMap<&str, Arc<RowStore>> = HashMap::new();
     for table in ["lineitem", "orders", "customer"] {
-        stores.insert(
-            table,
-            RowStore::from_rows(schema_of(table), &value_rows(&data, table)),
-        );
+        let store = RowStore::from_rows(schema_of(table), &value_rows(&data, table));
+        stores.insert(table, Arc::new(store));
     }
     println!(
         "loaded {} lineitem rows, {} orders, {} customers into row stores\n",
@@ -44,9 +43,9 @@ fn main() {
     //    range-partitioned parallel scan (aggregation parallelises cleanly;
     //    small joins are dominated by the merge/thread overhead).
     let mut provider = Provider::new();
-    provider.bind_native(queries::SRC_LINEITEM, &stores["lineitem"]);
-    provider.bind_native(queries::SRC_ORDERS, &stores["orders"]);
-    provider.bind_native(queries::SRC_CUSTOMER, &stores["customer"]);
+    provider.bind_native_shared(queries::SRC_LINEITEM, Arc::clone(&stores["lineitem"]));
+    provider.bind_native_shared(queries::SRC_ORDERS, Arc::clone(&stores["orders"]));
+    provider.bind_native_shared(queries::SRC_CUSTOMER, Arc::clone(&stores["customer"]));
 
     let start = Instant::now();
     let sequential = provider

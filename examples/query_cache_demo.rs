@@ -10,14 +10,16 @@ use mrq_expr::SourceId;
 use mrq_tpch::gen::{GenConfig, TpchData};
 use mrq_tpch::load::{schema_of, HeapDataset, TABLE_NAMES};
 use mrq_tpch::queries;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
     let data = TpchData::generate(GenConfig::scale(0.005));
     let heap_data = HeapDataset::load(&data);
-    let mut provider = Provider::over_heap(&heap_data.heap);
+    let lists = TABLE_NAMES.map(|table| heap_data.list(table));
+    let mut provider = Provider::over_shared_heap(Arc::new(heap_data.heap));
     for (i, table) in TABLE_NAMES.iter().enumerate() {
-        provider.bind_managed(SourceId(i as u32), heap_data.list(table), schema_of(table));
+        provider.bind_managed(SourceId(i as u32), lists[i], schema_of(table));
     }
 
     // The application issues the same query pattern with user-supplied

@@ -8,6 +8,7 @@ use mrq_core::{Provider, Strategy};
 use mrq_engine_hybrid::HybridConfig;
 use mrq_expr::{col, lam, lit, BinaryOp, Expr, Query, SourceId};
 use mrq_mheap::{ClassDesc, Heap};
+use std::sync::Arc;
 
 fn main() {
     // 1. The application's data model: a list of Shop objects in the managed
@@ -37,7 +38,7 @@ fn main() {
     }
 
     // 2. Bind the collection to a query provider (the QList wrapper of §3).
-    let mut provider = Provider::over_heap(&heap);
+    let mut provider = Provider::over_shared_heap(Arc::new(heap));
     provider.bind_managed(SourceId(0), shops, schema);
 
     // 3. The paper's example statement:

@@ -9,6 +9,7 @@ use mrq_core::{Provider, Strategy};
 use mrq_engine_hybrid::HybridConfig;
 use mrq_expr::{col, lam, lit, AggFunc, BinaryOp, Expr, Query, SourceId};
 use mrq_mheap::{ClassDesc, Heap};
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
@@ -51,7 +52,7 @@ fn main() {
         heap.list_push(sales, obj);
     }
 
-    let mut provider = Provider::over_heap(&heap);
+    let mut provider = Provider::over_shared_heap(Arc::new(heap));
     provider.bind_managed(SourceId(0), sales, sale_schema);
     provider.bind_managed(SourceId(1), shops, shop_schema);
 

@@ -5,34 +5,28 @@
 
 use mrq_core::{Provider, Strategy};
 use mrq_engine_hybrid::HybridConfig;
+use mrq_engine_native::RowStore;
 use mrq_expr::SourceId;
 use mrq_tpch::gen::{GenConfig, TpchData};
 use mrq_tpch::load::{schema_of, value_rows, HeapDataset, TABLE_NAMES};
 use mrq_tpch::queries;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
     let data = TpchData::generate(GenConfig::scale(0.01));
     let heap_data = HeapDataset::load(&data);
     // Native mirrors (arrays of structs) for the §5 strategy.
-    let stores: Vec<(usize, mrq_engine_native::RowStore)> = TABLE_NAMES
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            (
-                i,
-                mrq_engine_native::RowStore::from_rows(schema_of(t), &value_rows(&data, t)),
-            )
-        })
-        .collect();
-
-    let mut provider = Provider::over_heap(&heap_data.heap);
-    for (i, table) in TABLE_NAMES.iter().enumerate() {
-        provider.bind_managed(SourceId(i as u32), heap_data.list(table), schema_of(table));
-    }
     let mut native = Provider::new();
-    for (i, store) in &stores {
-        native.bind_native(SourceId(*i as u32), store);
+    for (i, table) in TABLE_NAMES.iter().enumerate() {
+        let store = RowStore::from_rows(schema_of(table), &value_rows(&data, table));
+        native.bind_native_shared(SourceId(i as u32), Arc::new(store));
+    }
+
+    let lists = TABLE_NAMES.map(|table| heap_data.list(table));
+    let mut provider = Provider::over_shared_heap(Arc::new(heap_data.heap));
+    for (i, table) in TABLE_NAMES.iter().enumerate() {
+        provider.bind_managed(SourceId(i as u32), lists[i], schema_of(table));
     }
 
     for (name, expr) in [("TPC-H Q1", queries::q1()), ("TPC-H Q3", queries::q3())] {

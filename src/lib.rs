@@ -9,6 +9,7 @@
 //! to modules.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use mrq_codegen as codegen;
 pub use mrq_common as common;

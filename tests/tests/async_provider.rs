@@ -1,18 +1,20 @@
 //! The async serving front end through the public API: the `QueryHandle`
-//! that `Provider::submit` / `OwnedProvider::submit` return, polled as a
+//! that `Provider::submit` returns on an `OwnedProvider`, polled as a
 //! future.
 //!
 //! The contract under test:
 //! * a handle resolves **bit-identical** to `Provider::execute` of the same
-//!   statement and strategy, borrowed or owned, at any thread count;
+//!   statement and strategy, at any thread count;
 //! * the waker registered by `poll` is woken after a cancel — the handle
 //!   resolves to `QueryError::Cancelled` without anyone blocking on it;
 //! * a handle whose deadline already lapsed resolves to
 //!   `QueryError::DeadlineExceeded` without compiling or executing
 //!   anything;
-//! * dropping an unresolved owned handle neither leaks its Arcs nor
-//!   deadlocks `Provider::drop` — the in-flight task finishes in the
-//!   background and every shared binding refcount returns to 1;
+//! * dropping an unresolved handle neither leaks its Arcs nor blocks —
+//!   the in-flight task finishes in the background and every shared
+//!   binding refcount returns to 1;
+//! * `join` is a barrier for the provider: once it returns, the task has
+//!   released its provider clone;
 //! * many handles multiplex on **one** driver thread (a dependency-free
 //!   ready-queue executor), interleaved across QoS classes.
 
@@ -24,7 +26,7 @@ use mrq_expr::{col, lam, lit, BinaryOp, Expr, Query, SourceId};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::{pin, Pin};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
@@ -69,7 +71,7 @@ impl Wake for FlagWaker {
 
 /// The ready-queue multiplexer from `examples/async_server.rs`, condensed:
 /// drives every future on the calling thread, polling only woken tasks.
-fn drive_all<'p>(futures: Vec<QueryHandle<'p>>) -> Vec<Result<QueryOutput, QueryError>> {
+fn drive_all(futures: Vec<QueryHandle>) -> Vec<Result<QueryOutput, QueryError>> {
     struct Reactor {
         ready: Mutex<VecDeque<usize>>,
         driver: std::thread::Thread,
@@ -88,7 +90,7 @@ fn drive_all<'p>(futures: Vec<QueryHandle<'p>>) -> Vec<Result<QueryOutput, Query
         ready: Mutex::new((0..futures.len()).collect()),
         driver: std::thread::current(),
     });
-    let mut slots: Vec<Option<QueryHandle<'p>>> = futures.into_iter().map(Some).collect();
+    let mut slots: Vec<Option<QueryHandle>> = futures.into_iter().map(Some).collect();
     let mut results: Vec<Option<Result<QueryOutput, QueryError>>> =
         (0..slots.len()).map(|_| None).collect();
     let wakers: Vec<Waker> = (0..slots.len())
@@ -196,11 +198,12 @@ fn scheduler_configs() -> [ParallelConfig; 2] {
 
 #[test]
 fn borrowed_futures_resolve_bit_identical_to_execute() {
-    let store = RowStore::from_rows(schema(), &rows(50_000));
+    let store = Arc::new(RowStore::from_rows(schema(), &rows(50_000)));
     for config in scheduler_configs() {
         let mut provider = Provider::new();
-        provider.bind_native(SourceId(0), &store);
+        provider.bind_native_shared(SourceId(0), Arc::clone(&store));
         provider.set_parallelism(config);
+        let provider = provider.into_shared();
         for stmt in [grouped_scan(), filter_scan(100)] {
             let reference = provider
                 .execute(stmt.clone(), Strategy::CompiledNative)
@@ -231,7 +234,7 @@ fn owned_futures_escape_the_binding_scope_and_cross_threads() {
     };
     // Futures minted here are 'static: collect them, ship them to another
     // thread, drive them there.
-    let futures: Vec<QueryHandle<'static>> = (0..4)
+    let futures: Vec<QueryHandle> = (0..4)
         .map(|_| {
             provider.submit(
                 grouped_scan(),
@@ -252,12 +255,13 @@ fn owned_futures_escape_the_binding_scope_and_cross_threads() {
 fn a_cancelled_future_wakes_its_registered_waker() {
     let store = RowStore::from_rows(schema(), &rows(400_000));
     let mut provider = Provider::new();
-    provider.bind_native(SourceId(0), &store);
+    provider.bind_native_shared(SourceId(0), Arc::new(store));
     provider.set_parallelism(ParallelConfig {
         threads: 2,
         min_rows_per_thread: 256,
         ..ParallelConfig::default()
     });
+    let provider = provider.into_shared();
     let mut future = provider.submit(
         grouped_scan(),
         Strategy::CompiledNative,
@@ -306,7 +310,8 @@ fn a_cancelled_future_wakes_its_registered_waker() {
 fn deadline_expired_futures_resolve_without_executing() {
     let store = RowStore::from_rows(schema(), &rows(10_000));
     let mut provider = Provider::new();
-    provider.bind_native(SourceId(0), &store);
+    provider.bind_native_shared(SourceId(0), Arc::new(store));
+    let provider = provider.into_shared();
     let future = provider.submit(
         grouped_scan(),
         Strategy::CompiledNative,
@@ -337,9 +342,8 @@ fn dropping_unresolved_owned_futures_neither_leaks_nor_deadlocks() {
         let prepared = provider
             .prepare(grouped_scan(), Strategy::CompiledNative)
             .unwrap();
-        // Submit and immediately drop, resolved or not: owned handles —
-        // ad-hoc and prepared — must not block. Mix in cancelled ones and a
-        // clone of the provider to exercise the teardown ordering.
+        // Submit and immediately drop, resolved or not: handles — ad-hoc
+        // and prepared — must not block. Mix in cancelled ones.
         for i in 0..8 {
             let handle = if i < 4 {
                 provider.submit(
@@ -355,18 +359,11 @@ fn dropping_unresolved_owned_futures_neither_leaks_nor_deadlocks() {
             }
             drop(handle);
         }
-        let clone = provider.clone();
-        drop(prepared);
-        drop(provider);
-        // The last clone's drop runs Provider::drop, which waits for every
-        // in-flight task. If a task deadlocked against its own keep-alive
-        // clone, this would hang (and the harness would time the test out).
-        drop(clone);
     }
     // No leak: once the last provider clone (wherever it was dropped —
     // client thread or pool worker) released its Arcs, the store's refcount
-    // is back to exactly this scope's handle. The background task may drop
-    // its provider clone a beat after completing the latch, so poll briefly.
+    // is back to exactly this scope's handle. The dropped handles' tasks
+    // may still be running, so poll with a time bound.
     let deadline = Instant::now() + Duration::from_secs(30);
     while Arc::strong_count(&store) > 1 {
         assert!(
@@ -378,11 +375,75 @@ fn dropping_unresolved_owned_futures_neither_leaks_nor_deadlocks() {
     }
 }
 
+/// A waker that records how many clones of the provider exist when it
+/// fires. The completion latch wakes it on the pool task, inside
+/// `complete`, so the count shows whether the task still holds its clone.
+struct CloneCountWaker {
+    provider: std::sync::Weak<Provider<'static>>,
+    clones_at_wake: AtomicUsize,
+}
+
+impl Wake for CloneCountWaker {
+    fn wake(self: Arc<Self>) {
+        let clones = self.provider.strong_count();
+        self.clones_at_wake.store(clones, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn join_releases_the_tasks_provider_clone() {
+    let store = Arc::new(RowStore::from_rows(schema(), &rows(200_000)));
+    let mut provider = Provider::new();
+    provider.bind_native_shared(SourceId(0), Arc::clone(&store));
+    let provider = provider.into_shared();
+    let recorder = Arc::new(CloneCountWaker {
+        provider: Arc::downgrade(&provider),
+        clones_at_wake: AtomicUsize::new(0),
+    });
+    let waker = Waker::from(Arc::clone(&recorder));
+    let mut context = Context::from_waker(&waker);
+    // Register the waker before the query completes; a query that beat
+    // the first poll is retried.
+    let handle = (0..10)
+        .map(|_| {
+            provider.submit(
+                grouped_scan(),
+                Strategy::CompiledNative,
+                QueryOptions::new(),
+            )
+        })
+        .find_map(|mut handle| {
+            Pin::new(&mut handle)
+                .poll(&mut context)
+                .is_pending()
+                .then_some(handle)
+        })
+        .expect("every query finished before its first poll");
+    handle.join().unwrap();
+    // `join` can return before the task's wake runs.
+    let start = Instant::now();
+    while recorder.clones_at_wake.load(Ordering::SeqCst) == 0 {
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "the waker never fired"
+        );
+        std::thread::yield_now();
+    }
+    // The task dropped its clone before completing the latch: the wake saw
+    // only the caller's, and the store is free as soon as that one goes.
+    assert_eq!(recorder.clones_at_wake.load(Ordering::SeqCst), 1);
+    drop(provider);
+    assert!(
+        Arc::try_unwrap(store).is_ok(),
+        "the pool still holds the store"
+    );
+}
+
 #[test]
 fn many_futures_one_driver_interleave_across_classes() {
     let store = RowStore::from_rows(schema(), &rows(60_000));
     let mut provider = Provider::new();
-    provider.bind_native(SourceId(0), &store);
+    provider.bind_native_shared(SourceId(0), Arc::new(store));
     provider.set_parallelism(
         ParallelConfig {
             threads: 4,
@@ -391,6 +452,7 @@ fn many_futures_one_driver_interleave_across_classes() {
         }
         .with_morsel_rows(2048),
     );
+    let provider = provider.into_shared();
     let statements = [grouped_scan(), filter_scan(500), filter_scan(59_999)];
     let references: Vec<QueryOutput> = statements
         .iter()
@@ -400,7 +462,7 @@ fn many_futures_one_driver_interleave_across_classes() {
                 .unwrap()
         })
         .collect();
-    let futures: Vec<QueryHandle<'_>> = (0..12)
+    let futures: Vec<QueryHandle> = (0..12)
         .map(|i| {
             let options = match i % 3 {
                 0 => QueryOptions::new(),
@@ -431,7 +493,8 @@ fn poll_join_and_handle_paths_agree_on_one_provider() {
     // one shared provider must all agree.
     let store = RowStore::from_rows(schema(), &rows(30_000));
     let mut provider = Provider::new();
-    provider.bind_native(SourceId(0), &store);
+    provider.bind_native_shared(SourceId(0), Arc::new(store));
+    let provider = provider.into_shared();
     let reference = provider
         .execute(grouped_scan(), Strategy::CompiledNative)
         .unwrap();
@@ -490,7 +553,7 @@ fn owned_provider_serves_managed_strategies_over_a_shared_heap() {
         .execute(stmt.clone(), Strategy::CompiledCSharp)
         .unwrap();
     assert_eq!(reference.rows.len(), 2_500);
-    let futures: Vec<QueryHandle<'static>> = (0..4)
+    let futures: Vec<QueryHandle> = (0..4)
         .map(|_| provider.submit(stmt.clone(), Strategy::CompiledCSharp, QueryOptions::new()))
         .collect();
     for out in drive_all(futures) {

@@ -9,8 +9,8 @@
 //!   while the pool stays fully drainable and usable;
 //! * an uncancelled query running concurrently with a cancelled one on the
 //!   same provider completes bit-identical to its sequential run;
-//! * dropping a cancelled handle without joining cannot deadlock
-//!   `Provider::drop`.
+//! * dropping a cancelled handle without joining never blocks, and the
+//!   abandoned task still releases its provider.
 //!
 //! The "long scan" is sized so that the victim query costs hundreds of
 //! milliseconds of work while the cancel is issued microseconds after
@@ -19,11 +19,13 @@
 //! resolve to `Cancelled`.
 
 use mrq_common::{DataType, Field, Schema, Value};
-use mrq_core::{ParallelConfig, Provider, QosClass, QueryError, QueryOptions, Strategy};
+use mrq_core::{
+    OwnedProvider, ParallelConfig, Provider, QosClass, QueryError, QueryOptions, Strategy,
+};
 use mrq_engine_native::RowStore;
 use mrq_expr::{col, lam, lit, BinaryOp, Expr, Query, SourceId};
-use std::sync::OnceLock;
-use std::time::Duration;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 const ROWS: i64 = 1_500_000;
 
@@ -39,14 +41,15 @@ fn schema() -> Schema {
 
 /// One big shared store: building it costs more than every test in this
 /// file, so it is materialised once per process.
-fn store() -> &'static RowStore {
-    static STORE: OnceLock<RowStore> = OnceLock::new();
-    STORE.get_or_init(|| {
+fn store() -> Arc<RowStore> {
+    static STORE: OnceLock<Arc<RowStore>> = OnceLock::new();
+    let store = STORE.get_or_init(|| {
         let rows: Vec<Vec<Value>> = (0..ROWS)
             .map(|i| vec![Value::Int64(i), Value::Int64(i % 97)])
             .collect();
-        RowStore::from_rows(schema(), &rows)
-    })
+        Arc::new(RowStore::from_rows(schema(), &rows))
+    });
+    Arc::clone(store)
 }
 
 /// A full-store grouped aggregation: every row is touched, so the scan's
@@ -81,22 +84,22 @@ fn long_scan() -> Expr {
 
 /// A provider over the shared store with many small morsels, so there are
 /// plenty of cancellation points even on a 1-CPU host.
-fn parallel_provider() -> Provider<'static> {
+fn parallel_provider() -> OwnedProvider {
     let mut provider = Provider::new();
-    provider.bind_native(SourceId(0), store());
+    provider.bind_native_shared(SourceId(0), store());
     provider.set_parallelism(ParallelConfig {
         threads: 2,
         min_rows_per_thread: 1024,
         ..ParallelConfig::default()
     });
-    provider
+    provider.into_shared()
 }
 
 fn sequential_reference() -> &'static mrq_codegen::exec::QueryOutput {
     static REFERENCE: OnceLock<mrq_codegen::exec::QueryOutput> = OnceLock::new();
     REFERENCE.get_or_init(|| {
         let mut provider = Provider::new();
-        provider.bind_native(SourceId(0), store());
+        provider.bind_native_shared(SourceId(0), store());
         provider
             .execute(long_scan(), Strategy::CompiledNative)
             .expect("sequential reference")
@@ -180,9 +183,19 @@ fn dropping_a_cancelled_handle_does_not_deadlock_provider_drop() {
     for _ in 0..3 {
         let handle = provider.submit(long_scan(), Strategy::CompiledNative, QueryOptions::new());
         handle.cancel();
-        drop(handle); // blocks until the (abandoned) query resolved
+        drop(handle); // returns at once; the task unwinds in the background
     }
-    drop(provider); // must not hang on in-flight bookkeeping
+    let weak = Arc::downgrade(&provider);
+    drop(provider);
+    // Every abandoned task resolves and releases its provider clone.
+    let start = Instant::now();
+    while weak.upgrade().is_some() {
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "a cancelled task never finished"
+        );
+        std::thread::yield_now();
+    }
 }
 
 #[test]
@@ -194,7 +207,7 @@ fn intra_morsel_checkpoints_stop_a_giant_morsel_scan() {
     // rows, so the cancelled query must resolve in a small fraction of the
     // full scan's wall time.
     let mut provider = Provider::new();
-    provider.bind_native(SourceId(0), store());
+    provider.bind_native_shared(SourceId(0), store());
     provider.set_parallelism(
         ParallelConfig {
             threads: 2,
@@ -203,7 +216,8 @@ fn intra_morsel_checkpoints_stop_a_giant_morsel_scan() {
         }
         .with_morsel_rows(ROWS as usize),
     );
-    let full = std::time::Instant::now();
+    let provider = provider.into_shared();
+    let full = Instant::now();
     let reference = provider
         .execute(long_scan(), Strategy::CompiledNative)
         .expect("uncancelled giant-morsel scan");
@@ -214,7 +228,7 @@ fn intra_morsel_checkpoints_stop_a_giant_morsel_scan() {
     while !victim.is_finished() && provider.plan_cache_stats().hits == 0 {
         std::thread::yield_now();
     }
-    let cancelled_at = std::time::Instant::now();
+    let cancelled_at = Instant::now();
     victim.cancel();
     assert!(matches!(victim.join(), Err(QueryError::Cancelled)));
     let cancel_latency = cancelled_at.elapsed();
@@ -280,8 +294,9 @@ fn cancellation_reaches_the_interpreted_baseline() {
         heap.set_i64(obj, 1, i % 97);
         heap.list_push(list, obj);
     }
-    let mut provider = Provider::over_heap(&heap);
+    let mut provider = Provider::over_shared_heap(Arc::new(heap));
     provider.bind_managed(SourceId(0), list, schema());
+    let provider = provider.into_shared();
     let handle = provider.submit(long_scan(), Strategy::LinqToObjects, QueryOptions::new());
     handle.cancel();
     assert!(matches!(handle.join(), Err(QueryError::Cancelled)));

@@ -59,14 +59,14 @@ fn workbench() -> Workbench {
 }
 
 /// A provider with every source of `workload` bound to native row stores.
-fn native_provider<'a>(wb: &'a Workbench, workload: &Expr) -> Provider<'a> {
+fn native_provider(wb: &Workbench, workload: &Expr) -> Provider<'static> {
     let canon = mrq_expr::canonicalize(workload.clone());
     let spec = mrq_codegen::spec::lower(&canon, &wb.catalog(None)).expect("workload lowers");
     let mut provider = Provider::new();
     let mut sources = vec![spec.root];
     sources.extend(spec.joins.iter().map(|j| j.source));
     for s in &sources {
-        provider.bind_native(*s, &wb.stores[queries::source_table(*s)]);
+        provider.bind_native_shared(*s, Arc::clone(&wb.stores[queries::source_table(*s)]));
     }
     provider
 }
@@ -100,8 +100,8 @@ fn submitted_native_faults_fail_only_the_victim() {
     let _guard = scoped();
     let wb = workbench();
     let workload = queries::q1();
-    let native = native_provider(&wb, &workload);
-    let managed = wb.managed_provider();
+    let native = native_provider(&wb, &workload).into_shared();
+    let managed = wb.managed_provider().into_shared();
     let native_ref = native
         .execute(workload.clone(), Strategy::CompiledNative)
         .expect("native reference");
@@ -149,7 +149,7 @@ fn managed_engine_faults_fail_only_the_victim() {
     let _guard = scoped();
     let wb = workbench();
     let workload = queries::q1();
-    let managed = wb.managed_provider();
+    let managed = wb.managed_provider().into_shared();
     let reference = managed
         .execute(workload.clone(), Strategy::CompiledCSharp)
         .expect("reference");
@@ -201,7 +201,7 @@ fn plan_cache_insert_faults_leave_the_cache_consistent() {
     let _guard = scoped();
     let wb = workbench();
     let workload = queries::q1();
-    let native = native_provider(&wb, &workload);
+    let native = native_provider(&wb, &workload).into_shared();
     for action in FAILING {
         fault::arm("plancache.insert", action, 1);
         let error = match native.prepare(workload.clone(), Strategy::CompiledNative) {
@@ -235,7 +235,7 @@ fn pool_worker_panics_during_join_builds_are_contained() {
     let _guard = scoped();
     let wb = workbench();
     let workload = queries::q3();
-    let native = native_provider(&wb, &workload);
+    let native = native_provider(&wb, &workload).into_shared();
     let reference = native
         .execute(workload.clone(), Strategy::CompiledNative)
         .expect("sequential reference");
@@ -270,7 +270,7 @@ fn delay_faults_never_change_results() {
     let _guard = scoped();
     let wb = workbench();
     let workload = queries::q1();
-    let native = native_provider(&wb, &workload);
+    let native = native_provider(&wb, &workload).into_shared();
     let reference = native
         .execute(workload.clone(), Strategy::CompiledNative)
         .expect("reference");
@@ -296,7 +296,7 @@ fn disarmed_points_are_invisible() {
     assert_eq!(fault::armed_count(), 0);
     let wb = workbench();
     let workload = queries::q1();
-    let native = native_provider(&wb, &workload);
+    let native = native_provider(&wb, &workload).into_shared();
     let reference = native
         .execute(workload.clone(), Strategy::CompiledNative)
         .expect("reference");
@@ -332,6 +332,7 @@ fn overload_burst_sheds_by_class_with_exact_stats() {
     // 4 in-flight slots + 2 queue slots, reserve 1 per tier below
     // Interactive: class limits are Interactive 6, Batch 5, Maintenance 4.
     native.set_admission(AdmissionConfig::bounded(4, 2).with_reserve(1));
+    let native = native.into_shared();
     fault::arm("pool.dispatch", FaultAction::Hold, 1);
 
     // (options, expected admission outcomes in submission order): `None`
@@ -397,7 +398,7 @@ fn overload_burst_sheds_by_class_with_exact_stats() {
     assert_eq!(native.admission_stats().admitted, 7);
 }
 
-/// An owned provider over the shared TPC-H `lineitem` store, sealed with
+/// A provider over the shared TPC-H `lineitem` store, sealed with
 /// the given admission limits.
 fn lineitem_provider(admission: AdmissionConfig) -> OwnedProvider {
     let mut provider = Provider::new();
@@ -417,7 +418,7 @@ fn lineitem_provider(admission: AdmissionConfig) -> OwnedProvider {
 struct Resubmit {
     provider: OwnedProvider,
     workload: Expr,
-    sender: mpsc::Sender<QueryHandle<'static>>,
+    sender: mpsc::Sender<QueryHandle>,
 }
 
 impl Wake for Resubmit {
@@ -473,7 +474,7 @@ fn a_resubmit_from_the_completion_waker_is_admitted() {
     assert_eq!((stats.admitted, stats.shed, stats.in_flight), (2, 0, 0));
 }
 
-/// Dropping an owned handle does not wait for its query: with the query
+/// Dropping a handle does not wait for its query: with the query
 /// pinned at the dispatch boundary, the drop returns while the query is
 /// still in flight, and the task finishes in the background once the hold
 /// releases. The drop runs on a helper thread so a regression fails the
@@ -499,7 +500,7 @@ fn owned_handles_drop_without_waiting_for_the_query() {
     let still_held = provider.admission_stats().in_flight;
     fault::release("pool.dispatch");
     dropper.join().expect("the dropping thread");
-    returned.expect("an owned handle's drop must not wait for its query");
+    returned.expect("a handle's drop must not wait for its query");
     assert_eq!(still_held, 1, "the query was still in flight at the drop");
 
     // The abandoned query drains in the background; the provider serves on.
@@ -518,7 +519,7 @@ fn shed_statements_never_touch_the_plan_cache() {
     let _guard = scoped();
     let wb = workbench();
     let workload = queries::q1();
-    let mut native = native_provider(&wb, &workload);
+    let mut native = native_provider(&wb, &workload).into_shared();
     let reference = {
         let prepared = native
             .prepare(workload.clone(), Strategy::CompiledNative)
@@ -527,7 +528,9 @@ fn shed_statements_never_touch_the_plan_cache() {
     };
     let warm = native.plan_cache_stats();
 
-    native.set_admission(AdmissionConfig::bounded(0, 0).with_reserve(0));
+    Arc::get_mut(&mut native)
+        .expect("nothing else holds the provider")
+        .set_admission(AdmissionConfig::bounded(0, 0).with_reserve(0));
     {
         // Re-preparing is a pure cache hit; submissions through it shed.
         let prepared = native
@@ -574,7 +577,9 @@ fn shed_statements_never_touch_the_plan_cache() {
     assert_eq!(native.admission_stats().shed, 17);
 
     // Lifting the limit restores service on the same provider.
-    native.set_admission(AdmissionConfig::unbounded());
+    Arc::get_mut(&mut native)
+        .expect("shed submissions spawn no task")
+        .set_admission(AdmissionConfig::unbounded());
     let out = {
         let prepared = native
             .prepare(workload.clone(), Strategy::CompiledNative)

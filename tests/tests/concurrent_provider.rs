@@ -110,7 +110,7 @@ fn eight_submit_clients_join_bit_identical_results() {
 
     let mut shared = wb.managed_provider();
     shared.set_parallelism(morsel_config(2));
-    let shared = &shared;
+    let shared = &shared.into_shared();
     let references = &references;
     std::thread::scope(|scope| {
         for client in 0..CLIENTS {
@@ -146,13 +146,13 @@ fn eight_native_clients_share_one_provider() {
     let mut sources = vec![spec.root];
     sources.extend(spec.joins.iter().map(|j| j.source));
     for s in &sources {
-        provider.bind_native(*s, &wb.stores[queries::source_table(*s)]);
+        provider.bind_native_shared(*s, Arc::clone(&wb.stores[queries::source_table(*s)]));
     }
     let reference = provider
         .execute(workload.clone(), Strategy::CompiledNative)
         .expect("sequential native");
     provider.set_parallelism(morsel_config(2));
-    let provider = &provider;
+    let provider = &provider.into_shared();
     let reference = &reference;
     let workload = &workload;
     std::thread::scope(|scope| {
@@ -203,23 +203,26 @@ fn pool_drop_drains_accepted_work_then_joins_workers() {
     );
 }
 
-/// Queries in flight when their handles drop must complete before the
-/// provider (and the collections it borrows) can be torn down: the handle
-/// drop blocks, so by the time the provider goes out of scope the pool
-/// holds no reference into it. This is the shutdown ordering clients rely
-/// on when a serving thread unwinds.
+/// Queries in flight when their handles drop keep the provider (and the
+/// collections it shares) alive until they finish, then release it: the
+/// handle drop never blocks, and once the last task finished the pool holds
+/// no reference into the provider. This is the shutdown ordering clients
+/// rely on when a serving thread unwinds.
 #[test]
 fn in_flight_queries_finish_before_provider_teardown() {
     let wb = workbench();
     let reference;
+    let weak;
     {
         let mut provider = wb.managed_provider();
         provider.set_parallelism(morsel_config(2));
+        let provider = provider.into_shared();
+        weak = Arc::downgrade(&provider);
         reference = provider
             .execute(queries::q1(), Strategy::CompiledCSharp)
             .expect("reference");
         for _ in 0..4 {
-            // Dropped immediately: each drop blocks until the query is done.
+            // Dropped immediately: the query finishes in the background.
             drop(provider.submit(
                 queries::q1(),
                 Strategy::CompiledCSharp,
@@ -235,6 +238,14 @@ fn in_flight_queries_finish_before_provider_teardown() {
             .join()
             .expect("joined");
         assert_eq!(joined, reference);
-    } // provider drops here; no pool task can reference it anymore
+    } // the caller's clone drops here; the dropped queries may still run
+    let start = std::time::Instant::now();
+    while weak.upgrade().is_some() {
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(30),
+            "an in-flight query never released the provider"
+        );
+        std::thread::yield_now();
+    }
     assert!(!reference.rows.is_empty());
 }

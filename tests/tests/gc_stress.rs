@@ -11,6 +11,7 @@ use mrq_mheap::{ClassDesc, Heap, ListId};
 use mrq_tpch::load::{schema_of, HeapDataset, TABLE_NAMES};
 use mrq_tpch::queries;
 use mrq_xtests::small_dataset;
+use std::sync::Arc;
 
 fn sale_schema() -> Schema {
     Schema::new(
@@ -49,35 +50,34 @@ fn filter_statement() -> Expr {
 
 #[test]
 fn query_results_are_stable_across_repeated_collections() {
-    let (mut heap, list) = populated_heap(2_000);
+    let (heap, list) = populated_heap(2_000);
     let class = heap.class_by_name("Sale").unwrap();
-    let expected = {
-        let mut provider = Provider::over_heap(&heap);
+    let mut heap = Arc::new(heap);
+    let run = |heap: &Arc<Heap>| {
+        let mut provider = Provider::over_shared_heap(Arc::clone(heap));
         provider.bind_managed(SourceId(0), list, sale_schema());
         provider
             .execute(filter_statement(), Strategy::CompiledCSharp)
             .unwrap()
     };
+    let expected = run(&heap);
     assert_eq!(expected.rows.len(), 500);
 
     for round in 0..5 {
+        // Each provider is gone by now, so the heap is exclusively ours.
+        let heap_mut = Arc::get_mut(&mut heap).expect("no provider holds the heap");
         // Allocate unreachable temporaries, then collect.
         for i in 0..1_000 {
-            let junk = heap.alloc(class);
-            heap.set_i64(junk, 0, i);
-            heap.set_str(junk, 1, "garbage");
+            let junk = heap_mut.alloc(class);
+            heap_mut.set_i64(junk, 0, i);
+            heap_mut.set_str(junk, 1, "garbage");
         }
         if round % 2 == 0 {
-            heap.collect_minor();
+            heap_mut.collect_minor();
         } else {
-            heap.collect_full();
+            heap_mut.collect_full();
         }
-        let mut provider = Provider::over_heap(&heap);
-        provider.bind_managed(SourceId(0), list, sale_schema());
-        let after = provider
-            .execute(filter_statement(), Strategy::CompiledCSharp)
-            .unwrap();
-        assert_eq!(after, expected, "round {round} changed the result");
+        assert_eq!(run(&heap), expected, "round {round} changed the result");
     }
 }
 
@@ -87,9 +87,10 @@ fn every_strategy_survives_a_full_collection_on_tpch_data() {
     let mut heap_data = HeapDataset::load(&data);
     heap_data.heap.collect_minor();
     heap_data.heap.collect_full();
-    let mut provider = Provider::over_heap(&heap_data.heap);
+    let lists = TABLE_NAMES.map(|table| heap_data.list(table));
+    let mut provider = Provider::over_shared_heap(Arc::new(heap_data.heap));
     for (i, table) in TABLE_NAMES.iter().enumerate() {
-        provider.bind_managed(SourceId(i as u32), heap_data.list(table), schema_of(table));
+        provider.bind_managed(SourceId(i as u32), lists[i], schema_of(table));
     }
     let linq = provider
         .execute(queries::q1(), Strategy::LinqToObjects)

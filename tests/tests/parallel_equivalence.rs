@@ -16,6 +16,7 @@ use mrq_core::{Provider, Strategy};
 use mrq_engine_csharp::HeapTable;
 use mrq_engine_hybrid::{HybridConfig, Materialization, TransferPolicy};
 use mrq_tpch::queries;
+use std::sync::Arc;
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -144,7 +145,7 @@ fn native_strategy_matches_sequential_at_every_thread_count() {
         let mut sources = vec![spec.root];
         sources.extend(spec.joins.iter().map(|j| j.source));
         for s in &sources {
-            provider.bind_native(*s, &wb.stores[queries::source_table(*s)]);
+            provider.bind_native_shared(*s, Arc::clone(&wb.stores[queries::source_table(*s)]));
         }
         let reference = provider
             .execute(workload.clone(), Strategy::CompiledNative)

@@ -38,8 +38,9 @@ fn shape(op: BinaryOp, threshold: i64) -> Expr {
 fn hit_rate_is_n_minus_one_over_n_for_one_shape() {
     let data = store(100);
     let mut provider = Provider::new();
-    provider.bind_native(SourceId(0), &data);
+    provider.bind_native_shared(SourceId(0), Arc::new(data));
     provider.set_plan_cache(Arc::new(PlanCache::new(PlanCacheConfig::default())));
+    let provider = provider.into_shared();
 
     const N: u64 = 16;
     for i in 0..N {
@@ -69,8 +70,9 @@ fn hit_rate_is_n_minus_one_over_n_for_one_shape() {
 fn literals_share_a_plan_but_structure_does_not() {
     let data = store(50);
     let mut provider = Provider::new();
-    provider.bind_native(SourceId(0), &data);
+    provider.bind_native_shared(SourceId(0), Arc::new(data));
     provider.set_plan_cache(Arc::new(PlanCache::new(PlanCacheConfig::default())));
+    let provider = provider.into_shared();
 
     provider
         .prepare(shape(BinaryOp::Lt, 3), Strategy::CompiledNative)
@@ -96,8 +98,9 @@ fn literals_share_a_plan_but_structure_does_not() {
 fn strategies_share_one_plan() {
     let data = store(50);
     let mut provider = Provider::new();
-    provider.bind_native(SourceId(0), &data);
+    provider.bind_native_shared(SourceId(0), Arc::new(data));
     provider.set_plan_cache(Arc::new(PlanCache::new(PlanCacheConfig::default())));
+    let provider = provider.into_shared();
 
     let parallel = mrq_common::ParallelConfig::with_threads(4);
     let outputs: Vec<_> = [
@@ -159,7 +162,7 @@ fn adhoc_and_prepared_share_one_plan() {
 fn adhoc_shapes_are_bounded_by_the_cache() {
     let data = store(50);
     let mut provider = Provider::new();
-    provider.bind_native(SourceId(0), &data);
+    provider.bind_native_shared(SourceId(0), Arc::new(data));
     provider.set_plan_cache(Arc::new(PlanCache::new(PlanCacheConfig::single_shard(4))));
 
     // Ten structurally distinct shapes: five operators, with and without a
@@ -195,8 +198,9 @@ fn schema_change_is_a_cache_miss() {
 
     let narrow = store(50);
     let mut provider_a = Provider::new();
-    provider_a.bind_native(SourceId(0), &narrow);
+    provider_a.bind_native_shared(SourceId(0), Arc::new(narrow));
     provider_a.set_plan_cache(Arc::clone(&cache));
+    let provider_a = provider_a.into_shared();
 
     let wide_schema = Schema::new(
         "N",
@@ -210,8 +214,9 @@ fn schema_change_is_a_cache_miss() {
         .collect();
     let wide = RowStore::from_rows(wide_schema, &wide_rows);
     let mut provider_b = Provider::new();
-    provider_b.bind_native(SourceId(0), &wide);
+    provider_b.bind_native_shared(SourceId(0), Arc::new(wide));
     provider_b.set_plan_cache(Arc::clone(&cache));
+    let provider_b = provider_b.into_shared();
 
     let a = provider_a
         .prepare(shape(BinaryOp::Lt, 10), Strategy::CompiledNative)
@@ -232,8 +237,9 @@ fn schema_change_is_a_cache_miss() {
 fn lru_eviction_at_capacity_one() {
     let data = store(50);
     let mut provider = Provider::new();
-    provider.bind_native(SourceId(0), &data);
+    provider.bind_native_shared(SourceId(0), Arc::new(data));
     provider.set_plan_cache(Arc::new(PlanCache::new(PlanCacheConfig::single_shard(1))));
+    let provider = provider.into_shared();
 
     let a = shape(BinaryOp::Lt, 1);
     let b = shape(BinaryOp::Ge, 1);
@@ -259,8 +265,9 @@ fn lru_eviction_at_capacity_one() {
 fn lru_eviction_order_at_capacity_n() {
     let data = store(50);
     let mut provider = Provider::new();
-    provider.bind_native(SourceId(0), &data);
+    provider.bind_native_shared(SourceId(0), Arc::new(data));
     provider.set_plan_cache(Arc::new(PlanCache::new(PlanCacheConfig::single_shard(2))));
+    let provider = provider.into_shared();
 
     let a = shape(BinaryOp::Lt, 1);
     let b = shape(BinaryOp::Ge, 1);
@@ -295,8 +302,9 @@ fn lru_eviction_order_at_capacity_n() {
 fn evicted_plans_remain_valid_for_outstanding_handles() {
     let data = store(50);
     let mut provider = Provider::new();
-    provider.bind_native(SourceId(0), &data);
+    provider.bind_native_shared(SourceId(0), Arc::new(data));
     provider.set_plan_cache(Arc::new(PlanCache::new(PlanCacheConfig::single_shard(1))));
+    let provider = provider.into_shared();
 
     let held = provider
         .prepare(shape(BinaryOp::Lt, 5), Strategy::CompiledNative)
@@ -320,7 +328,8 @@ fn evicted_plans_remain_valid_for_outstanding_handles() {
 fn under_binding_errors_instead_of_panicking() {
     let data = store(50);
     let mut provider = Provider::new();
-    provider.bind_native(SourceId(0), &data);
+    provider.bind_native_shared(SourceId(0), Arc::new(data));
+    let provider = provider.into_shared();
 
     // Two literals ⇒ two parameter slots.
     let two_slot = Query::from_source(SourceId(0))
@@ -418,7 +427,7 @@ fn concurrent_prepare_execute_stress() {
     assert_eq!(stats.evictions, 0);
 }
 
-/// The owned front end: a prepared plan over a sealed provider serves
+/// A prepared plan over a sealed provider serves
 /// concurrent queued executions with correct, binding-dependent results.
 #[test]
 fn owned_prepared_async_executions_agree_with_blocking() {

@@ -19,6 +19,7 @@ use mrq_engine_hybrid::HybridConfig;
 use mrq_expr::optimize::{optimize, OptimizerConfig};
 use mrq_expr::Expr;
 use mrq_tpch::queries;
+use std::sync::Arc;
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -84,6 +85,7 @@ fn prepared_matches_adhoc_for_managed_strategies_across_scheduler_cells() {
         for &threads in &THREADS {
             let mut provider = wb.managed_provider();
             provider.set_parallelism(config_for(threads));
+            let provider = provider.into_shared();
             for (name, strategy) in &strategies {
                 let reference = provider
                     .execute(execute_stmt.clone(), *strategy)
@@ -126,8 +128,9 @@ fn prepared_matches_adhoc_for_native_strategy_across_scheduler_cells() {
         let mut sources = vec![spec.root];
         sources.extend(spec.joins.iter().map(|j| j.source));
         for s in &sources {
-            provider.bind_native(*s, &wb.stores[queries::source_table(*s)]);
+            provider.bind_native_shared(*s, Arc::clone(&wb.stores[queries::source_table(*s)]));
         }
+        let provider = provider.into_shared();
         let bindings = bindings_for(execute_stmt.clone());
         let reference = provider
             .execute(execute_stmt.clone(), Strategy::CompiledNative)
@@ -163,7 +166,7 @@ fn prepared_matches_adhoc_for_native_strategy_across_scheduler_cells() {
 #[test]
 fn one_plan_reexecutes_correctly_under_many_bindings() {
     let wb = workbench();
-    let provider = wb.managed_provider();
+    let provider = wb.managed_provider().into_shared();
     let prepared = provider
         .prepare(
             queries::q1_with_cutoff(wb.data.shipdate_for_selectivity(0.1)),
@@ -195,7 +198,7 @@ fn one_plan_reexecutes_correctly_under_many_bindings() {
 fn rebound_take_count_is_respected_by_every_strategy() {
     let wb = workbench();
     let cutoff = wb.data.shipdate_for_selectivity(0.9);
-    let provider = wb.managed_provider();
+    let provider = wb.managed_provider().into_shared();
     for strategy in [
         Strategy::LinqToObjects,
         Strategy::CompiledCSharp,
@@ -223,7 +226,7 @@ fn rebound_take_count_is_respected_by_every_strategy() {
 fn prepared_submit_paths_match_execute_and_respect_options() {
     let wb = workbench();
     let cutoff = wb.data.shipdate_for_selectivity(0.5);
-    let provider = wb.managed_provider();
+    let provider = wb.managed_provider().into_shared();
     let prepared = provider
         .prepare(queries::q1_with_cutoff(cutoff), Strategy::CompiledCSharp)
         .expect("prepare");
@@ -258,6 +261,7 @@ fn env_selected_scheduler_config_prepared_matches_adhoc() {
     let execute_stmt = queries::q1_with_cutoff(wb.data.shipdate_for_selectivity(0.8));
     let mut provider = wb.managed_provider();
     provider.set_parallelism(env_config);
+    let provider = provider.into_shared();
     for strategy in [
         Strategy::CompiledCSharp,
         Strategy::Hybrid(HybridConfig::default()),

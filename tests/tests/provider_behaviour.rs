@@ -1,5 +1,4 @@
-//! Provider-level behaviour: caching, re-binding, deferred execution, GC
-//! interaction and cache-simulation ordering.
+//! Provider-level behaviour: caching, re-binding, GC interaction and cache-simulation ordering.
 
 use mrq_bench::{fig14_cache, Workbench};
 use mrq_common::{DataType, Field, Schema, Value};
@@ -9,15 +8,22 @@ use mrq_expr::{col, lam, Query, SourceId};
 use mrq_tpch::load::{schema_of, HeapDataset, TABLE_NAMES};
 use mrq_tpch::queries;
 use mrq_xtests::small_dataset;
+use std::sync::Arc;
+
+/// A provider over the dataset's heap with every TPC-H table bound.
+fn managed_provider(heap_data: HeapDataset) -> Provider<'static> {
+    let lists = TABLE_NAMES.map(|table| heap_data.list(table));
+    let mut provider = Provider::over_shared_heap(Arc::new(heap_data.heap));
+    for (i, table) in TABLE_NAMES.iter().enumerate() {
+        provider.bind_managed(SourceId(i as u32), lists[i], schema_of(table));
+    }
+    provider
+}
 
 #[test]
 fn query_cache_amortises_compilation_across_parameters() {
     let data = small_dataset();
-    let heap_data = HeapDataset::load(&data);
-    let mut provider = mrq_core::Provider::over_heap(&heap_data.heap);
-    for (i, table) in TABLE_NAMES.iter().enumerate() {
-        provider.bind_managed(SourceId(i as u32), heap_data.list(table), schema_of(table));
-    }
+    let provider = managed_provider(HeapDataset::load(&data));
     for sel in [0.2, 0.5, 0.9] {
         let cutoff = data.shipdate_for_selectivity(sel);
         provider
@@ -36,15 +42,18 @@ fn query_cache_amortises_compilation_across_parameters() {
 fn rebinding_a_source_serves_the_new_rows() {
     let int_column = |name: &str| Field::new(name, DataType::Int64);
     let old_rows: Vec<Vec<Value>> = (0..10).map(|i| vec![Value::Int64(i)]).collect();
-    let old = RowStore::from_rows(Schema::new("Old", vec![int_column("n")]), &old_rows);
+    let old = Arc::new(RowStore::from_rows(
+        Schema::new("Old", vec![int_column("n")]),
+        &old_rows,
+    ));
     // Same row count, so only the re-bind itself can tell the two apart.
     let new_rows: Vec<Vec<Value>> = (0..10)
         .map(|i| vec![Value::Int64(100 + i), Value::Int64(-i)])
         .collect();
-    let new = RowStore::from_rows(
+    let new = Arc::new(RowStore::from_rows(
         Schema::new("New", vec![int_column("n"), int_column("m")]),
         &new_rows,
-    );
+    ));
     let stmt = || {
         Query::from_source(SourceId(0))
             .select(lam("x", col("x", "n")))
@@ -53,10 +62,10 @@ fn rebinding_a_source_serves_the_new_rows() {
     for recycling in [false, true] {
         let mut provider = Provider::new();
         provider.set_result_recycling(recycling);
-        provider.bind_native(SourceId(0), &old);
+        provider.bind_native_shared(SourceId(0), Arc::clone(&old));
         let before = provider.execute(stmt(), Strategy::CompiledNative).unwrap();
         assert_eq!(before.rows[0], vec![Value::Int64(0)]);
-        provider.bind_native(SourceId(0), &new);
+        provider.bind_native_shared(SourceId(0), Arc::clone(&new));
         let after = provider.execute(stmt(), Strategy::CompiledNative).unwrap();
         let want: Vec<Vec<Value>> = (0..10).map(|i| vec![Value::Int64(100 + i)]).collect();
         assert_eq!(after.rows, want, "recycling {recycling}");
@@ -68,10 +77,7 @@ fn results_survive_an_explicit_garbage_collection() {
     let data = small_dataset();
     let mut heap_data = HeapDataset::load(&data);
     heap_data.heap.collect_full();
-    let mut provider = mrq_core::Provider::over_heap(&heap_data.heap);
-    for (i, table) in TABLE_NAMES.iter().enumerate() {
-        provider.bind_managed(SourceId(i as u32), heap_data.list(table), schema_of(table));
-    }
+    let provider = managed_provider(heap_data);
     let out = provider
         .execute(queries::q1(), Strategy::CompiledCSharp)
         .unwrap();

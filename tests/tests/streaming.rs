@@ -10,22 +10,23 @@
 //!   Min-transfer hybrid) still deliver the full result as a final flush;
 //! * dropping a stream mid-way cancels the query within roughly one
 //!   checkpoint (backpressure bounds how far the producer ran ahead) and
-//!   never blocks `Provider::drop`;
+//!   never blocks;
 //! * a deadline that expires mid-stream surfaces as a trailing
 //!   `DeadlineExceeded` item, after every batch published before it;
 //! * a consumer that drains slowly never deadlocks against the bounded
 //!   channel;
-//! * the prepared and owned front ends stream identically to the ad-hoc
-//!   borrowed one.
+//! * the prepared front end streams identically to the ad-hoc one.
 
 use mrq_bench::Workbench;
 use mrq_common::{DataType, Date, Field, Schema, Value};
-use mrq_core::{ParallelConfig, Provider, QueryError, QueryOptions, QueryStream, Strategy};
+use mrq_core::{
+    OwnedProvider, ParallelConfig, Provider, QueryError, QueryOptions, QueryStream, Strategy,
+};
 use mrq_engine_hybrid::HybridConfig;
 use mrq_engine_native::RowStore;
 use mrq_expr::{col, lam, lit, BinaryOp, Expr, Query, SourceId};
 use mrq_tpch::queries;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -53,7 +54,7 @@ fn parallel(threads: usize) -> ParallelConfig {
 }
 
 /// Drains a stream and returns (concatenated rows, batch sizes).
-fn drain(stream: QueryStream<'_>) -> (Vec<Vec<Value>>, Vec<usize>) {
+fn drain(stream: QueryStream) -> (Vec<Vec<Value>>, Vec<usize>) {
     let mut rows = Vec::new();
     let mut sizes = Vec::new();
     for batch in stream {
@@ -97,6 +98,7 @@ fn streamed_batches_concatenate_bit_identical_across_strategies_and_schedules() 
         // Managed strategies share one provider.
         let mut managed = wb.managed_provider();
         managed.set_parallelism(config);
+        let managed = managed.into_shared();
         for (name, strategy) in [
             ("linq", Strategy::LinqToObjects),
             ("csharp", Strategy::CompiledCSharp),
@@ -110,7 +112,8 @@ fn streamed_batches_concatenate_bit_identical_across_strategies_and_schedules() 
 
         // Native strategy over the row store.
         let mut native = Provider::new();
-        native.bind_native(queries::SRC_LINEITEM, &wb.stores["lineitem"]);
+        native.bind_native_shared(queries::SRC_LINEITEM, Arc::clone(&wb.stores["lineitem"]));
+        let native = native.into_shared();
         let stream = native.submit_stream(
             workload.clone(),
             Strategy::CompiledNativeParallel(config),
@@ -129,7 +132,7 @@ fn streamed_batches_concatenate_bit_identical_across_strategies_and_schedules() 
 fn blocking_shapes_stream_their_full_result_at_completion() {
     let wb = workbench();
     for workload in [queries::q1(), queries::sort_micro(cutoff())] {
-        let provider = wb.managed_provider();
+        let provider = wb.managed_provider().into_shared();
         let reference = provider
             .execute(workload.clone(), Strategy::CompiledCSharp)
             .expect("reference");
@@ -150,7 +153,7 @@ fn blocking_shapes_stream_their_full_result_at_completion() {
 fn work_stats_count_streamed_batches_and_rows() {
     let wb = workbench();
     let workload = scan_micro(cutoff());
-    let provider = wb.managed_provider();
+    let provider = wb.managed_provider().into_shared();
 
     let out = provider
         .execute(workload.clone(), Strategy::CompiledCSharp)
@@ -164,6 +167,8 @@ fn work_stats_count_streamed_batches_and_rows() {
         QueryOptions::default().with_stream_batch_rows(7),
     );
     let (rows, sizes) = drain(stream);
+    // The stream ends before its task records the tallies.
+    wait_for_tasks(&provider);
     let stats = provider.last_work_stats();
     assert_eq!(stats.batches_streamed, sizes.len() as u64);
     assert_eq!(stats.rows_streamed, rows.len() as u64);
@@ -183,14 +188,15 @@ fn big_schema() -> Schema {
     )
 }
 
-fn big_store() -> &'static RowStore {
-    static STORE: OnceLock<RowStore> = OnceLock::new();
-    STORE.get_or_init(|| {
+fn big_store() -> Arc<RowStore> {
+    static STORE: OnceLock<Arc<RowStore>> = OnceLock::new();
+    let store = STORE.get_or_init(|| {
         let rows: Vec<Vec<Value>> = (0..ROWS)
             .map(|i| vec![Value::Int64(i), Value::Int64(i % 97)])
             .collect();
-        RowStore::from_rows(big_schema(), &rows)
-    })
+        Arc::new(RowStore::from_rows(big_schema(), &rows))
+    });
+    Arc::clone(store)
 }
 
 /// A full-store streamable scan: every row passes the filter and is
@@ -206,21 +212,34 @@ fn big_scan() -> Expr {
         .into_expr()
 }
 
-fn big_provider() -> Provider<'static> {
+fn big_provider() -> OwnedProvider {
     let mut provider = Provider::new();
-    provider.bind_native(SourceId(0), big_store());
+    provider.bind_native_shared(SourceId(0), big_store());
     provider.set_parallelism(ParallelConfig {
         threads: 2,
         min_rows_per_thread: 1024,
         ..ParallelConfig::default()
     });
-    provider
+    provider.into_shared()
+}
+
+/// Spins until every task submitted on `provider` released its clone —
+/// which a task does only after recording its work.
+fn wait_for_tasks(provider: &OwnedProvider) {
+    let start = Instant::now();
+    while Arc::strong_count(provider) > 1 {
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "a task still holds the provider"
+        );
+        std::thread::yield_now();
+    }
 }
 
 /// Dropping a stream after one batch cancels the query: backpressure keeps
 /// the producer within a few checkpoints of the consumer, so the streamed
-/// row count stays far below the full scan, and `Provider::drop` returns
-/// without waiting on abandoned work.
+/// row count stays far below the full scan, and dropping the provider
+/// returns without waiting on abandoned work.
 #[test]
 fn dropping_a_stream_mid_way_cancels_the_query() {
     let provider = big_provider();
@@ -231,20 +250,26 @@ fn dropping_a_stream_mid_way_cancels_the_query() {
     );
     let first = stream.next_batch().expect("first batch").expect("rows");
     assert!(!first.is_empty());
-    // Abandon the rest: the drop disconnects the channel, trips the token
-    // and waits for the task to unwind (bounded by one checkpoint).
+    // Abandon the rest: the drop disconnects the channel and trips the
+    // token without blocking; the task unwinds within one checkpoint.
+    let start = Instant::now();
     drop(stream);
+    assert!(
+        start.elapsed() < Duration::from_secs(10),
+        "stream drop stalled"
+    );
+    wait_for_tasks(&provider);
     let streamed = provider.cumulative_work_stats().rows_streamed;
     assert!(
         streamed < ROWS as u64 / 2,
         "cancel should stop the scan early, streamed {streamed} of {ROWS} rows"
     );
-    // Provider teardown must not block on the cancelled query.
+    // Provider teardown must not block.
     let start = Instant::now();
     drop(provider);
     assert!(
         start.elapsed() < Duration::from_secs(10),
-        "Provider::drop stalled behind a cancelled stream"
+        "dropping the provider stalled"
     );
 }
 
@@ -301,7 +326,7 @@ fn deadline_expiry_mid_stream_surfaces_as_trailing_error() {
 fn slow_consumer_backpressures_without_deadlock_or_loss() {
     let wb = workbench();
     let workload = scan_micro(cutoff());
-    let provider = wb.managed_provider();
+    let provider = wb.managed_provider().into_shared();
     let reference = provider
         .execute(workload.clone(), Strategy::CompiledCSharp)
         .expect("reference");
@@ -318,17 +343,17 @@ fn slow_consumer_backpressures_without_deadlock_or_loss() {
     assert_eq!(rows, reference.rows);
 }
 
-/// The prepared front ends (`PreparedQuery::submit_stream`,
-/// `OwnedPreparedQuery::submit_stream`) and the owned ad-hoc one stream the
-/// same rows as `execute` with the bindings applied.
+/// The prepared front end (`PreparedQuery::submit_stream`) and the ad-hoc
+/// one stream the same rows as `execute` with the bindings applied, over
+/// managed and native bindings.
 #[test]
 fn prepared_and_owned_streams_match_execute() {
     let wb = workbench();
     let workload = scan_micro(cutoff());
     let options = QueryOptions::default().with_stream_batch_rows(64);
 
-    // Borrowed prepared.
-    let provider = wb.managed_provider();
+    // Prepared over the managed heap.
+    let provider = wb.managed_provider().into_shared();
     let prepared = provider
         .prepare(workload.clone(), Strategy::CompiledCSharp)
         .expect("prepare");
@@ -336,14 +361,14 @@ fn prepared_and_owned_streams_match_execute() {
     let (rows, _) = drain(prepared.submit_stream(&[], options));
     assert_eq!(rows, reference.rows);
 
-    // Owned provider + owned prepared, over a shared native store.
-    let store = std::sync::Arc::new(RowStore::from_rows(
+    // Ad-hoc and prepared over a native store.
+    let store = Arc::new(RowStore::from_rows(
         mrq_tpch::load::schema_of("lineitem"),
         &mrq_tpch::load::value_rows(&wb.data, "lineitem"),
     ));
     let owned = {
         let mut provider = Provider::new();
-        provider.bind_native_shared(queries::SRC_LINEITEM, std::sync::Arc::clone(&store));
+        provider.bind_native_shared(queries::SRC_LINEITEM, Arc::clone(&store));
         provider.into_shared()
     };
     let native_reference = owned
@@ -359,31 +384,4 @@ fn prepared_and_owned_streams_match_execute() {
         .expect("owned prepare");
     let (rows, _) = drain(owned_prepared.submit_stream(&[], options));
     assert_eq!(rows, reference.rows);
-
-    // Dropping an owned stream mid-way must not block: the task keeps the
-    // provider alive and unwinds in the background.
-    let mut stream = owned.submit_stream(
-        big_scan_over(queries::SRC_LINEITEM),
-        Strategy::CompiledNative,
-        QueryOptions::default(),
-    );
-    let _ = stream.next_batch();
-    let start = Instant::now();
-    drop(stream);
-    assert!(
-        start.elapsed() < Duration::from_secs(10),
-        "owned stream drop stalled"
-    );
-}
-
-/// A streamable whole-table scan over an arbitrary source id (used for the
-/// owned-drop check above).
-fn big_scan_over(source: SourceId) -> Expr {
-    Query::from_source(source)
-        .where_(lam(
-            "l",
-            Expr::binary(BinaryOp::Ge, col("l", "l_orderkey"), lit(0i64)),
-        ))
-        .select(lam("l", col("l", "l_orderkey")))
-        .into_expr()
 }

@@ -224,7 +224,7 @@ fn prepared_reexecution_repeats_identical_work() {
     let wb = workbench();
 
     // Managed strategies through the provider's prepared-query path.
-    let managed = wb.managed_provider();
+    let managed = wb.managed_provider().into_shared();
     for (name, strategy) in [
         ("csharp", Strategy::CompiledCSharp),
         ("hybrid", Strategy::Hybrid(HybridConfig::default())),
@@ -249,10 +249,11 @@ fn prepared_reexecution_repeats_identical_work() {
 
     // The native store-backed provider.
     let mut native = Provider::new();
-    native.bind_native(
+    native.bind_native_shared(
         queries::SRC_LINEITEM,
-        &wb.stores[queries::source_table(queries::SRC_LINEITEM)],
+        Arc::clone(&wb.stores[queries::source_table(queries::SRC_LINEITEM)]),
     );
+    let native = native.into_shared();
     let prepared = native
         .prepare(queries::q6(), Strategy::CompiledNative)
         .expect("prepare native");
