@@ -6,34 +6,29 @@
 //! cargo run -p mrq-bench --release --bin figures -- fig7 fig13 table1
 //! MRQ_SF=0.05 cargo run -p mrq-bench --release --bin figures -- all
 //! ```
+//!
+//! An unknown series name fails with exit status 2 before any data loads.
 
 use mrq_bench::*;
-use mrq_core::Strategy;
 use mrq_engine_hybrid::HybridConfig;
 use mrq_tpch::queries;
 
+/// Every series, in the order `all` (or no argument) prints them.
+const SERIES: &str = "fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 table1 compile-cost micro \
+                      agg-extras parallel extensions";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let series: Vec<&str> = SERIES.split_whitespace().collect();
     let wanted: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        vec![
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12",
-            "fig13",
-            "fig14",
-            "table1",
-            "compile-cost",
-            "micro",
-            "agg-extras",
-            "parallel",
-            "extensions",
-        ]
+        series.clone()
     } else {
         args.iter().map(|s| s.as_str()).collect()
     };
+    if let Some(unknown) = wanted.iter().find(|name| !series.contains(name)) {
+        eprintln!("unknown figure `{unknown}`; known: all {SERIES}");
+        std::process::exit(2);
+    }
     let sf = default_scale_factor();
     eprintln!("# loading TPC-H at scale factor {sf} (override with MRQ_SF) ...");
     let bench = Workbench::new(sf);
@@ -232,7 +227,7 @@ fn main() {
                 println!();
             }
             "compile-cost" => {
-                println!("== Compile cost (measured generation + modelled compiler latency) ==");
+                println!("== Compile cost (generation: measured + modelled; compiler latency: modelled) ==");
                 for (query, generation, csharp, c) in compile_costs(&bench) {
                     println!(
                         "  {query:<10} generation {:>8.1} ms   C# compile {:>8.1} ms   C compile {:>8.1} ms",
@@ -255,7 +250,7 @@ fn main() {
                 }
                 println!();
             }
-            other => eprintln!("unknown figure `{other}`"),
+            other => unreachable!("series `{other}` was checked before loading"),
         }
     }
 
@@ -268,5 +263,4 @@ fn main() {
     }
     cardinalities.dedup();
     assert_eq!(cardinalities.len(), 1, "strategies disagree on Q1");
-    let _ = Strategy::LinqToObjects;
 }

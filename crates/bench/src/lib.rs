@@ -972,8 +972,11 @@ pub fn micro_claims(bench: &Workbench) -> Vec<(String, Duration, Duration)> {
     out
 }
 
-/// Compile-cost report (§7.4): measured generation time plus modelled
-/// compiler latency per backend for the three TPC-H queries.
+/// Compile-cost report (§7.4) for the three TPC-H queries, per
+/// [`mrq_core::Provider::compile_cost`]: generation is the measured
+/// lowering + emission time *plus* the modelled
+/// `CompileCostModel::generation_cost`, and each backend's compiler
+/// latency is modelled.
 pub fn compile_costs(bench: &Workbench) -> Vec<(String, Duration, Duration, Duration)> {
     use mrq_codegen::emit::Backend;
     let provider = bench.managed_provider();

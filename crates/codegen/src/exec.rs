@@ -538,12 +538,6 @@ impl<'a, T: TableAccess> EvalCtx<'a, T> {
         }
     }
 
-    fn column_type(&self, _slot: usize, _col: usize) -> DataType {
-        // Types were resolved during lowering; evaluation derives the shape
-        // from the expression structure, so this is unused.
-        DataType::Int64
-    }
-
     fn operand(&self, expr: &'a ScalarExpr, types: &ColumnTypes) -> Operand<'a> {
         match expr {
             ScalarExpr::Column(c) => {
@@ -563,7 +557,6 @@ impl<'a, T: TableAccess> EvalCtx<'a, T> {
             other => {
                 // Composite arithmetic inside a comparison: evaluate as a
                 // number.
-                let _ = self.column_type(0, 0);
                 match self.number(other, types) {
                     Num::I64(v) => Operand::I64(v),
                     Num::Dec(d) => Operand::Dec(d),
@@ -1668,10 +1661,10 @@ pub fn consume_partitioned<'a, T: TableAccess + Sync>(
     // single-range path below runs uninterrupted — documented granularity).
     mrq_common::cancel::checkpoint();
     // Streaming: this runs on the thread driving the query (the one the
-    // serving layer installed the stream scope on), so read the sink here,
-    // once — workers and forks never consult the thread-local.
+    // serving layer installed the query context on), so read the sink
+    // here, once — morsels run under the context without it.
     if base.sink.is_none() {
-        if let Some(sink) = mrq_common::stream::current() {
+        if let Some(sink) = mrq_common::context::current().and_then(|cx| cx.sink) {
             base.attach_stream_sink(sink);
         }
     }
@@ -1704,9 +1697,10 @@ pub fn consume_partitioned<'a, T: TableAccess + Sync>(
 /// tables. `tables[0]` is the root, `tables[1..]` follow `spec.joins` order.
 ///
 /// Runs on the thread driving the query, so if the serving layer installed
-/// a stream scope ([`mrq_common::stream`]) and the shape is streamable,
-/// rows are published incrementally at checkpoint cadence; everything not
-/// yet published comes back in the returned output as the residual.
+/// a query context with a sink ([`mrq_common::context`]) and the shape is
+/// streamable, rows are published incrementally at checkpoint cadence;
+/// everything not yet published comes back in the returned output as the
+/// residual.
 pub fn execute_once<T: TableAccess>(
     spec: &QuerySpec,
     params: &[Value],
@@ -1715,7 +1709,7 @@ pub fn execute_once<T: TableAccess>(
 ) -> Result<QueryOutput> {
     let builds = tables[1..].to_vec();
     let mut state = ExecState::new(spec, params, builds, slot_schemas)?;
-    if let Some(sink) = mrq_common::stream::current() {
+    if let Some(sink) = mrq_common::context::current().and_then(|cx| cx.sink) {
         state.attach_stream_sink(sink);
     }
     state.consume(tables[0]);

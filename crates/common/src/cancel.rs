@@ -16,22 +16,16 @@
 //!
 //! # Propagation
 //!
-//! The thread driving a query installs its token with [`scope`]; the morsel
-//! scheduler picks it up via [`current`] and threads it into the pool's job
-//! state so workers abandon unclaimed morsels. On the driving thread,
-//! [`checkpoint`] unwinds with the [`CancelReason`] as panic payload
-//! (via [`std::panic::resume_unwind`], so no panic hook fires and nothing
-//! is printed); the serving layer catches the unwind at the query boundary
-//! and resolves the handle to the matching error. Code that does not run
-//! under a [`scope`] — every plain `Provider::execute` call — sees no token
-//! and is completely unaffected.
+//! The token travels in the query's [`crate::context::QueryContext`].
+//! [`checkpoint`] unwinds with the [`CancelReason`] as panic payload (via
+//! [`std::panic::resume_unwind`], so no panic hook fires): the pool retires
+//! a morsel that unwinds, and the serving layer catches the unwind at the
+//! query boundary and resolves the handle to the matching error. Without a
+//! context — every plain `Provider::execute` call — checkpoints are no-ops.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
-use crate::qos::QosClass;
 use crate::MrqError;
 
 /// Rows between intra-morsel cooperative-cancellation checkpoints inside
@@ -39,7 +33,7 @@ use crate::MrqError;
 /// baseline's source enumerable). One shared cadence keeps the documented
 /// "~4096 rows" worst-case cancel latency true of every engine; the
 /// power-of-two value keeps the per-row cost to one predictable modulus
-/// branch, and outside a cancel scope each checkpoint is a no-op.
+/// branch, and outside a query context each checkpoint is a no-op.
 pub const CHECK_EVERY_ROWS: usize = 4096;
 
 /// Why a query was stopped before completing.
@@ -128,52 +122,18 @@ impl CancelToken {
     }
 }
 
-/// The lifecycle context of one in-flight query: its cancellation token and
-/// the QoS class its pool tickets are queued under.
-#[derive(Debug, Clone)]
-pub struct JobControl {
-    /// The query's cancellation/deadline token.
-    pub token: Arc<CancelToken>,
-    /// The class every ticket this query enqueues is scheduled under.
-    pub class: QosClass,
-}
-
-thread_local! {
-    static CURRENT: RefCell<Option<JobControl>> = const { RefCell::new(None) };
-}
-
-/// Runs `f` with `control` installed as the thread's current job control;
-/// the previous control (if any) is restored afterwards, including on
-/// unwind. The morsel scheduler reads it with [`current`], so everything
-/// `f` fans out inherits the token and class without any signature change.
-pub fn scope<R>(control: JobControl, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<JobControl>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            CURRENT.with(|current| *current.borrow_mut() = self.0.take());
-        }
-    }
-    let _restore = Restore(CURRENT.with(|current| current.borrow_mut().replace(control)));
-    f()
-}
-
-/// The job control installed on this thread by the nearest [`scope`], if
-/// any. Plain (unsubmitted) execution runs with none.
-pub fn current() -> Option<JobControl> {
-    CURRENT.with(|current| current.borrow().clone())
-}
-
-/// A cooperative cancellation point: if the current scope's token tripped,
-/// unwinds with its [`CancelReason`] as payload (silently — no panic hook
-/// runs); otherwise does nothing. Engines call this at phase boundaries
-/// (after a join build, between staging and processing); the morsel
-/// scheduler calls it between morsels. Outside a [`scope`] it is a no-op.
+/// A cooperative cancellation point: if the current query context's token
+/// tripped, unwinds with its [`CancelReason`] as payload (silently — no
+/// panic hook runs); otherwise does nothing. Engines call this at phase
+/// boundaries (after a join build, between staging and processing); the
+/// morsel scheduler calls it between morsels. Outside a
+/// [`crate::context::scope`] it is a no-op.
 pub fn checkpoint() {
-    let tripped = CURRENT.with(|current| {
+    let tripped = crate::context::CURRENT.with(|current| {
         current
             .borrow()
             .as_ref()
-            .and_then(|control| control.token.check())
+            .and_then(|context| context.token.check())
     });
     if let Some(reason) = tripped {
         std::panic::resume_unwind(Box::new(reason));
@@ -183,7 +143,10 @@ pub fn checkpoint() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::{current, scope, QueryContext};
+    use crate::qos::QosClass;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Arc;
     use std::time::Duration;
 
     #[test]
@@ -215,37 +178,34 @@ mod tests {
     fn checkpoint_unwinds_with_the_reason_inside_a_tripped_scope() {
         let token = Arc::new(CancelToken::new());
         token.cancel();
-        let control = JobControl {
-            token,
-            class: QosClass::Batch,
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| scope(control, checkpoint)));
+        let context = QueryContext::new(token, QosClass::Batch);
+        let result = catch_unwind(AssertUnwindSafe(|| scope(context, checkpoint)));
         let payload = result.expect_err("tripped scope must unwind");
         assert_eq!(
             *payload.downcast::<CancelReason>().expect("reason payload"),
             CancelReason::Cancelled
         );
-        // The scope was restored on unwind: this thread has no control left.
+        // The scope was restored on unwind: this thread has no context left.
         assert!(current().is_none());
         checkpoint(); // and checkpoints are no-ops again
     }
 
     #[test]
     fn scopes_nest_and_restore() {
-        let outer = JobControl {
-            token: Arc::new(CancelToken::new()),
-            class: QosClass::Interactive,
-        };
-        let inner = JobControl {
-            token: Arc::new(CancelToken::new()),
-            class: QosClass::Batch,
-        };
+        let outer = QueryContext::new(Arc::new(CancelToken::new()), QosClass::Interactive);
+        let inner = QueryContext::new(Arc::new(CancelToken::new()), QosClass::Batch);
+        let inner_token = Arc::clone(&inner.token);
         scope(outer, || {
             assert_eq!(current().unwrap().class, QosClass::Interactive);
             scope(inner, || {
                 assert_eq!(current().unwrap().class, QosClass::Batch);
+                // Checkpoints read the innermost token only.
+                inner_token.cancel();
+                let result = catch_unwind(AssertUnwindSafe(checkpoint));
+                assert!(result.is_err(), "inner tripped token must unwind");
             });
             assert_eq!(current().unwrap().class, QosClass::Interactive);
+            checkpoint(); // the outer token is untripped
         });
         assert!(current().is_none());
     }

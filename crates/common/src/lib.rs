@@ -18,7 +18,8 @@
 //!   path and by concurrent query submission,
 //! * the query-lifecycle controls layered on both: cooperative [`cancel`]
 //!   tokens with lazy deadlines, and [`qos`] classes scheduled by weighted
-//!   deficit round-robin over per-class ticket queues,
+//!   deficit round-robin over per-class ticket queues, carried together
+//!   (with a streamed query's sink) in one per-query [`context`],
 //! * the bounded in-order [`stream`] channel streamed queries publish row
 //!   batches through (deterministic re-chunking, backpressure, and the
 //!   [`stream::WakerSlot`] async latch shared with `mrq-core`'s futures),
@@ -39,6 +40,7 @@
 
 pub mod admission;
 pub mod cancel;
+pub mod context;
 pub mod date;
 pub mod decimal;
 pub mod error;

@@ -202,10 +202,8 @@ where
     F: Fn(usize, Range<usize>) -> T + Sync,
     P: Fn(usize, &mut T) + Sync,
 {
-    // Lifecycle control ([`crate::cancel`]): a query submitted with a
-    // cancel token/deadline installs a scope on the thread driving it; the
-    // fan-out inherits the token (workers then check it between morsels)
-    // and the query's QoS class (its tickets queue under that class).
+    // Lifecycle control: the fan-out hands the driving thread's query
+    // context ([`crate::context`]) to the pool with the morsels below.
     if ranges.len() <= 1 || max_workers <= 1 {
         return ranges
             .iter()
@@ -220,15 +218,10 @@ where
             })
             .collect();
     }
-    let control = crate::cancel::current();
-    let (class, token) = match &control {
-        Some(control) => (control.class, Some(std::sync::Arc::clone(&control.token))),
-        None => (crate::qos::QosClass::default(), None),
-    };
     // One slot per morsel: each index is handed out exactly once by the
     // pool's cursor, so every slot lock is uncontended (noise next to a
     // multi-thousand-row morsel) and the completion latch inside
-    // `run_morsels_as` orders all writes before the gather. A `Mutex` rather
+    // `run_morsels` orders all writes before the gather. A `Mutex` rather
     // than `OnceLock` keeps the public bound at `T: Send` (partials need
     // not be `Sync`).
     let slots: Vec<std::sync::Mutex<Option<T>>> =
@@ -237,11 +230,10 @@ where
     // Only the holder of this lock publishes, so `publish` calls are
     // serialized and strictly ascending — the in-order guarantee.
     let frontier = std::sync::Mutex::new(0usize);
-    crate::pool::WorkerPool::global().run_morsels_as(
+    crate::pool::WorkerPool::global().run_morsels(
         ranges.len(),
         max_workers,
-        class,
-        token,
+        crate::context::current(),
         &|m| {
             let partial = worker(m, ranges[m].clone());
             *slots[m].lock().unwrap_or_else(|e| e.into_inner()) = Some(partial);
@@ -503,16 +495,14 @@ mod tests {
 
     #[test]
     fn dispatch_under_a_tripped_scope_unwinds_with_the_reason() {
-        use crate::cancel::{self, CancelReason, CancelToken, JobControl};
+        use crate::cancel::{CancelReason, CancelToken};
+        use crate::context::{self, QueryContext};
         let token = std::sync::Arc::new(CancelToken::new());
         token.cancel();
-        let control = JobControl {
-            token,
-            class: crate::qos::QosClass::Interactive,
-        };
+        let context = QueryContext::new(token, crate::qos::QosClass::Interactive);
         let hits = AtomicUsize::new(0);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cancel::scope(control, || {
+            context::scope(context, || {
                 dispatch(10_000, config(4, 1).with_morsel_rows(64), |_, _| {
                     hits.fetch_add(1, Ordering::Relaxed);
                 })

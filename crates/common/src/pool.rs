@@ -38,20 +38,22 @@
 //!
 //! ## Cancellation
 //!
-//! A job may carry a [`CancelToken`] (see [`crate::cancel`]). Every morsel
-//! claim checks it: once the token trips — explicit cancel or a lapsed
-//! deadline — remaining morsels are claimed and retired *without running*,
-//! so workers abandon the job within one in-progress morsel and the queue
-//! drains at memory speed. The blocking submitter still waits for the
-//! completion latch (claimed morsels finish; skipped ones just decrement
-//! it), which keeps the lifetime-erasure safety argument unchanged.
+//! A job may carry a [`QueryContext`]: its class queues the tickets, and
+//! every morsel claim checks its token. Once the token trips — explicit
+//! cancel or a lapsed deadline — remaining morsels are claimed and retired
+//! *without running*, so workers abandon the job within one in-progress
+//! morsel and the queue drains at memory speed. The blocking submitter
+//! still waits for the completion latch (claimed morsels finish; skipped
+//! ones just decrement it), which keeps the lifetime-erasure safety
+//! argument unchanged.
 //!
-//! Cancellation also reaches *inside* a claimed morsel: a controlled job's
-//! runner executes under its [`crate::cancel`] scope on the worker, so the
-//! intra-morsel checkpoints the fused loops plant every few thousand rows
-//! can trip mid-morsel. The resulting unwind carries a
-//! [`CancelReason`] payload and is treated as
-//! retirement, not as a panic: the morsel's latch count still decrements,
+//! Cancellation also reaches *inside* a claimed morsel: a job's runner
+//! executes under its query context ([`crate::context::scope`]) on every
+//! thread that claims a morsel, so the intra-morsel checkpoints the fused
+//! loops plant every few thousand rows can trip mid-morsel. (The pool
+//! removes the context's stream sink first, so a morsel cannot publish
+//! rows behind the in-order gather's back.) The resulting unwind carries a
+//! [`CancelReason`] payload and is treated as retirement, not as a panic: the morsel's latch count still decrements,
 //! so the moment the last in-flight morsel retires the completion latch
 //! fires — which is what wakes a blocked `join` *or a registered async
 //! waker* promptly after a cancel (wake-on-retire), instead of after the
@@ -98,7 +100,7 @@
 //! morsel: the worker is held, the job's ticket is not requeued until the
 //! morsel ends, and sibling jobs keep dispatching on the remaining workers
 //! under the usual WDRR fairness — a lagging consumer slows its own query,
-//! not the pool. The wait itself re-checks the query's [`CancelToken`] on
+//! not the pool. The wait itself re-checks the query's cancel token on
 //! a short tick, so cancellation and deadlines still cut through.
 //!
 //! ## Lifecycle
@@ -114,7 +116,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
-use crate::cancel::{self, CancelReason, CancelToken, JobControl};
+use crate::cancel::CancelReason;
+use crate::context::{self, QueryContext};
 use crate::qos::{ClassQueues, QosClass, QosWeights};
 
 /// A lifetime-erased borrow of the caller's morsel runner.
@@ -142,11 +145,10 @@ struct MorselJob {
     /// The first panicking morsel's payload message (first panic wins;
     /// later ones are retired morsels anyway).
     panic_msg: Mutex<Option<String>>,
-    /// The class this job's tickets are queued (and requeued) under.
-    class: QosClass,
-    /// Cooperative cancellation: once tripped, claimed morsels are retired
-    /// without running their runner.
-    token: Option<Arc<CancelToken>>,
+    /// The query context every morsel runs under (its sink removed): the
+    /// class the tickets are queued (and requeued) under, and the token
+    /// that, once tripped, retires claimed morsels without running them.
+    context: Option<QueryContext>,
     /// Completion latch the submitting thread waits on.
     done: Mutex<bool>,
     /// Notified when `pending` reaches zero.
@@ -169,17 +171,21 @@ impl MorselJob {
         }
     }
 
-    /// True once the job's token tripped (cancelled or past deadline).
-    fn is_cancelled(&self) -> bool {
-        self.token.as_ref().is_some_and(|t| t.is_tripped())
+    /// The class this job's tickets are queued under.
+    fn class(&self) -> QosClass {
+        self.context
+            .as_ref()
+            .map_or(QosClass::Interactive, |cx| cx.class)
     }
 
-    /// True once the job stopped doing useful work — cancelled *or*
-    /// failed by a panicking morsel. Both retire remaining morsels unrun:
-    /// after a panic the job's result is already decided, so running more
-    /// morsels only burns pool capacity the sibling queries need.
+    /// True once the job stopped doing useful work — its token tripped
+    /// (cancelled or past deadline) *or* a morsel panicked. Both retire
+    /// remaining morsels unrun: after a panic the job's result is already
+    /// decided, so running more morsels only burns pool capacity the
+    /// sibling queries need.
     fn is_aborted(&self) -> bool {
-        self.failed.load(Ordering::Acquire) || self.is_cancelled()
+        let context = self.context.as_ref();
+        self.failed.load(Ordering::Acquire) || context.is_some_and(|cx| cx.token.is_tripped())
     }
 
     /// Runs a single claimed morsel and does the completion bookkeeping.
@@ -192,18 +198,13 @@ impl MorselJob {
         // and the runner borrow is live.
         if !self.is_aborted() {
             let runner = self.runner;
-            // A controlled job's runner executes under its cancel scope, so
-            // the intra-morsel checkpoints inside the fused loops fire on
-            // pool workers too, not only on the submitting thread (which
-            // installed the scope itself).
-            let result = match &self.token {
-                Some(token) => {
-                    let control = JobControl {
-                        token: Arc::clone(token),
-                        class: self.class,
-                    };
-                    catch_unwind(AssertUnwindSafe(|| cancel::scope(control, || runner(m))))
-                }
+            // The runner executes under the job's context, so the
+            // intra-morsel checkpoints inside the fused loops fire on pool
+            // workers too, not only on the submitting thread.
+            let result = match &self.context {
+                Some(job_context) => catch_unwind(AssertUnwindSafe(|| {
+                    context::scope(job_context.clone(), || runner(m))
+                })),
                 None => catch_unwind(AssertUnwindSafe(|| runner(m))),
             };
             if let Err(payload) = result {
@@ -315,7 +316,7 @@ impl Shared {
                         // of its class (this is what makes scheduling
                         // round-robin fair within the class).
                         let mut q = self.lock();
-                        q.tickets.push_back(job.class, Ticket::Morsel(job));
+                        q.tickets.push_back(job.class(), Ticket::Morsel(job));
                         drop(q);
                         self.work.notify_one();
                     }
@@ -437,49 +438,36 @@ impl WorkerPool {
     /// Runs `run(m)` once for every `m in 0..total` using at most
     /// `max_workers` threads (pool workers plus the calling thread), and
     /// blocks until all of them finished. Morsels are claimed from a shared
-    /// atomic cursor, so idle threads steal whatever remains. Tickets are
-    /// queued under [`QosClass::Interactive`] with no cancellation; see
-    /// [`WorkerPool::run_morsels_as`] for the controlled variant.
+    /// atomic cursor, so idle threads steal whatever remains.
+    ///
+    /// With a `context`, every morsel runs under it with its sink removed
+    /// (see the [module docs](self)): tickets queue under its class, and
+    /// every morsel claim checks its token — once the token trips,
+    /// remaining morsels are retired unrun and the call returns as soon as
+    /// in-progress morsels finish. The caller is responsible for noticing
+    /// the trip afterwards (the morsel layer does, unwinding with the
+    /// [`CancelReason`]). Without one, tickets queue under
+    /// [`QosClass::Interactive`] and nothing is checked.
     ///
     /// The calling thread always participates, which makes the call complete
     /// even on an empty or saturated pool. Panics inside `run` are caught on
     /// the worker, the remaining morsels retire unrun, and the unwind is
     /// re-raised here with the original panic payload message once the
     /// fan-out's latch fires.
-    pub fn run_morsels(&self, total: usize, max_workers: usize, run: &(dyn Fn(usize) + Sync)) {
-        self.run_morsels_as(total, max_workers, QosClass::Interactive, None, run);
-    }
-
-    /// [`WorkerPool::run_morsels`] with explicit lifecycle control: tickets
-    /// queue under `class` (weighted against the other classes, see the
-    /// [module docs](self)), and when `token` is given every morsel claim
-    /// checks it — once the token trips, remaining morsels are retired
-    /// unrun and the call returns as soon as in-progress morsels finish.
-    /// The caller is responsible for noticing the trip afterwards (the
-    /// morsel layer does, unwinding with the [`crate::cancel::CancelReason`]).
-    pub fn run_morsels_as(
+    pub fn run_morsels(
         &self,
         total: usize,
         max_workers: usize,
-        class: QosClass,
-        token: Option<Arc<CancelToken>>,
+        context: Option<QueryContext>,
         run: &(dyn Fn(usize) + Sync),
     ) {
         if total == 0 {
             return;
         }
-        let tripped = || token.as_ref().is_some_and(|t| t.is_tripped());
-        if max_workers <= 1 || total == 1 {
-            // Caller-only fast path: no tickets, no latch — but the same
-            // between-morsels cancellation granularity as the pooled path.
-            for m in 0..total {
-                if tripped() {
-                    return;
-                }
-                run(m);
-            }
-            return;
-        }
+        let context = context.map(|context| QueryContext {
+            sink: None,
+            ..context
+        });
         // SAFETY (lifetime erasure): this frame does not return until the
         // job's completion latch fires, i.e. until every morsel that could
         // call `run` has finished; see `Runner`. (Cancellation only *skips*
@@ -492,17 +480,19 @@ impl WorkerPool {
             pending: AtomicUsize::new(total),
             failed: AtomicBool::new(false),
             panic_msg: Mutex::new(None),
-            class,
-            token,
+            context,
             done: Mutex::new(false),
             done_cv: Condvar::new(),
         });
-        let tickets = (max_workers - 1).min(total);
+        // With `max_workers <= 1` there are no tickets: the caller runs
+        // every morsel itself, under the same context and checks.
+        let tickets = max_workers.saturating_sub(1).min(total);
         self.ensure_workers(tickets);
         {
             let mut q = self.shared.lock();
             for _ in 0..tickets {
-                q.tickets.push_back(class, Ticket::Morsel(Arc::clone(&job)));
+                q.tickets
+                    .push_back(job.class(), Ticket::Morsel(Arc::clone(&job)));
             }
         }
         self.shared.work.notify_all();
@@ -584,12 +574,13 @@ fn default_max_workers() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
 
     #[test]
     fn run_morsels_runs_every_index_exactly_once() {
         let pool = WorkerPool::new(3);
         let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        pool.run_morsels(100, 4, &|m| {
+        pool.run_morsels(100, 4, None, &|m| {
             hits[m].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
@@ -599,7 +590,7 @@ mod tests {
     fn completes_on_an_empty_pool_via_caller_participation() {
         let pool = WorkerPool::with_max(4, QosWeights::default()); // zero workers spawned
         let sum = AtomicUsize::new(0);
-        pool.run_morsels(50, 8, &|m| {
+        pool.run_morsels(50, 8, None, &|m| {
             sum.fetch_add(m, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), (0..50).sum::<usize>());
@@ -610,7 +601,7 @@ mod tests {
     fn morsel_panics_propagate_to_the_submitter_with_their_payload() {
         let pool = WorkerPool::new(2);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.run_morsels(10, 3, &|m| {
+            pool.run_morsels(10, 3, None, &|m| {
                 if m == 4 {
                     panic!("boom");
                 }
@@ -622,7 +613,7 @@ mod tests {
         assert_eq!(crate::error::panic_message(payload), "boom");
         // The pool survives: subsequent jobs still run.
         let hits = AtomicUsize::new(0);
-        pool.run_morsels(8, 3, &|_| {
+        pool.run_morsels(8, 3, None, &|_| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 8);
@@ -648,8 +639,7 @@ mod tests {
             pending: AtomicUsize::new(4),
             failed: AtomicBool::new(false),
             panic_msg: Mutex::new(None),
-            class: QosClass::Interactive,
-            token: None,
+            context: None,
             done: Mutex::new(false),
             done_cv: Condvar::new(),
         };
@@ -705,10 +695,10 @@ mod tests {
     #[test]
     fn pre_cancelled_jobs_never_run_a_morsel_and_the_pool_stays_usable() {
         let pool = WorkerPool::new(2);
-        let token = Arc::new(CancelToken::new());
-        token.cancel();
+        let context = QueryContext::new(Arc::new(CancelToken::new()), QosClass::Batch);
+        context.token.cancel();
         let hits = AtomicUsize::new(0);
-        pool.run_morsels_as(100, 4, QosClass::Batch, Some(Arc::clone(&token)), &|_| {
+        pool.run_morsels(100, 4, Some(context), &|_| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(
@@ -718,7 +708,7 @@ mod tests {
         );
         // The pool drains and serves the next (uncancelled) job in full.
         let ran = AtomicUsize::new(0);
-        pool.run_morsels(32, 4, &|_| {
+        pool.run_morsels(32, 4, None, &|_| {
             ran.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(ran.load(Ordering::Relaxed), 32);
@@ -726,14 +716,14 @@ mod tests {
 
     #[test]
     fn caller_only_path_checks_the_token_between_morsels() {
-        // max_workers = 1 takes the caller-only loop: cancelling inside
-        // morsel 0 must stop the fan-out after exactly one morsel —
-        // deterministic, no other thread involved.
+        // max_workers = 1 queues no tickets, so the caller runs alone:
+        // cancelling inside morsel 0 must stop the fan-out after exactly
+        // one morsel — deterministic, no other thread involved.
         let pool = WorkerPool::new(0);
-        let token = Arc::new(CancelToken::new());
+        let context = QueryContext::new(Arc::new(CancelToken::new()), QosClass::Interactive);
         let hits = AtomicUsize::new(0);
-        let cancel = Arc::clone(&token);
-        pool.run_morsels_as(50, 1, QosClass::Interactive, Some(token), &|m| {
+        let cancel = Arc::clone(&context.token);
+        pool.run_morsels(50, 1, Some(context), &|m| {
             hits.fetch_add(1, Ordering::Relaxed);
             if m == 0 {
                 cancel.cancel();
@@ -749,16 +739,16 @@ mod tests {
         // jobs must run. How many morsels ran before the flag became
         // visible is timing-dependent; that it *returns* is the invariant.
         let pool = WorkerPool::new(3);
-        let token = Arc::new(CancelToken::new());
-        let cancel = Arc::clone(&token);
+        let context = QueryContext::new(Arc::new(CancelToken::new()), QosClass::Interactive);
+        let cancel = Arc::clone(&context.token);
         let hits = AtomicUsize::new(0);
-        pool.run_morsels_as(256, 4, QosClass::Interactive, Some(token), &|_| {
+        pool.run_morsels(256, 4, Some(context), &|_| {
             cancel.cancel();
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.load(Ordering::Relaxed) <= 256);
         let ran = AtomicUsize::new(0);
-        pool.run_morsels(16, 4, &|_| {
+        pool.run_morsels(16, 4, None, &|_| {
             ran.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(ran.load(Ordering::Relaxed), 16);
@@ -881,7 +871,11 @@ mod tests {
             );
         }
         let hits = AtomicUsize::new(0);
-        pool.run_morsels_as(16, 2, QosClass::Maintenance, None, &|_| {
+        // A class-only job: an unarmed token that never trips.
+        let context = QueryContext::new(Arc::new(CancelToken::new()), QosClass::Maintenance);
+        pool.run_morsels(16, 2, Some(context), &|_| {
+            let job_context = context::current().expect("morsels run under the job's context");
+            assert_eq!(job_context.class, QosClass::Maintenance);
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 16);
@@ -897,23 +891,23 @@ mod tests {
         // "worker panicked" is re-raised, and the job ran at most a handful
         // of morsels before the trip became visible.
         let pool = WorkerPool::new(2);
-        let token = Arc::new(CancelToken::new());
-        let cancel_handle = Arc::clone(&token);
+        let context = QueryContext::new(Arc::new(CancelToken::new()), QosClass::Interactive);
+        let cancel_handle = Arc::clone(&context.token);
         let hits = AtomicUsize::new(0);
-        pool.run_morsels_as(64, 3, QosClass::Interactive, Some(token), &|_| {
+        pool.run_morsels(64, 3, Some(context), &|_| {
             hits.fetch_add(1, Ordering::Relaxed);
             cancel_handle.cancel();
-            // On pool workers the job's scope is installed by run_one; the
-            // submitting thread has no scope here, mirroring how the fused
-            // loops' checkpoints behave inside a morsel.
-            cancel::checkpoint();
+            // run_one installs the job's context on every thread that
+            // claims a morsel, the submitting thread included, mirroring
+            // how the fused loops' checkpoints behave inside a morsel.
+            crate::cancel::checkpoint();
             unreachable!("the checkpoint above must unwind: the token is tripped");
         });
         let ran = hits.load(Ordering::Relaxed);
         assert!(ran >= 1, "at least the first morsel started");
         // The pool survives and serves the next job in full.
         let again = AtomicUsize::new(0);
-        pool.run_morsels(8, 3, &|_| {
+        pool.run_morsels(8, 3, None, &|_| {
             again.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(again.load(Ordering::Relaxed), 8);
@@ -929,7 +923,7 @@ mod tests {
                 let pool = Arc::clone(&pool);
                 scope.spawn(move || {
                     let hits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
-                    pool.run_morsels(64, 4, &|m| {
+                    pool.run_morsels(64, 4, None, &|m| {
                         hits[m].fetch_add(1, Ordering::Relaxed);
                     });
                     assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));

@@ -21,17 +21,17 @@
 //!   `rows_streamed` counters — depend only on the total row sequence,
 //!   never on how morsels were partitioned or interleaved.
 //!
-//! The sink side is installed on the query's driving thread with [`scope`]
-//! (mirroring [`crate::cancel::scope`]); engines read it once at entry via
-//! [`current`] and attach it explicitly to their execution state, so worker
-//! closures never consult the thread-local and caller participation in
-//! *other* queries' morsels cannot misroute rows.
+//! The sink side travels in the query's [`crate::context::QueryContext`],
+//! installed once on the query's driving thread; engines read it at entry
+//! and attach it explicitly to their execution state. Pool morsels run
+//! under the context with the sink removed, so worker closures never see
+//! it and caller participation in *other* queries' morsels cannot misroute
+//! rows.
 //!
 //! [`WakerSlot`] — the register/take half of an async waker latch — lives
 //! here because both this channel's receiver and `mrq-core`'s completion
 //! latch (`future.rs`) share the same wake-exactly-once discipline.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::task::{Poll, Waker};
@@ -62,21 +62,9 @@ const FULL_QUEUE_TICK: Duration = Duration::from_millis(5);
 const RECV_TICK: Duration = Duration::from_millis(100);
 
 /// Default rows per streamed batch when `QueryOptions` does not override
-/// it, tunable with `MRQ_STREAM_BATCH_ROWS`. Matches
-/// [`crate::cancel::CHECK_EVERY_ROWS`] so one engine flush at checkpoint
-/// cadence fills roughly one batch.
+/// it. Matches [`crate::cancel::CHECK_EVERY_ROWS`] so one engine flush at
+/// checkpoint cadence fills roughly one batch.
 pub const DEFAULT_BATCH_ROWS: usize = crate::cancel::CHECK_EVERY_ROWS;
-
-/// The rows-per-batch default for this process: `MRQ_STREAM_BATCH_ROWS` if
-/// set to a positive integer, else [`DEFAULT_BATCH_ROWS`]. Read on every
-/// call (it is consulted once per `QueryOptions::default()`, not per row).
-pub fn default_batch_rows() -> usize {
-    std::env::var("MRQ_STREAM_BATCH_ROWS")
-        .ok()
-        .and_then(|raw| raw.trim().parse::<usize>().ok())
-        .filter(|&rows| rows > 0)
-        .unwrap_or(DEFAULT_BATCH_ROWS)
-}
 
 /// A single-waker latch: `register` stores the most recent waker (skipping
 /// the clone when [`Waker::will_wake`] says it is the same task), `take`
@@ -236,12 +224,6 @@ impl StreamSink {
         (guard.batches_streamed, guard.rows_streamed)
     }
 
-    /// True while the consumer still exists and the token has not tripped;
-    /// engines may use this to skip flush work early.
-    pub fn is_open(&self) -> bool {
-        !self.shared.lock().receiver_gone && !self.token.is_tripped()
-    }
-
     /// Waits for queue capacity, pushes `batch`, wakes the consumer, and
     /// re-acquires the lock. `None` means publishing stopped (receiver
     /// dropped or token tripped); the batch is discarded.
@@ -378,33 +360,6 @@ pub fn channel(batch_rows: usize, token: Arc<CancelToken>) -> (StreamSink, Strea
     )
 }
 
-thread_local! {
-    static CURRENT: RefCell<Option<StreamSink>> = const { RefCell::new(None) };
-}
-
-/// Runs `f` with `sink` installed as the thread's active stream sink; the
-/// previous sink (if any) is restored afterwards, including on unwind.
-/// The serving layer wraps a streamed query's execution in this exactly
-/// like [`crate::cancel::scope`]; engines pick the sink up once at entry
-/// with [`current`].
-pub fn scope<R>(sink: StreamSink, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<StreamSink>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            CURRENT.with(|current| *current.borrow_mut() = self.0.take());
-        }
-    }
-    let _restore = Restore(CURRENT.with(|current| current.borrow_mut().replace(sink)));
-    f()
-}
-
-/// The stream sink installed on this thread by the nearest [`scope`], if
-/// any. Buffered (non-streamed) execution runs with none and is entirely
-/// unaffected.
-pub fn current() -> Option<StreamSink> {
-    CURRENT.with(|current| current.borrow().clone())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,22 +451,32 @@ mod tests {
 
     #[test]
     fn scope_installs_and_restores_the_sink() {
+        use crate::context::{current, scope, QueryContext};
+        use crate::qos::QosClass;
+        let has_sink = || current().is_some_and(|cx| cx.sink.is_some());
         assert!(current().is_none());
-        let (sink, _receiver) = channel(4, Arc::new(CancelToken::new()));
-        scope(sink, || {
-            assert!(current().is_some());
+        let token = Arc::new(CancelToken::new());
+        let (sink, _receiver) = channel(4, Arc::clone(&token));
+        let outer = QueryContext {
+            token,
+            class: QosClass::Interactive,
+            sink: Some(sink),
+        };
+        scope(outer, || {
+            assert!(has_sink());
             let (inner, _rx) = channel(2, Arc::new(CancelToken::new()));
-            scope(inner, || assert!(current().is_some()));
-            assert!(current().is_some(), "outer sink restored");
+            let inner = QueryContext {
+                sink: Some(inner),
+                ..QueryContext::new(Arc::new(CancelToken::new()), QosClass::Batch)
+            };
+            scope(inner, || assert!(has_sink()));
+            assert!(has_sink(), "outer sink restored");
         });
         assert!(current().is_none());
     }
 
     #[test]
     fn default_batch_rows_matches_checkpoint_cadence() {
-        // The env override is exercised by the integration suite; in-proc
-        // the default must track the cancel checkpoint cadence.
         assert_eq!(DEFAULT_BATCH_ROWS, crate::cancel::CHECK_EVERY_ROWS);
-        assert!(default_batch_rows() > 0);
     }
 }

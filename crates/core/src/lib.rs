@@ -62,7 +62,8 @@
 use mrq_codegen::emit::{emit_source, Backend, CompileCostModel};
 use mrq_codegen::exec::{QueryOutput, TableAccess};
 use mrq_codegen::spec::{lower, Catalog, QuerySpec};
-use mrq_common::cancel::{self, CancelReason, CancelToken, JobControl};
+use mrq_common::cancel::{CancelReason, CancelToken};
+use mrq_common::context::{self, QueryContext};
 use mrq_common::plancache::ShardedLru;
 use mrq_common::pool::WorkerPool;
 use mrq_common::stream::{StreamReceiver, StreamSink};
@@ -148,10 +149,10 @@ pub enum Strategy {
 ///
 /// * `deadline: None` — no wall-clock budget,
 /// * `class: QosClass::Interactive` — the highest-weight serving class,
-/// * `stream_batch_rows:` [`mrq_common::stream::default_batch_rows`] — the
-///   `MRQ_STREAM_BATCH_ROWS` environment override if set to a positive
-///   integer, else [`mrq_common::stream::DEFAULT_BATCH_ROWS`] (4096, the
-///   cancel-checkpoint cadence). Only streamed submissions consult it.
+/// * `stream_batch_rows:` [`mrq_common::stream::DEFAULT_BATCH_ROWS`]
+///   (4096, the cancel-checkpoint cadence). Only streamed submissions
+///   consult it; [`QueryOptions::with_stream_batch_rows`] overrides it per
+///   query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryOptions {
     /// Wall-clock budget measured from submission — queue time counts
@@ -177,7 +178,7 @@ impl Default for QueryOptions {
         QueryOptions {
             deadline: None,
             class: QosClass::default(),
-            stream_batch_rows: mrq_common::stream::default_batch_rows(),
+            stream_batch_rows: mrq_common::stream::DEFAULT_BATCH_ROWS,
         }
     }
 }
@@ -686,8 +687,12 @@ impl<'a> Provider<'a> {
         Ok(compiled.rewrites.clone())
     }
 
-    /// The modelled compile cost of a statement for the given backend
-    /// (§7.4): generation is measured, compiler latency is modelled.
+    /// The compile cost of a statement for the given backend (§7.4), as
+    /// `(generation, compile)`. Generation is the measured lowering +
+    /// emission time of the cached plan (`generation_time`) plus the
+    /// modelled [`CompileCostModel::generation_cost`] of its source;
+    /// compiler latency is [`CompileCostModel::compile_cost`], modelled
+    /// only.
     pub fn compile_cost(&self, expr: Expr, backend: Backend) -> Result<(Duration, Duration)> {
         let (_, compiled) = self.compile(expr)?;
         let source = match backend {
@@ -772,7 +777,7 @@ impl<'a> Provider<'a> {
         // output rows are drained into the channel as they are produced, so
         // caching the residual would poison the cache with a partial result,
         // and serving a cache hit would stream nothing.
-        if !self.recycling || mrq_common::stream::current().is_some() {
+        if !self.recycling || context::current().is_some_and(|cx| cx.sink.is_some()) {
             return self.execute_compiled(spec, params, strategy);
         }
         let key = self.result_key(shape_hash, params, spec)?;
@@ -964,11 +969,13 @@ impl<'a> Provider<'a> {
         QueryStream::new(self.spawn(Job::Statement(expr), strategy, options, true))
     }
 
-    /// Arms a submission's cancel token (deadline measured from now — queue
-    /// time counts against the budget; `checked_add` saturates absurd
-    /// budgets to "no deadline" instead of panicking) and pairs it with the
-    /// [`JobControl`] every fan-out of the query will inherit.
-    fn arm(options: &QueryOptions) -> (Arc<CancelToken>, JobControl) {
+    /// Builds a submission's [`QueryContext`]: arms its cancel token
+    /// (deadline measured from now — queue time counts against the budget;
+    /// `checked_add` saturates absurd budgets to "no deadline" instead of
+    /// panicking), takes its class from `options` and, when `streamed`,
+    /// opens the bounded batch channel whose sink the context carries and
+    /// whose receiver is returned beside it.
+    fn arm(options: &QueryOptions, streamed: bool) -> (QueryContext, Option<StreamReceiver>) {
         let deadline = options
             .deadline
             .and_then(|budget| Instant::now().checked_add(budget));
@@ -976,53 +983,49 @@ impl<'a> Provider<'a> {
             Some(at) => CancelToken::expiring(at),
             None => CancelToken::new(),
         });
-        let control = JobControl {
-            token: Arc::clone(&token),
-            class: options.class,
-        };
-        (token, control)
+        let mut query = QueryContext::new(token, options.class);
+        let receiver = streamed.then(|| {
+            let (sink, receiver) =
+                mrq_common::stream::channel(options.stream_batch_rows, Arc::clone(&query.token));
+            query.sink = Some(sink);
+            receiver
+        });
+        (query, receiver)
     }
 
     /// Runs one submitted query on the calling (pool-worker) thread under
-    /// its [`JobControl`]: the pre-dispatch token check, the cancel scope,
-    /// and the query-boundary catch that turns checkpoint unwinds into
-    /// their lifecycle errors and engine panics into [`MrqError::Internal`]
-    /// — a panicking query must still complete its latch, or a joining
-    /// client (or registered waker) would wait forever.
+    /// its [`QueryContext`]: the pre-dispatch token check, the context
+    /// scope, and the query-boundary catch that turns checkpoint unwinds
+    /// into their lifecycle errors and engine panics into
+    /// [`MrqError::Internal`] — a panicking query must still complete its
+    /// latch, or a joining client (or registered waker) would wait forever.
     ///
-    /// When `sink` is set the query runs inside a stream scope: streamable
-    /// shapes publish row batches through it while executing, and the
-    /// returned [`QueryOutput`] holds only the unpublished residual rows.
+    /// When the context holds a sink, streamable shapes publish row
+    /// batches through it while executing, and the returned
+    /// [`QueryOutput`] holds only the unpublished residual rows.
     fn run_submitted(
         &self,
-        control: &JobControl,
+        query: &QueryContext,
         job: Job,
         strategy: Strategy,
-        sink: Option<&StreamSink>,
     ) -> Result<QueryOutput> {
-        if let Some(reason) = control.token.check() {
+        if let Some(reason) = query.token.check() {
             // Cancelled or expired while queued: resolve the handle
             // without compiling or executing a single morsel.
             return Err(MrqError::from(reason));
         }
-        // The scope threads the token and class to every morsel fan-out
-        // below; a tripped checkpoint unwinds with the reason, caught here
-        // at the query boundary.
+        // The scope threads the token, class and sink to every engine and
+        // morsel fan-out below; a tripped checkpoint unwinds with the
+        // reason, caught here at the query boundary.
         match catch_unwind(AssertUnwindSafe(|| {
             fault::point("pool.dispatch")?;
-            cancel::scope(control.clone(), || {
-                let run = || match job {
-                    Job::Statement(expr) => self.execute(expr, strategy),
-                    Job::Prepared {
-                        shape_hash,
-                        plan,
-                        params,
-                    } => self.execute_plan(shape_hash, &plan.spec, &params, strategy),
-                };
-                match sink {
-                    Some(sink) => mrq_common::stream::scope(sink.clone(), run),
-                    None => run(),
-                }
+            context::scope(query.clone(), || match job {
+                Job::Statement(expr) => self.execute(expr, strategy),
+                Job::Prepared {
+                    shape_hash,
+                    plan,
+                    params,
+                } => self.execute_plan(shape_hash, &plan.spec, &params, strategy),
             })
         })) {
             Ok(result) => result,
@@ -1040,8 +1043,8 @@ impl<'a> Provider<'a> {
     /// The one spawn path behind every `submit` and `submit_stream` front
     /// end; the task owns a clone of the provider's `Arc`. Returns the
     /// [`Submission`] the front end wraps in a [`QueryHandle`] or
-    /// [`QueryStream`]; `streamed` decides whether the task runs inside a
-    /// stream scope wired to a bounded batch channel.
+    /// [`QueryStream`]; `streamed` decides whether the task's context
+    /// carries a sink wired to a bounded batch channel.
     ///
     /// Admission runs first — before [`Provider::arm`], any compilation or
     /// any cache traffic, because shedding must stay cheap under exactly
@@ -1067,20 +1070,14 @@ impl<'a> Provider<'a> {
             });
             return (QueryState::completed(Err(error)), token, receiver);
         }
-        let (token, control) = Self::arm(&options);
-        let (sink, receiver) = if streamed {
-            let (sink, receiver) =
-                mrq_common::stream::channel(options.stream_batch_rows, Arc::clone(&token));
-            (Some(sink), Some(receiver))
-        } else {
-            (None, None)
-        };
+        let (query, receiver) = Self::arm(&options, streamed);
+        let token = Arc::clone(&query.token);
         let state = QueryState::new();
         let completion = Arc::clone(&state);
         let provider = Arc::clone(self);
         let task = Box::new(move || {
-            let mut result = provider.run_submitted(&control, job, strategy, sink.as_ref());
-            if let Some(sink) = &sink {
+            let mut result = provider.run_submitted(&query, job, strategy);
+            if let Some(sink) = &query.sink {
                 result = provider.finish_stream(sink, result);
             }
             // Free the admission slot before the result becomes visible: a

@@ -422,7 +422,7 @@ pub fn execute(
     // rebuilt from the managed collections after the native pass — so Min
     // mode always delivers through the stream's residual output instead.
     if !min_mode {
-        if let Some(sink) = mrq_common::stream::current() {
+        if let Some(sink) = mrq_common::context::current().and_then(|cx| cx.sink) {
             state.attach_stream_sink(sink);
         }
     }
@@ -629,7 +629,7 @@ fn stage_range(
     let mut row_buf: Vec<Value> = vec![Value::Null; staging.schema.len()];
     'rows: for row in range {
         // Intra-morsel cancellation cadence, shared with every fused loop:
-        // a no-op outside a cancel scope.
+        // a no-op outside a query context.
         if row.is_multiple_of(mrq_common::cancel::CHECK_EVERY_ROWS) {
             mrq_common::cancel::checkpoint();
         }

@@ -323,13 +323,13 @@ pub fn execute<T: TableAccess>(
             .collect()
     } else {
         // Streamable shape (no sort, no Take, no hidden columns): when the
-        // serving layer installed a stream scope, publish the collected rows
+        // serving layer installed a context with a sink, publish the rows
         // at the same cadence the source's cancel checkpoints use, so the
         // baseline bounds first-row latency exactly like the compiled
         // engines. Blocking shapes below keep buffering; their full result
         // ships as the stream's residual.
         let sink = if spec.sort.is_empty() && take.is_none() && spec.hidden_outputs == 0 {
-            mrq_common::stream::current()
+            mrq_common::context::current().and_then(|cx| cx.sink)
         } else {
             None
         };

@@ -15,7 +15,8 @@
 use mrq_bench::{run_strategy, Workbench};
 use mrq_codegen::exec::ExecState;
 use mrq_codegen::TableAccess;
-use mrq_common::cancel::{self, CancelReason, CancelToken, JobControl};
+use mrq_common::cancel::{self, CancelReason, CancelToken};
+use mrq_common::context::{self, QueryContext};
 use mrq_common::{DataType, Decimal, Field, ParallelConfig, Schema, Value, WorkStats};
 use mrq_core::{Provider, Strategy};
 use mrq_engine_hybrid::HybridConfig;
@@ -318,7 +319,7 @@ fn partial_stats_are_monotone_across_chunked_consumption() {
     );
 }
 
-/// Runs one full consume inside a cancel scope whose token is already
+/// Runs one full consume inside a query context whose token is already
 /// tripped; returns the reason the engine unwound with and the partial
 /// stats left behind.
 fn consume_until_tripped(token: CancelToken) -> (CancelReason, WorkStats) {
@@ -334,11 +335,8 @@ fn consume_until_tripped(token: CancelToken) -> (CancelReason, WorkStats) {
         "the dataset must be large enough to reach a cancellation checkpoint"
     );
 
-    let control = JobControl {
-        token: Arc::new(token),
-        class: Default::default(),
-    };
-    let unwound = cancel::scope(control, || {
+    let query = QueryContext::new(Arc::new(token), Default::default());
+    let unwound = context::scope(query, || {
         catch_unwind(AssertUnwindSafe(|| state.consume_range(stores[0], 0..n)))
     });
     let payload = unwound.expect_err("a tripped token must stop the scan");
