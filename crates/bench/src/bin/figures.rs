@@ -11,6 +11,7 @@
 
 use mrq_bench::*;
 use mrq_engine_hybrid::HybridConfig;
+use mrq_tpch::gen::scale_from_env;
 use mrq_tpch::queries;
 
 /// Every series, in the order `all` (or no argument) prints them.
@@ -29,7 +30,10 @@ fn main() {
         eprintln!("unknown figure `{unknown}`; known: all {SERIES}");
         std::process::exit(2);
     }
-    let sf = default_scale_factor();
+    let sf = scale_from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     eprintln!("# loading TPC-H at scale factor {sf} (override with MRQ_SF) ...");
     let bench = Workbench::new(sf);
     eprintln!(

@@ -7,8 +7,10 @@
 //! Scale factor: the paper uses TPC-H SF 1 (≈6 M lineitem rows). The harness
 //! defaults to a much smaller factor so a full reproduction run finishes on
 //! laptop hardware; the factor is printed with every series and can be
-//! overridden with the `MRQ_SF` environment variable. Relative behaviour —
-//! which strategy wins and by roughly how much — is what the figures compare.
+//! overridden with the `MRQ_SF` environment variable
+//! ([`mrq_tpch::gen::scale_from_env`]; `figures` exits with status 2 on an
+//! invalid value). Relative behaviour — which strategy wins and by roughly
+//! how much — is what the figures compare.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -40,14 +42,6 @@ pub const STRATEGY_NAMES: [&str; 5] = [
     "C#/C Code",
     "C#/C Code (Buffer)",
 ];
-
-/// Default scale factor for harness runs (overridable via `MRQ_SF`).
-pub fn default_scale_factor() -> f64 {
-    std::env::var("MRQ_SF")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.01)
-}
 
 /// All data representations of one TPC-H dataset: managed heap objects,
 /// native row stores and the comparators' column tables.

@@ -19,9 +19,10 @@
 //!   execution after release. Exits nonzero on any mismatch.
 //!
 //! Without `--addr`, the process self-hosts an `mrq-protocol` server over
-//! freshly generated TPC-H data (scale factor `MRQ_SF`, default 0.01) on an
-//! ephemeral loopback port, runs the workload against it, and shuts it down
-//! cleanly with a `Shutdown` frame.
+//! freshly generated TPC-H data (scale factor `MRQ_SF`, default 0.01; an
+//! invalid value exits with status 2) on an ephemeral loopback port, runs
+//! the workload against it, and shuts it down cleanly with a `Shutdown`
+//! frame.
 
 use mrq_client::{Client, ClientError, QueryResult};
 use mrq_common::fault::{self, FaultAction};
@@ -30,7 +31,7 @@ use mrq_core::{
 };
 use mrq_engine_native::RowStore;
 use mrq_protocol::Server;
-use mrq_tpch::gen::{GenConfig, TpchData};
+use mrq_tpch::gen::{scale_from_env, GenConfig, TpchData};
 use mrq_tpch::load::{schema_of, value_rows};
 use mrq_tpch::queries;
 use std::sync::Arc;
@@ -116,10 +117,10 @@ fn percentile(sorted_micros: &[u64], q: f64) -> u64 {
 
 fn main() {
     let args = parse_args();
-    let scale: f64 = std::env::var("MRQ_SF")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.01);
+    let scale = scale_from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
 
     if args.burst {
         if args.addr.is_some() {

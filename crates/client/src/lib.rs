@@ -24,10 +24,12 @@
 use mrq_common::{MrqError, Schema, Value};
 use mrq_core::{QueryOptions, Strategy};
 use mrq_expr::Expr;
-use mrq_protocol::{read_frame, write_frame, ProtocolError, Request, Response, VERSION};
+use mrq_protocol::{
+    read_frame, write_frame, ProtocolError, Request, Response, READ_BUFFER, VERSION,
+};
 use std::collections::HashMap;
 use std::fmt;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// Everything a client call can fail with.
@@ -122,7 +124,7 @@ enum Terminal {
 
 /// A connection to an MRQ server.
 pub struct Client {
-    reader: TcpStream,
+    reader: BufReader<TcpStream>,
     writer: TcpStream,
     next_id: u64,
     pending: HashMap<u64, Inbox>,
@@ -131,9 +133,9 @@ pub struct Client {
 impl Client {
     /// Connects and performs the protocol handshake.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
-        let reader = TcpStream::connect(addr)?;
-        reader.set_nodelay(true).ok();
-        let writer = reader.try_clone()?;
+        let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true).ok();
+        let reader = BufReader::with_capacity(READ_BUFFER, writer.try_clone()?);
         let mut client = Client {
             reader,
             writer,

@@ -236,12 +236,23 @@ impl MorselJob {
     }
 }
 
+/// The last step of a detached [`Task`]: makes its result visible, e.g.
+/// by completing the submitter's latch and waking it.
+pub type Publish = Box<dyn FnOnce() + Send + 'static>;
+
+/// A detached one-shot task (a submitted query): does its work on a pool
+/// worker and returns the [`Publish`] step. The worker counts as spare
+/// while it publishes, so a submitter that is woken by the result and
+/// submits again at once does not grow the pool (see
+/// [`WorkerPool::spawn_as`]).
+pub type Task = Box<dyn FnOnce() -> Publish + Send + 'static>;
+
 /// A unit of pool work in the shared FIFO.
 enum Ticket {
     /// Run one morsel of the job, then requeue if morsels remain.
     Morsel(Arc<MorselJob>),
-    /// Run a detached one-shot job (a submitted query).
-    Task(Box<dyn FnOnce() + Send + 'static>),
+    /// Run a detached one-shot task, then publish its result.
+    Task(Task),
 }
 
 /// Queue state behind the pool mutex.
@@ -250,6 +261,9 @@ struct Queue {
     tickets: ClassQueues<Ticket>,
     /// Workers spawned so far (monotonic until shutdown).
     workers: usize,
+    /// Workers that will look at the queue before running anything else:
+    /// parked on `work`, or publishing a finished task's result.
+    spare: usize,
     /// Set by `Drop`; workers drain the queue, then exit.
     shutdown: bool,
 }
@@ -258,8 +272,6 @@ struct Queue {
 struct Shared {
     queue: Mutex<Queue>,
     work: Condvar,
-    /// Detached task tickets accepted and not yet finished (drives growth).
-    detached: AtomicUsize,
     /// Hard ceiling on worker count.
     max_workers: usize,
 }
@@ -267,6 +279,19 @@ struct Shared {
 impl Shared {
     fn lock(&self) -> MutexGuard<'_, Queue> {
         self.queue.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Reserves worker slots up to `n` (clamped to the ceiling; none after
+    /// shutdown) and returns `(first, count)` for
+    /// [`WorkerPool::start_workers`].
+    fn reserve(&self, q: &mut Queue, n: usize) -> (usize, usize) {
+        let n = n.min(self.max_workers);
+        if q.shutdown || q.workers >= n {
+            return (0, 0);
+        }
+        let first = q.workers;
+        q.workers = n;
+        (first, n - first)
     }
 
     /// The long-lived worker body: pop front ticket, run it, repeat.
@@ -283,7 +308,9 @@ impl Shared {
                     if q.shutdown {
                         return;
                     }
+                    q.spare += 1;
                     q = self.work.wait(q).unwrap_or_else(|e| e.into_inner());
+                    q.spare -= 1;
                 }
             };
             match ticket {
@@ -291,8 +318,15 @@ impl Shared {
                     // A panicking task must not take the worker down; the
                     // submitter observes the failure through its own
                     // completion channel (see `Provider::submit`).
-                    let _ = catch_unwind(AssertUnwindSafe(task));
-                    self.detached.fetch_sub(1, Ordering::Relaxed);
+                    let Ok(publish) = catch_unwind(AssertUnwindSafe(task)) else {
+                        continue;
+                    };
+                    // Spare before the result is visible: the submitter it
+                    // wakes may submit again at once, and that ticket can
+                    // wait the few microseconds until this worker is back.
+                    self.lock().spare += 1;
+                    let _ = catch_unwind(AssertUnwindSafe(publish));
+                    self.lock().spare -= 1;
                 }
                 Ticket::Morsel(job) => {
                     let m = job.cursor.fetch_add(1, Ordering::Relaxed);
@@ -360,10 +394,10 @@ impl WorkerPool {
                 queue: Mutex::new(Queue {
                     tickets: ClassQueues::new(weights),
                     workers: 0,
+                    spare: 0,
                     shutdown: false,
                 }),
                 work: Condvar::new(),
-                detached: AtomicUsize::new(0),
                 max_workers: max_workers.max(1),
             }),
             handles: Mutex::new(Vec::new()),
@@ -381,19 +415,18 @@ impl WorkerPool {
     /// Grows the pool to at least `n` workers (clamped to the pool ceiling).
     /// Never shrinks; idle workers persist across queries by design.
     pub fn ensure_workers(&self, n: usize) {
-        let n = n.min(self.shared.max_workers);
-        // Reserve the new worker slots under the lock, but spawn outside it:
-        // thread creation is slow enough that holding the queue mutex across
-        // it would stall every worker pop and ticket push in the process.
-        let (first, count) = {
-            let mut q = self.shared.lock();
-            if q.shutdown || q.workers >= n {
-                return;
-            }
-            let first = q.workers;
-            q.workers = n;
-            (first, n - first)
-        };
+        let slots = self.shared.reserve(&mut self.shared.lock(), n);
+        self.start_workers(slots);
+    }
+
+    /// Starts the worker threads for slots reserved with
+    /// [`Shared::reserve`]. Thread creation happens outside the queue lock:
+    /// it is slow enough that holding the mutex across it would stall every
+    /// worker pop and ticket push in the process.
+    fn start_workers(&self, (first, count): (usize, usize)) {
+        if count == 0 {
+            return;
+        }
         let mut spawned = Vec::with_capacity(count);
         for i in 0..count {
             let shared = Arc::clone(&self.shared);
@@ -522,25 +555,34 @@ impl WorkerPool {
 
     /// Queues a detached one-shot task (a submitted query) under
     /// [`QosClass::Interactive`]. See [`WorkerPool::spawn_as`].
-    pub fn spawn(&self, task: Box<dyn FnOnce() + Send + 'static>) {
+    pub fn spawn(&self, task: Task) {
         self.spawn_as(QosClass::Interactive, task);
     }
 
     /// Queues a detached one-shot task (a submitted query) under the given
-    /// class. The pool grows towards one worker per task in flight (up to
-    /// its ceiling), so concurrent clients get concurrent workers; beyond
-    /// the ceiling, tasks queue and run as workers free up — Batch-class
-    /// tasks behind Interactive ones per the class weights. Panics inside
-    /// the task are caught and dropped — submitters report failures through
-    /// their own channel.
-    pub fn spawn_as(&self, class: QosClass, task: Box<dyn FnOnce() + Send + 'static>) {
-        let in_flight = self.shared.detached.fetch_add(1, Ordering::Relaxed) + 1;
-        self.ensure_workers(in_flight);
-        {
+    /// class. The pool grows by one worker (up to its ceiling) when the
+    /// queue holds more tickets than there are spare workers to take them,
+    /// so concurrent clients get concurrent workers; beyond the ceiling,
+    /// tasks queue and run as workers free up — Batch-class tasks behind
+    /// Interactive ones per the class weights. A worker counts as spare
+    /// while it publishes a finished task's result, so a client that
+    /// submits again the moment its answer arrives reuses that worker
+    /// instead of adding one (and, with it, another malloc arena). Panics
+    /// inside the task are caught and dropped — submitters report failures
+    /// through their own channel.
+    pub fn spawn_as(&self, class: QosClass, task: Task) {
+        let slots = {
             let mut q = self.shared.lock();
             q.tickets.push_back(class, Ticket::Task(task));
-        }
+            if q.tickets.len() > q.spare {
+                let n = q.workers + 1;
+                self.shared.reserve(&mut q, n)
+            } else {
+                (0, 0)
+            }
+        };
         self.shared.work.notify_one();
+        self.start_workers(slots);
     }
 }
 
@@ -575,6 +617,7 @@ fn default_max_workers() -> usize {
 mod tests {
     use super::*;
     use crate::cancel::CancelToken;
+    use std::sync::mpsc;
 
     #[test]
     fn run_morsels_runs_every_index_exactly_once() {
@@ -656,25 +699,107 @@ mod tests {
         );
     }
 
+    const WAIT: std::time::Duration = std::time::Duration::from_secs(10);
+
+    /// A task that does `work` and publishes nothing.
+    fn task(work: impl FnOnce() + Send + 'static) -> Task {
+        Box::new(move || -> Publish {
+            work();
+            Box::new(|| {})
+        })
+    }
+
+    /// Spawns `n` detached tasks that each report `arrived`, block until
+    /// their own release message, then report `done`. Returns the release
+    /// senders and the arrival and completion receivers.
+    fn spawn_gated(
+        pool: &WorkerPool,
+        n: usize,
+    ) -> (
+        Vec<mpsc::Sender<()>>,
+        mpsc::Receiver<usize>,
+        mpsc::Receiver<usize>,
+    ) {
+        let (arrived_tx, arrived) = mpsc::channel();
+        let (done_tx, done) = mpsc::channel();
+        let releases = (0..n)
+            .map(|i| {
+                let (release, gate) = mpsc::channel::<()>();
+                let (arrived_tx, done_tx) = (arrived_tx.clone(), done_tx.clone());
+                pool.spawn(task(move || {
+                    arrived_tx.send(i).unwrap();
+                    gate.recv_timeout(WAIT).expect("released");
+                    done_tx.send(i).unwrap();
+                }));
+                release
+            })
+            .collect();
+        (releases, arrived, done)
+    }
+
     #[test]
     fn detached_tasks_run_and_growth_follows_in_flight_count() {
+        // Three tasks that block until released can only all arrive if
+        // they run at once, on three workers; none finishes before the
+        // last is spawned, so the pool grows to exactly three.
         let pool = WorkerPool::with_max(8, QosWeights::default());
-        let done = Arc::new(AtomicUsize::new(0));
-        for _ in 0..5 {
-            let done = Arc::clone(&done);
-            pool.spawn(Box::new(move || {
-                done.fetch_add(1, Ordering::Relaxed);
-            }));
+        let (releases, arrived, done) = spawn_gated(&pool, 3);
+        for _ in 0..3 {
+            arrived.recv_timeout(WAIT).expect("every task runs at once");
         }
-        // Spin briefly; tasks are tiny.
-        for _ in 0..1000 {
-            if done.load(Ordering::Relaxed) == 5 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
+        for release in &releases {
+            release.send(()).unwrap();
         }
-        assert_eq!(done.load(Ordering::Relaxed), 5);
-        assert!(pool.worker_count() >= 1);
+        for _ in 0..3 {
+            done.recv_timeout(WAIT).expect("every task finishes");
+        }
+        assert_eq!(pool.worker_count(), 3);
+    }
+
+    #[test]
+    fn detached_tasks_queue_behind_the_worker_ceiling() {
+        // Five tasks in flight on a pool capped at two: two run, three
+        // wait in the queue, and all five finish once released.
+        let pool = WorkerPool::with_max(2, QosWeights::default());
+        let (releases, arrived, done) = spawn_gated(&pool, 5);
+        assert_eq!(pool.worker_count(), 2);
+        for release in &releases {
+            release.send(()).unwrap();
+        }
+        let mut finished: Vec<usize> = (0..5)
+            .map(|_| done.recv_timeout(WAIT).expect("every task finishes"))
+            .collect();
+        finished.sort_unstable();
+        assert_eq!(finished, vec![0, 1, 2, 3, 4]);
+        assert_eq!(arrived.try_iter().count(), 5);
+        assert_eq!(pool.worker_count(), 2);
+    }
+
+    /// Submits the next link of a chain from the publish step, the way a
+    /// client woken by its answer submits its next query.
+    fn chain(pool: &Arc<WorkerPool>, left: usize, done: mpsc::Sender<usize>) -> Task {
+        let pool = Arc::clone(pool);
+        Box::new(move || -> Publish {
+            Box::new(move || {
+                if left == 0 {
+                    let workers = pool.worker_count();
+                    drop(pool);
+                    done.send(workers).unwrap();
+                } else {
+                    pool.spawn(chain(&pool, left - 1, done));
+                }
+            })
+        })
+    }
+
+    #[test]
+    fn tasks_submitted_from_a_publish_step_reuse_the_publishing_worker() {
+        // The publishing worker counts as spare, so 20 back-to-back tasks,
+        // each submitted as its predecessor publishes, run on one worker.
+        let pool = Arc::new(WorkerPool::with_max(8, QosWeights::default()));
+        let (done_tx, done) = mpsc::channel();
+        pool.spawn(chain(&pool, 20, done_tx));
+        assert_eq!(done.recv_timeout(WAIT).expect("the chain finishes"), 1);
     }
 
     #[test]
@@ -683,7 +808,7 @@ mod tests {
         let pool = WorkerPool::new(1);
         for _ in 0..20 {
             let done = Arc::clone(&done);
-            pool.spawn(Box::new(move || {
+            pool.spawn(task(move || {
                 std::thread::sleep(std::time::Duration::from_millis(1));
                 done.fetch_add(1, Ordering::Relaxed);
             }));
@@ -762,7 +887,7 @@ mod tests {
         // grants (one grant plus the lower classes' remaining credit, 2+1),
         // at every phase of the lower-class credit cycle. Pure queue
         // arithmetic — deterministic, no threads, no sleeps.
-        let noop_ticket = || Ticket::Task(Box::new(|| {}));
+        let noop_ticket = || Ticket::Task(task(|| {}));
         for phase in 0..8 {
             let mut queues: ClassQueues<Ticket> = ClassQueues::new(QosWeights::default());
             for _ in 0..64 {
@@ -776,12 +901,12 @@ mod tests {
             let flag = Arc::clone(&marker);
             queues.push_back(
                 QosClass::Interactive,
-                Ticket::Task(Box::new(move || flag.store(true, Ordering::Relaxed))),
+                Ticket::Task(task(move || flag.store(true, Ordering::Relaxed))),
             );
             let mut granted_at = None;
             for grant in 1..=5 {
                 if let Some(Ticket::Task(task)) = queues.pop_front() {
-                    task();
+                    task()();
                 }
                 if marker.load(Ordering::Relaxed) {
                     granted_at = Some(grant);
@@ -804,7 +929,7 @@ mod tests {
         let order: Arc<StdMutex<Vec<QosClass>>> = Arc::new(StdMutex::new(Vec::new()));
         let ticket = |class: QosClass| {
             let order = Arc::clone(&order);
-            Ticket::Task(Box::new(move || order.lock().unwrap().push(class)))
+            Ticket::Task(task(move || order.lock().unwrap().push(class)))
         };
         let mut queues: ClassQueues<Ticket> = ClassQueues::new(QosWeights::default());
         for _ in 0..32 {
@@ -814,7 +939,7 @@ mod tests {
         }
         let grant = |queues: &mut ClassQueues<Ticket>| {
             if let Some(Ticket::Task(task)) = queues.pop_front() {
-                task();
+                task()();
             }
         };
         // One default round: 8 I, 2 B, 1 M.
@@ -865,7 +990,7 @@ mod tests {
             let ran = Arc::clone(&ran);
             pool.spawn_as(
                 class,
-                Box::new(move || {
+                task(move || {
                     ran.fetch_add(1, Ordering::Relaxed);
                 }),
             );

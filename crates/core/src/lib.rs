@@ -65,7 +65,7 @@ use mrq_codegen::spec::{lower, Catalog, QuerySpec};
 use mrq_common::cancel::{CancelReason, CancelToken};
 use mrq_common::context::{self, QueryContext};
 use mrq_common::plancache::ShardedLru;
-use mrq_common::pool::WorkerPool;
+use mrq_common::pool::{Publish, WorkerPool};
 use mrq_common::stream::{StreamReceiver, StreamSink};
 use mrq_common::{fault, panic_message, AdmissionGate};
 use mrq_common::{MrqError, Result, Schema, Value, WorkStats};
@@ -1088,7 +1088,7 @@ impl<'a> Provider<'a> {
             // visible too: once `join` or `is_finished` returns, the pool
             // holds no reference to the provider or its bound data.
             drop(provider);
-            completion.complete(result);
+            Box::new(move || completion.complete(result)) as Publish
         });
         WorkerPool::global().spawn_as(options.class, task);
         (state, token, receiver)

@@ -15,7 +15,7 @@ use mrq_common::{MrqError, Schema, Value};
 use mrq_core::{QueryOptions, Strategy};
 use mrq_expr::Expr;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Protocol magic exchanged in the handshake: both sides must speak MRQ.
 pub const MAGIC: &str = "MRQ1";
@@ -27,6 +27,11 @@ pub const VERSION: u32 = 1;
 /// Hard ceiling on a single frame's payload (32 MiB). A length prefix past
 /// this is treated as garbage before any allocation happens.
 pub const MAX_FRAME: usize = 32 * 1024 * 1024;
+
+/// Capacity of the `BufReader` each end puts under [`read_frame`]: a frame
+/// of up to this size arrives in one `read` call, length prefix and payload
+/// together.
+pub const READ_BUFFER: usize = 64 * 1024;
 
 /// Everything that can go wrong between bytes and frames. Malformed input
 /// always lands here — never in a panic — because the server feeds this
@@ -385,11 +390,26 @@ impl Response {
 
 /// Writes one length-prefixed frame to `w`. The payload should come from
 /// [`Request::encode`] / [`Response::encode`].
+///
+/// The length prefix and the payload go out in one vectored write, so a
+/// frame is one `writev` on a socket and nothing is copied. Two writes
+/// would put a 4-byte runt on the wire ahead of the payload; without
+/// `TCP_NODELAY`, Nagle's algorithm then holds the payload until the peer's
+/// delayed ACK for the runt (~40 ms). Short writes are resumed where they
+/// stopped, so any [`Write`] receives exactly `prefix ++ payload`.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     debug_assert!(payload.len() <= MAX_FRAME);
     let len = (payload.len() as u32).to_le_bytes();
-    w.write_all(&len)?;
-    w.write_all(payload)?;
+    let mut slices = [IoSlice::new(&len), IoSlice::new(payload)];
+    let mut pending = &mut slices[..];
+    while !pending.is_empty() {
+        match w.write_vectored(pending) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut pending, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -444,6 +464,70 @@ mod tests {
         let payload = read_frame(&mut cursor).unwrap().unwrap();
         assert_eq!(Request::decode(&payload).unwrap(), req);
         assert!(read_frame(&mut cursor).unwrap().is_none());
+    }
+
+    /// A writer that records the size of every `write` / `write_vectored`
+    /// call and accepts at most `limit` bytes per call.
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        calls: Vec<usize>,
+        limit: usize,
+    }
+
+    impl CountingWriter {
+        fn accepting(limit: usize) -> CountingWriter {
+            CountingWriter {
+                bytes: Vec::new(),
+                calls: Vec::new(),
+                limit,
+            }
+        }
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let mut taken = 0;
+            for buf in bufs {
+                let n = buf.len().min(self.limit - taken);
+                self.bytes.extend_from_slice(&buf[..n]);
+                taken += n;
+            }
+            self.calls.push(taken);
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = (payload.len() as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    #[test]
+    fn one_frame_is_one_write_call() {
+        let payload = Request::hello().encode();
+        let mut w = CountingWriter::accepting(usize::MAX);
+        write_frame(&mut w, &payload).unwrap();
+        assert_eq!(w.calls, vec![4 + payload.len()]);
+        assert_eq!(w.bytes, framed(&payload));
+    }
+
+    #[test]
+    fn short_writes_resume_where_they_stopped() {
+        for payload in [Vec::new(), vec![7], (0u8..=200).collect::<Vec<u8>>()] {
+            let mut w = CountingWriter::accepting(3);
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.bytes, framed(&payload), "{} payload bytes", payload.len());
+            assert!(w.calls.iter().all(|&n| (1..=3).contains(&n)));
+        }
     }
 
     #[test]

@@ -33,6 +33,7 @@ pub mod server;
 pub mod wire;
 
 pub use frame::{
-    read_frame, write_frame, ProtocolError, Request, Response, MAGIC, MAX_FRAME, VERSION,
+    read_frame, write_frame, ProtocolError, Request, Response, MAGIC, MAX_FRAME, READ_BUFFER,
+    VERSION,
 };
 pub use server::Server;

@@ -16,6 +16,14 @@
 //! `Prepared` replies (written by the reader) interleave safely with result
 //! frames (written by the driver).
 //!
+//! # Transport
+//!
+//! Every accepted socket gets `TCP_NODELAY`, every frame leaves in one
+//! vectored write ([`write_frame`]), and the reader thread reads through a
+//! [`READ_BUFFER`]-sized `BufReader`, so a small request is one `read`
+//! call. Without the first two, a reply's payload waits behind its 4-byte
+//! length prefix for the client's delayed ACK (~40 ms per round trip).
+//!
 //! # Cancellation and backpressure
 //!
 //! Result frames are written with blocking socket writes from the driver —
@@ -25,13 +33,13 @@
 //! query's cancel token: disconnecting mid-stream cancels the work, which
 //! `tests/tests/chaos.rs` pins by watching the work counters stop.
 
-use crate::frame::{read_frame, write_frame, Request, Response, MAGIC, VERSION};
+use crate::frame::{read_frame, write_frame, Request, Response, MAGIC, READ_BUFFER, VERSION};
 use mrq_common::executor::{Multiplexer, MuxHandle};
 use mrq_common::MrqError;
 use mrq_core::{OwnedProvider, PreparedQuery, QueryHandle, QueryStream};
 use std::collections::HashMap;
 use std::future::Future;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -145,6 +153,10 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Replies are written whole (one `write_frame` each), so there is
+        // nothing for Nagle's algorithm to coalesce: it would only hold a
+        // reply until the client's delayed ACK (~40 ms).
+        let _ = stream.set_nodelay(true);
         if let Ok(clone) = stream.try_clone() {
             shared.sockets.lock().unwrap().insert(id, clone);
         }
@@ -216,7 +228,7 @@ fn read_requests(
     shared: &Arc<ServerShared>,
 ) {
     let mut read_half = match stream.try_clone() {
-        Ok(s) => s,
+        Ok(s) => BufReader::with_capacity(READ_BUFFER, s),
         Err(_) => return,
     };
     // Handshake: the first frame must be a matching Hello.

@@ -275,6 +275,30 @@ impl GenConfig {
     }
 }
 
+/// The scale factor named by the `MRQ_SF` environment variable, or the
+/// default `0.01` when it is unset. A value that does not parse as a
+/// positive, finite number is an error naming the value, never a silent
+/// fallback: a typo such as `0.0o2` must not quietly run another size.
+pub fn scale_from_env() -> Result<f64, String> {
+    match std::env::var("MRQ_SF") {
+        Ok(raw) => parse_scale(&raw),
+        Err(std::env::VarError::NotPresent) => Ok(GenConfig::default().scale_factor),
+        Err(std::env::VarError::NotUnicode(raw)) => {
+            Err(format!("MRQ_SF={raw:?} is not valid UTF-8"))
+        }
+    }
+}
+
+/// The parse half of [`scale_from_env`].
+fn parse_scale(raw: &str) -> Result<f64, String> {
+    match raw.parse::<f64>() {
+        Ok(scale) if scale.is_finite() && scale > 0.0 => Ok(scale),
+        _ => Err(format!(
+            "MRQ_SF={raw:?} is not a positive, finite scale factor"
+        )),
+    }
+}
+
 /// A fully generated dataset.
 #[derive(Debug, Clone, Default)]
 pub struct TpchData {
@@ -562,6 +586,16 @@ mod tests {
             scale_factor: 0.001,
             seed: 42,
         })
+    }
+
+    #[test]
+    fn scale_parses_positive_finite_values_and_names_the_rest() {
+        assert_eq!(parse_scale("0.002"), Ok(0.002));
+        assert_eq!(parse_scale("1"), Ok(1.0));
+        for bad in ["0.0o2", "", " 0.01", "0", "-0.5", "NaN", "inf"] {
+            let err = parse_scale(bad).expect_err(bad);
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
     }
 
     #[test]

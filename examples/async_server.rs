@@ -51,7 +51,7 @@ use mrq_core::{
 use mrq_engine_native::RowStore;
 use mrq_expr::optimize::{optimize, OptimizerConfig};
 use mrq_expr::Expr;
-use mrq_tpch::gen::{GenConfig, TpchData};
+use mrq_tpch::gen::{scale_from_env, GenConfig, TpchData};
 use mrq_tpch::load::{schema_of, value_rows};
 use mrq_tpch::queries;
 use std::sync::Arc;
@@ -69,10 +69,10 @@ fn bindings_for(stmt: Expr) -> Vec<Value> {
 // ---------------------------------------------------------------------------
 
 fn main() {
-    let scale: f64 = std::env::var("MRQ_SF")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.01);
+    let scale = scale_from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     let clients: usize = std::env::var("MRQ_CLIENTS")
         .ok()
         .and_then(|v| v.parse().ok())

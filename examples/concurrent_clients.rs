@@ -17,7 +17,7 @@
 
 use mrq_core::{ParallelConfig, Provider, QueryOptions, Strategy};
 use mrq_engine_native::RowStore;
-use mrq_tpch::gen::{GenConfig, TpchData};
+use mrq_tpch::gen::{scale_from_env, GenConfig, TpchData};
 use mrq_tpch::load::{schema_of, value_rows};
 use mrq_tpch::queries;
 use std::sync::Arc;
@@ -31,10 +31,10 @@ fn env_or(name: &str, default: usize) -> usize {
 }
 
 fn main() {
-    let scale = std::env::var("MRQ_SF")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.01);
+    let scale = scale_from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     let clients = env_or("MRQ_CLIENTS", 8);
     let per_client = env_or("MRQ_QUERIES", 20);
 

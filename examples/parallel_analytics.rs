@@ -11,7 +11,7 @@
 use mrq_core::{ParallelConfig, Provider, Strategy};
 use mrq_engine_native::{execute_parallel, HashIndex, RowStore};
 use mrq_expr::SourceId;
-use mrq_tpch::gen::{GenConfig, TpchData};
+use mrq_tpch::gen::{scale_from_env, GenConfig, TpchData};
 use mrq_tpch::load::{schema_of, value_rows};
 use mrq_tpch::queries;
 use std::collections::HashMap;
@@ -19,10 +19,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
-    let scale = std::env::var("MRQ_SF")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.01);
+    let scale = scale_from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     println!("generating TPC-H data at scale factor {scale} ...");
     let data = TpchData::generate(GenConfig::scale(scale));
 

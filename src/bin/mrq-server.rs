@@ -8,7 +8,8 @@
 //!
 //! * `MRQ_ADDR` — listen address, default `127.0.0.1:7878`; use port `0`
 //!   for an ephemeral port (printed on stdout).
-//! * `MRQ_SF` — TPC-H scale factor, default `0.01`.
+//! * `MRQ_SF` — TPC-H scale factor, default `0.01`; a value that is not a
+//!   positive number exits with status 2.
 //! * `MRQ_THREADS` — per-query worker count (`ParallelConfig::from_env`).
 //! * `MRQ_MAX_IN_FLIGHT` / `MRQ_MAX_QUEUE_DEPTH` — admission gate
 //!   (`AdmissionConfig::from_env`; unbounded if unset).
@@ -19,17 +20,17 @@
 use mrq_core::{AdmissionConfig, OwnedProvider, ParallelConfig, Provider};
 use mrq_engine_native::RowStore;
 use mrq_protocol::Server;
-use mrq_tpch::gen::{GenConfig, TpchData};
+use mrq_tpch::gen::{scale_from_env, GenConfig, TpchData};
 use mrq_tpch::load::{schema_of, value_rows};
 use mrq_tpch::queries;
 use std::sync::Arc;
 
 fn main() {
     let addr = std::env::var("MRQ_ADDR").unwrap_or_else(|_| "127.0.0.1:7878".to_string());
-    let scale: f64 = std::env::var("MRQ_SF")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.01);
+    let scale = scale_from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
 
     eprintln!("generating TPC-H data at scale factor {scale} ...");
     let data = TpchData::generate(GenConfig::scale(scale));

@@ -12,7 +12,7 @@
 
 use mrq_bench::Workbench;
 use mrq_codegen::exec::QueryOutput;
-use mrq_common::pool::WorkerPool;
+use mrq_common::pool::{Publish, WorkerPool};
 use mrq_common::ParallelConfig;
 use mrq_core::{Provider, QueryOptions, Strategy};
 use mrq_engine_hybrid::HybridConfig;
@@ -186,9 +186,10 @@ fn pool_drop_drains_accepted_work_then_joins_workers() {
     let pool = WorkerPool::new(2);
     for _ in 0..16 {
         let completed = Arc::clone(&completed);
-        pool.spawn(Box::new(move || {
+        pool.spawn(Box::new(move || -> Publish {
             std::thread::sleep(std::time::Duration::from_millis(2));
             completed.fetch_add(1, Ordering::SeqCst);
+            Box::new(|| {})
         }));
     }
     drop(pool);

@@ -478,3 +478,55 @@ fn protocol_violation_gets_an_error_frame_then_eof() {
         other => panic!("expected EOF within 1 s after the error frame, got {other:?}"),
     }
 }
+
+/// Median of `samples`, in milliseconds.
+fn median_ms(mut samples: Vec<Duration>) -> f64 {
+    samples.sort_unstable();
+    samples[samples.len() / 2].as_secs_f64() * 1e3
+}
+
+/// A reply written as a 4-byte length prefix and a separate payload, with
+/// Nagle's algorithm on, waits for the client's delayed ACK: ~40 ms per
+/// round trip. One write per frame and `TCP_NODELAY` on the server socket
+/// bring a small query's round trip down to its execution time.
+#[test]
+fn small_unary_round_trips_do_not_wait_for_a_delayed_ack() {
+    let provider = native_provider(parallel(1));
+    let (_server, mut client) = serve(&provider);
+    let strategy = Strategy::CompiledNativeParallel(parallel(1));
+    let q6 = queries::q6();
+    let first = client
+        .query(q6.clone(), strategy, QueryOptions::new())
+        .expect("warm-up query");
+    assert!(first.rows.len() <= 100, "{} rows", first.rows.len());
+    let samples = (0..50)
+        .map(|_| {
+            let start = Instant::now();
+            let got = client
+                .query(q6.clone(), strategy, QueryOptions::new())
+                .expect("wire query");
+            assert_eq!(got, first);
+            start.elapsed()
+        })
+        .collect();
+    let median = median_ms(samples);
+    assert!(median < 20.0, "median unary round trip {median:.1} ms");
+}
+
+/// The same stall hit every `Prepared` reply, which the server's reader
+/// thread writes; PREPARE itself takes microseconds.
+#[test]
+fn prepare_round_trips_do_not_wait_for_a_delayed_ack() {
+    let provider = native_provider(parallel(1));
+    let (_server, mut client) = serve(&provider);
+    let strategy = Strategy::CompiledNativeParallel(parallel(1));
+    let samples = (0..10)
+        .map(|_| {
+            let start = Instant::now();
+            client.prepare(queries::q6(), strategy).expect("prepare");
+            start.elapsed()
+        })
+        .collect();
+    let median = median_ms(samples);
+    assert!(median < 20.0, "median prepare round trip {median:.1} ms");
+}
