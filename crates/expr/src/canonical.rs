@@ -53,6 +53,14 @@ pub fn fold_constants(expr: Expr) -> Expr {
 /// Evaluates a binary operator over two constants, if defined.
 pub fn eval_binary(op: BinaryOp, left: &Value, right: &Value) -> Option<Value> {
     use BinaryOp::*;
+    // An integer meeting a decimal is promoted to a decimal, the typing the
+    // lowering (`promote`) and the compiled executor apply.
+    if let (Value::Decimal(_), Value::Int32(_) | Value::Int64(_))
+    | (Value::Int32(_) | Value::Int64(_), Value::Decimal(_)) = (left, right)
+    {
+        let (l, r) = (left.as_decimal()?, right.as_decimal()?);
+        return eval_binary(op, &Value::Decimal(l), &Value::Decimal(r));
+    }
     if op.is_comparison() {
         // Comparable only when the dynamic types are compatible.
         if !comparable(left, right) {
@@ -260,6 +268,29 @@ mod tests {
         assert_eq!(
             eval_binary(BinaryOp::Div, &Value::Int64(1), &Value::Int64(0)),
             None
+        );
+    }
+
+    #[test]
+    fn mixed_integer_and_decimal_operands_promote_to_decimal() {
+        let two = Value::Int32(2);
+        let price = Value::Decimal(Decimal::new(1, 25));
+        assert_eq!(
+            eval_binary(BinaryOp::Mul, &two, &price),
+            Some(Value::Decimal(Decimal::new(2, 50)))
+        );
+        assert_eq!(
+            eval_binary(BinaryOp::Sub, &price, &Value::Int64(1)),
+            Some(Value::Decimal(Decimal::new(0, 25)))
+        );
+        // Comparisons are numeric, not by type rank.
+        assert_eq!(
+            eval_binary(BinaryOp::Gt, &price, &Value::Int64(1)),
+            Some(Value::Bool(true))
+        );
+        assert_eq!(
+            eval_binary(BinaryOp::Lt, &Value::Int64(2), &price),
+            Some(Value::Bool(false))
         );
     }
 
