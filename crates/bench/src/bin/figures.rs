@@ -252,6 +252,20 @@ fn main() {
                         improved.as_secs_f64() * 1e3
                     );
                 }
+                println!("== hand-fused ceilings (native engine vs one loop per query) ==");
+                let ceilings = fused_ceilings(&bench).unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    std::process::exit(1);
+                });
+                for c in ceilings {
+                    println!(
+                        "  {:<4} engine {:>9.3} ms   hand-fused {:>9.3} ms   ratio {:>5.2}",
+                        c.query,
+                        c.engine.as_secs_f64() * 1e3,
+                        c.fused.as_secs_f64() * 1e3,
+                        c.ratio()
+                    );
+                }
                 println!();
             }
             other => unreachable!("series `{other}` was checked before loading"),

@@ -966,6 +966,180 @@ pub fn micro_claims(bench: &Workbench) -> Vec<(String, Duration, Duration)> {
     out
 }
 
+/// A hand-fused reference loop next to the engine run it bounds (ROADMAP
+/// item 6a): the time `mrq_engine_native::execute` takes for a query, and
+/// the time a loop written by hand for that one query takes over the same
+/// [`RowStore`] through the same `TableAccess` getters, with the same
+/// checked [`Decimal`](mrq_common::Decimal) arithmetic. The ratio is what
+/// is left of the executor's per-row overhead.
+#[derive(Debug, Clone)]
+pub struct Ceiling {
+    /// The query.
+    pub query: &'static str,
+    /// Best of several `mrq_engine_native::execute` runs.
+    pub engine: Duration,
+    /// Best of as many runs of the hand-fused loop.
+    pub fused: Duration,
+}
+
+impl Ceiling {
+    /// Engine time over hand-fused time.
+    pub fn ratio(&self) -> f64 {
+        self.engine.as_secs_f64() / self.fused.as_secs_f64()
+    }
+}
+
+/// Times `query` through `mrq_engine_native::execute` and through its
+/// hand-fused loop `fused`, alternating the two `reps` times so host noise
+/// hits both alike, and keeps each side's fastest run. The loop's rows must
+/// equal the engine's.
+fn ceiling(
+    bench: &Workbench,
+    query: &'static str,
+    expr: Expr,
+    fused: impl Fn() -> Vec<Vec<mrq_common::Value>>,
+) -> Result<Ceiling, String> {
+    const REPS: usize = 15;
+    let (canon, spec) = bench.lower(expr);
+    let tables = bench.row_stores(&spec);
+    let (mut engine, mut fused_best) = (Duration::MAX, Duration::MAX);
+    for _ in 0..REPS {
+        let start = Instant::now();
+        let out = mrq_engine_native::execute(&spec, &canon.params, &tables).expect("native run");
+        engine = engine.min(start.elapsed());
+        let start = Instant::now();
+        let rows = fused();
+        fused_best = fused_best.min(start.elapsed());
+        if rows != out.rows {
+            return Err(format!(
+                "{query}: the hand-fused loop disagrees with the engine\n  fused:  {rows:?}\n  engine: {:?}",
+                out.rows
+            ));
+        }
+    }
+    Ok(Ceiling {
+        query,
+        engine,
+        fused: fused_best,
+    })
+}
+
+/// Times TPC-H Q1 and Q6 through `mrq_engine_native::execute` and through
+/// hand-fused loops, and checks that each loop's rows equal the engine's.
+/// A mismatch is an error naming the query and both row sets.
+pub fn fused_ceilings(bench: &Workbench) -> Result<Vec<Ceiling>, String> {
+    use mrq_codegen::exec::TableAccess;
+    use mrq_common::{Date, Decimal, Value};
+    let store = &*bench.stores["lineitem"];
+    let schema = schema_of("lineitem");
+    let at = |name: &str| schema.index_of(name).expect("lineitem column");
+    let (quantity, price, discount, tax) = (
+        at("l_quantity"),
+        at("l_extendedprice"),
+        at("l_discount"),
+        at("l_tax"),
+    );
+    let (flag, status, shipdate) = (at("l_returnflag"), at("l_linestatus"), at("l_shipdate"));
+
+    // Q1: filter on the ship date, group by (return flag, line status), and
+    // eight aggregates in one pass. Four groups, found by a linear scan.
+    let cutoff = Date::from_ymd(1998, 12, 1).add_days(-90);
+    let q1 = ceiling(bench, "Q1", queries::q1(), || {
+        #[derive(Default)]
+        struct Group {
+            key: (String, String),
+            sum_qty: Decimal,
+            sum_price: Decimal,
+            sum_disc_price: Decimal,
+            sum_charge: Decimal,
+            sum_disc: Decimal,
+            count: i64,
+        }
+        let mut groups: Vec<Group> = Vec::new();
+        for r in 0..store.len() {
+            if store.get_date(r, shipdate) > cutoff {
+                continue;
+            }
+            let (f, s) = (store.get_str(r, flag), store.get_str(r, status));
+            let g = match groups.iter().position(|g| g.key.0 == f && g.key.1 == s) {
+                Some(g) => g,
+                None => {
+                    groups.push(Group {
+                        key: (f.to_string(), s.to_string()),
+                        ..Group::default()
+                    });
+                    groups.len() - 1
+                }
+            };
+            let g = &mut groups[g];
+            let (qty, ext, disc) = (
+                store.get_decimal(r, quantity),
+                store.get_decimal(r, price),
+                store.get_decimal(r, discount),
+            );
+            let disc_price = ext * (Decimal::ONE - disc);
+            g.sum_qty += qty;
+            g.sum_price += ext;
+            g.sum_disc_price += disc_price;
+            g.sum_charge += disc_price * (Decimal::ONE + store.get_decimal(r, tax));
+            g.sum_disc += disc;
+            g.count += 1;
+        }
+        groups.sort_by(|a, b| a.key.cmp(&b.key));
+        groups
+            .into_iter()
+            .map(|g| {
+                let n = g.count as f64;
+                vec![
+                    Value::str(&g.key.0),
+                    Value::str(&g.key.1),
+                    Value::Decimal(g.sum_qty),
+                    Value::Decimal(g.sum_price),
+                    Value::Decimal(g.sum_disc_price),
+                    Value::Decimal(g.sum_charge),
+                    Value::Float64(g.sum_qty.to_f64() / n),
+                    Value::Float64(g.sum_price.to_f64() / n),
+                    Value::Float64(g.sum_disc.to_f64() / n),
+                    Value::Int64(g.count),
+                ]
+            })
+            .collect::<Vec<_>>()
+    })?;
+
+    // Q6: a conjunctive range filter and one sum.
+    let (from, to) = (
+        Date::from_ymd(1994, 1, 1),
+        Date::from_ymd(1994, 1, 1).add_days(365),
+    );
+    let (low, high, max_qty) = (
+        Decimal::from_raw(5),
+        Decimal::from_raw(7),
+        Decimal::from_int(24),
+    );
+    let q6 = ceiling(bench, "Q6", queries::q6(), || {
+        let mut revenue = Decimal::ZERO;
+        let mut any = false;
+        for r in 0..store.len() {
+            let date = store.get_date(r, shipdate);
+            if date < from || date >= to {
+                continue;
+            }
+            let disc = store.get_decimal(r, discount);
+            if disc < low || disc > high || store.get_decimal(r, quantity) >= max_qty {
+                continue;
+            }
+            revenue += store.get_decimal(r, price) * disc;
+            any = true;
+        }
+        if any {
+            vec![vec![Value::Decimal(revenue)]]
+        } else {
+            Vec::new()
+        }
+    })?;
+    Ok(vec![q1, q6])
+}
+
 /// Compile-cost report (§7.4) for the three TPC-H queries, per
 /// [`mrq_core::Provider::compile_cost`]: generation is the measured
 /// lowering + emission time *plus* the modelled

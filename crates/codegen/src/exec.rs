@@ -9,18 +9,36 @@
 //! buffers — which is precisely the relationship between the paper's
 //! generated C# (§4) and C (§5) code.
 //!
+//! **Compiled once per execution.** The constructors compile the spec into
+//! a program of closures monomorphic over `T` (see the `program` module):
+//! typed filter predicates with constants and parameters folded in, one
+//! typed accumulator per aggregate with its input built in, and group and
+//! join key encoders that pack strings of up to 7 bytes into the key part
+//! and intern only longer ones. The fused loops call those closures and
+//! never look at an expression node, a column type or a parameter. The
+//! program sits behind an [`Arc`], so the per-morsel forks of a parallel
+//! run share it with the join tables. Compiling type-checks the spec: an
+//! ill-typed expression (arithmetic as a predicate, a string compared with
+//! a decimal, a string in arithmetic, a key of more than six parts) is an
+//! [`MrqError::Codegen`] from the constructor rather than a panic per row.
+//!
+//! Each closure makes exactly the [`TableAccess`] calls a walk of its
+//! expression tree would, in the same order and with the same `&&`/`||`
+//! short-circuiting, so results, [`WorkStats`] and traced cache behaviour
+//! do not depend on how the expressions are evaluated.
+//!
 //! The consume step can be called repeatedly with successive chunks of the
 //! probe side, which is what the hybrid engine's buffered staging (§6.1.2)
 //! uses.
 
-use crate::spec::{AggSpec, OutputExpr, QuerySpec, ScalarExpr, SortKeySpec, StrOp};
+use crate::program::{key_part_of_value, AggState, Bound, Emit, KeyBuf, Program, StringInterner};
+use crate::spec::{OutputExpr, QuerySpec, SortKeySpec};
 use mrq_common::hash::{hash_u64, hash_u64_pair, FxHashMap};
 use mrq_common::{
-    morsel, DataType, Date, Decimal, MrqError, ParallelConfig, Result, Schema, StreamSink, Value,
-    WorkStats,
+    morsel, Date, Decimal, MrqError, ParallelConfig, Result, Schema, StreamSink, Value, WorkStats,
 };
-use mrq_expr::{AggFunc, BinaryOp, UnaryOp};
 use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -178,70 +196,6 @@ impl QueryOutput {
 }
 
 // ---------------------------------------------------------------------------
-// Key encoding
-// ---------------------------------------------------------------------------
-
-const MAX_KEY_PARTS: usize = 6;
-
-/// A fixed-capacity composite key of encoded 64-bit parts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct KeyBuf {
-    parts: [u64; MAX_KEY_PARTS],
-    len: u8,
-}
-
-impl KeyBuf {
-    fn new() -> Self {
-        KeyBuf {
-            parts: [0; MAX_KEY_PARTS],
-            len: 0,
-        }
-    }
-    fn push(&mut self, part: u64) {
-        assert!(
-            (self.len as usize) < MAX_KEY_PARTS,
-            "composite keys support at most {MAX_KEY_PARTS} parts"
-        );
-        self.parts[self.len as usize] = part;
-        self.len += 1;
-    }
-}
-
-/// Interns strings so they can participate in encoded keys without
-/// allocation-per-row.
-#[derive(Debug, Default, Clone)]
-struct StringInterner {
-    map: FxHashMap<String, u64>,
-}
-
-impl StringInterner {
-    fn intern(&mut self, s: &str) -> u64 {
-        if let Some(&id) = self.map.get(s) {
-            return id;
-        }
-        let id = self.map.len() as u64;
-        self.map.insert(s.to_string(), id);
-        id
-    }
-}
-
-/// Encodes an already-materialised [`Value`] the same way [`EvalCtx::key_part`]
-/// encodes column reads. Used when merging partial execution states (parallel
-/// execution) where group keys are only available as values.
-fn key_part_of_value(value: &Value, interner: &mut StringInterner) -> u64 {
-    match value {
-        Value::Bool(b) => *b as u64,
-        Value::Int32(i) => *i as i64 as u64,
-        Value::Int64(i) => *i as u64,
-        Value::Decimal(d) => d.raw() as u64,
-        Value::Float64(f) => f.to_bits(),
-        Value::Date(d) => d.epoch_days() as u32 as u64,
-        Value::Str(s) => interner.intern(s),
-        Value::Null => u64::MAX,
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Pre-built join indexes
 // ---------------------------------------------------------------------------
 
@@ -251,9 +205,11 @@ fn key_part_of_value(value: &Value, interner: &mut StringInterner) -> u64 {
 ///
 /// Keys are the same 64-bit encoding [`ExecState`] uses for probe keys, so an
 /// index built once over a stored table can serve every query whose join key
-/// is that column. String columns cannot be indexed this way because probe-
-/// side string encoding is per-execution (interned); the engines enforce
-/// that restriction when deciding whether an index is applicable.
+/// is that column. String columns cannot be indexed this way: strings longer
+/// than 7 bytes are encoded by a per-execution interner (only shorter ones
+/// pack into the key itself), so their encoding differs between executions;
+/// the engines enforce that restriction when deciding whether an index is
+/// applicable.
 ///
 /// Internally the index is hash-partitioned into `2^bits` shards selected by
 /// the high bits of the key hash, so it can be built in parallel (scatter
@@ -490,451 +446,42 @@ impl TopN {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar evaluation
-// ---------------------------------------------------------------------------
-
-/// A borrowed operand produced while evaluating predicates.
-enum Operand<'a> {
-    I64(i64),
-    Dec(Decimal),
-    F64(f64),
-    Date(Date),
-    Str(&'a str),
-    Bool(bool),
-}
-
-/// A numeric value produced by arithmetic expressions (aggregate inputs).
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Num {
-    I64(i64),
-    Dec(Decimal),
-    F64(f64),
-}
-
-impl Num {
-    fn to_f64(self) -> f64 {
-        match self {
-            Num::I64(v) => v as f64,
-            Num::Dec(d) => d.to_f64(),
-            Num::F64(v) => v,
-        }
-    }
-}
-
-struct EvalCtx<'a, T: TableAccess> {
-    root: &'a T,
-    builds: &'a [&'a T],
-    rows: &'a [usize],
-    params: &'a [Value],
-}
-
-impl<'a, T: TableAccess> EvalCtx<'a, T> {
-    #[inline]
-    fn table(&self, slot: usize) -> &'a T {
-        if slot == 0 {
-            self.root
-        } else {
-            self.builds[slot - 1]
-        }
-    }
-
-    fn operand(&self, expr: &'a ScalarExpr, types: &ColumnTypes) -> Operand<'a> {
-        match expr {
-            ScalarExpr::Column(c) => {
-                let t = self.table(c.slot);
-                match types.dtype(c.slot, c.col) {
-                    DataType::Bool => Operand::Bool(t.get_bool(self.rows[c.slot], c.col)),
-                    DataType::Int32 => Operand::I64(t.get_i32(self.rows[c.slot], c.col) as i64),
-                    DataType::Int64 => Operand::I64(t.get_i64(self.rows[c.slot], c.col)),
-                    DataType::Decimal => Operand::Dec(t.get_decimal(self.rows[c.slot], c.col)),
-                    DataType::Float64 => Operand::F64(t.get_f64(self.rows[c.slot], c.col)),
-                    DataType::Date => Operand::Date(t.get_date(self.rows[c.slot], c.col)),
-                    DataType::Str => Operand::Str(t.get_str(self.rows[c.slot], c.col)),
-                }
-            }
-            ScalarExpr::Const(v) => value_operand(v),
-            ScalarExpr::Param(i) => value_operand(&self.params[*i]),
-            other => {
-                // Composite arithmetic inside a comparison: evaluate as a
-                // number.
-                match self.number(other, types) {
-                    Num::I64(v) => Operand::I64(v),
-                    Num::Dec(d) => Operand::Dec(d),
-                    Num::F64(v) => Operand::F64(v),
-                }
-            }
-        }
-    }
-
-    fn bool_expr(&self, expr: &'a ScalarExpr, types: &ColumnTypes) -> bool {
-        match expr {
-            ScalarExpr::Binary { op, left, right } => match op {
-                BinaryOp::And => self.bool_expr(left, types) && self.bool_expr(right, types),
-                BinaryOp::Or => self.bool_expr(left, types) || self.bool_expr(right, types),
-                cmp if cmp.is_comparison() => {
-                    let l = self.operand(left, types);
-                    let r = self.operand(right, types);
-                    compare(*cmp, &l, &r)
-                }
-                _ => panic!("arithmetic expression used in a boolean position"),
-            },
-            ScalarExpr::Unary {
-                op: UnaryOp::Not,
-                expr,
-            } => !self.bool_expr(expr, types),
-            ScalarExpr::Const(v) => v.as_bool(),
-            ScalarExpr::Param(i) => self.params[*i].as_bool(),
-            ScalarExpr::Str { op, target, arg } => {
-                let t = self.operand(target, types);
-                let a = self.operand(arg, types);
-                match (t, a) {
-                    (Operand::Str(t), Operand::Str(a)) => match op {
-                        StrOp::StartsWith => t.starts_with(a),
-                        StrOp::EndsWith => t.ends_with(a),
-                        StrOp::Contains => t.contains(a),
-                    },
-                    _ => false,
-                }
-            }
-            ScalarExpr::Column(c) => {
-                let t = self.table(c.slot);
-                t.get_bool(self.rows[c.slot], c.col)
-            }
-            other => panic!("unsupported boolean expression {other:?}"),
-        }
-    }
-
-    fn number(&self, expr: &ScalarExpr, types: &ColumnTypes) -> Num {
-        match expr {
-            ScalarExpr::Column(c) => {
-                let t = self.table(c.slot);
-                match types.dtype(c.slot, c.col) {
-                    DataType::Int32 => Num::I64(t.get_i32(self.rows[c.slot], c.col) as i64),
-                    DataType::Int64 => Num::I64(t.get_i64(self.rows[c.slot], c.col)),
-                    DataType::Decimal => Num::Dec(t.get_decimal(self.rows[c.slot], c.col)),
-                    DataType::Float64 => Num::F64(t.get_f64(self.rows[c.slot], c.col)),
-                    DataType::Date => {
-                        Num::I64(t.get_date(self.rows[c.slot], c.col).epoch_days() as i64)
-                    }
-                    other => panic!("column of type {other} used in arithmetic"),
-                }
-            }
-            ScalarExpr::Const(v) => num_of_value(v),
-            ScalarExpr::Param(i) => num_of_value(&self.params[*i]),
-            ScalarExpr::Binary { op, left, right } => {
-                let l = self.number(left, types);
-                let r = self.number(right, types);
-                arith(*op, l, r)
-            }
-            ScalarExpr::Unary {
-                op: UnaryOp::Neg,
-                expr,
-            } => match self.number(expr, types) {
-                Num::I64(v) => Num::I64(-v),
-                Num::Dec(d) => Num::Dec(-d),
-                Num::F64(v) => Num::F64(-v),
-            },
-            other => panic!("unsupported numeric expression {other:?}"),
-        }
-    }
-
-    fn key_part(
-        &self,
-        expr: &'a ScalarExpr,
-        types: &ColumnTypes,
-        interner: &mut StringInterner,
-    ) -> u64 {
-        match self.operand(expr, types) {
-            Operand::I64(v) => v as u64,
-            Operand::Dec(d) => d.raw() as u64,
-            Operand::F64(v) => v.to_bits(),
-            Operand::Date(d) => d.epoch_days() as u32 as u64,
-            Operand::Bool(b) => b as u64,
-            Operand::Str(s) => interner.intern(s),
-        }
-    }
-
-    fn value(&self, expr: &ScalarExpr, types: &ColumnTypes) -> Value {
-        match expr {
-            ScalarExpr::Column(c) => self.table(c.slot).get_value(self.rows[c.slot], c.col),
-            ScalarExpr::Const(v) => v.clone(),
-            ScalarExpr::Param(i) => self.params[*i].clone(),
-            ScalarExpr::Str { .. }
-            | ScalarExpr::Unary {
-                op: UnaryOp::Not, ..
-            } => Value::Bool(self.bool_expr(expr, types)),
-            ScalarExpr::Binary { op, .. } if op.is_comparison() || op.is_logical() => {
-                Value::Bool(self.bool_expr(expr, types))
-            }
-            other => match self.number(other, types) {
-                Num::I64(v) => Value::Int64(v),
-                Num::Dec(d) => Value::Decimal(d),
-                Num::F64(v) => Value::Float64(v),
-            },
-        }
-    }
-}
-
-fn value_operand(v: &Value) -> Operand<'_> {
-    match v {
-        Value::Bool(b) => Operand::Bool(*b),
-        Value::Int32(i) => Operand::I64(*i as i64),
-        Value::Int64(i) => Operand::I64(*i),
-        Value::Decimal(d) => Operand::Dec(*d),
-        Value::Float64(f) => Operand::F64(*f),
-        Value::Date(d) => Operand::Date(*d),
-        Value::Str(s) => Operand::Str(s),
-        Value::Null => Operand::Bool(false),
-    }
-}
-
-fn num_of_value(v: &Value) -> Num {
-    match v {
-        Value::Int32(i) => Num::I64(*i as i64),
-        Value::Int64(i) => Num::I64(*i),
-        Value::Decimal(d) => Num::Dec(*d),
-        Value::Float64(f) => Num::F64(*f),
-        Value::Date(d) => Num::I64(d.epoch_days() as i64),
-        other => panic!("value {other:?} used in arithmetic"),
-    }
-}
-
-fn arith(op: BinaryOp, l: Num, r: Num) -> Num {
-    use BinaryOp::*;
-    match (l, r) {
-        (Num::F64(_), _) | (_, Num::F64(_)) => {
-            let (a, b) = (l.to_f64(), r.to_f64());
-            Num::F64(match op {
-                Add => a + b,
-                Sub => a - b,
-                Mul => a * b,
-                Div => a / b,
-                _ => panic!("non-arithmetic operator in arithmetic position"),
-            })
-        }
-        (Num::Dec(a), Num::Dec(b)) => Num::Dec(match op {
-            Add => a + b,
-            Sub => a - b,
-            Mul => a * b,
-            Div => Decimal::from_f64(a.to_f64() / b.to_f64()),
-            _ => panic!("non-arithmetic operator in arithmetic position"),
-        }),
-        (Num::Dec(a), Num::I64(b)) => arith(op, Num::Dec(a), Num::Dec(Decimal::from_int(b))),
-        (Num::I64(a), Num::Dec(b)) => arith(op, Num::Dec(Decimal::from_int(a)), Num::Dec(b)),
-        (Num::I64(a), Num::I64(b)) => Num::I64(match op {
-            Add => a + b,
-            Sub => a - b,
-            Mul => a * b,
-            Div => a / b,
-            _ => panic!("non-arithmetic operator in arithmetic position"),
-        }),
-    }
-}
-
-fn compare(op: BinaryOp, l: &Operand<'_>, r: &Operand<'_>) -> bool {
-    let ord = match (l, r) {
-        (Operand::I64(a), Operand::I64(b)) => a.cmp(b),
-        (Operand::Dec(a), Operand::Dec(b)) => a.cmp(b),
-        (Operand::Dec(a), Operand::I64(b)) => a.cmp(&Decimal::from_int(*b)),
-        (Operand::I64(a), Operand::Dec(b)) => Decimal::from_int(*a).cmp(b),
-        (Operand::F64(a), Operand::F64(b)) => a.partial_cmp(b).unwrap_or(Ordering::Equal),
-        (Operand::F64(a), Operand::I64(b)) => {
-            a.partial_cmp(&(*b as f64)).unwrap_or(Ordering::Equal)
-        }
-        (Operand::I64(a), Operand::F64(b)) => (*a as f64).partial_cmp(b).unwrap_or(Ordering::Equal),
-        (Operand::Date(a), Operand::Date(b)) => a.cmp(b),
-        (Operand::Str(a), Operand::Str(b)) => a.cmp(b),
-        (Operand::Bool(a), Operand::Bool(b)) => a.cmp(b),
-        _ => panic!("comparison between incompatible operand types"),
-    };
-    match op {
-        BinaryOp::Eq => ord == Ordering::Equal,
-        BinaryOp::Ne => ord != Ordering::Equal,
-        BinaryOp::Lt => ord == Ordering::Less,
-        BinaryOp::Le => ord != Ordering::Greater,
-        BinaryOp::Gt => ord == Ordering::Greater,
-        BinaryOp::Ge => ord != Ordering::Less,
-        _ => unreachable!(),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Column types registry
-// ---------------------------------------------------------------------------
-
-/// Column types per slot, captured at compile (lowering) time so evaluation
-/// never consults schemas in the hot loop.
-#[derive(Debug, Clone)]
-pub struct ColumnTypes {
-    per_slot: Vec<Vec<DataType>>,
-}
-
-impl ColumnTypes {
-    /// Builds the registry from the slot schemas (index 0 = root).
-    pub fn new(slot_schemas: &[Schema]) -> Self {
-        ColumnTypes {
-            per_slot: slot_schemas
-                .iter()
-                .map(|s| s.fields().iter().map(|f| f.dtype).collect())
-                .collect(),
-        }
-    }
-
-    #[inline]
-    fn dtype(&self, slot: usize, col: usize) -> DataType {
-        self.per_slot[slot][col]
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Aggregate state
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-enum AggState {
-    Count(i64),
-    SumI64(i64),
-    SumDec(Decimal),
-    SumF64(f64),
-    Avg {
-        sum: f64,
-        count: i64,
-    },
-    /// Averages over decimal inputs accumulate exactly in fixed point, so
-    /// they are associative: merging per-worker partial states yields the
-    /// bit-identical result of a sequential scan at any thread count
-    /// (float accumulation would drift by an ulp across morsel boundaries).
-    AvgDec {
-        sum: Decimal,
-        count: i64,
-    },
-    Min(Option<Value>),
-    Max(Option<Value>),
-}
-
-impl AggState {
-    fn new(spec: &AggSpec) -> AggState {
-        match spec.func {
-            AggFunc::Count => AggState::Count(0),
-            AggFunc::Average => match spec.input_dtype {
-                Some(DataType::Decimal) => AggState::AvgDec {
-                    sum: Decimal::ZERO,
-                    count: 0,
-                },
-                _ => AggState::Avg { sum: 0.0, count: 0 },
-            },
-            AggFunc::Min => AggState::Min(None),
-            AggFunc::Max => AggState::Max(None),
-            AggFunc::Sum => match spec.dtype {
-                DataType::Decimal => AggState::SumDec(Decimal::ZERO),
-                DataType::Float64 => AggState::SumF64(0.0),
-                _ => AggState::SumI64(0),
-            },
-        }
-    }
-
-    fn finish(&self) -> Value {
-        match self {
-            AggState::Count(n) => Value::Int64(*n),
-            AggState::SumI64(v) => Value::Int64(*v),
-            AggState::SumDec(d) => Value::Decimal(*d),
-            AggState::SumF64(v) => Value::Float64(*v),
-            AggState::Avg { sum, count } => {
-                if *count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float64(sum / *count as f64)
-                }
-            }
-            AggState::AvgDec { sum, count } => {
-                if *count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float64(sum.to_f64() / *count as f64)
-                }
-            }
-            AggState::Min(v) | AggState::Max(v) => v.clone().unwrap_or(Value::Null),
-        }
-    }
-
-    /// Folds another partial state of the same aggregate into this one (used
-    /// when merging per-worker states after a parallel scan).
-    fn merge(&mut self, other: &AggState) {
-        match (self, other) {
-            (AggState::Count(a), AggState::Count(b)) => *a += b,
-            (AggState::SumI64(a), AggState::SumI64(b)) => *a += b,
-            (AggState::SumDec(a), AggState::SumDec(b)) => *a += *b,
-            (AggState::SumF64(a), AggState::SumF64(b)) => *a += b,
-            (
-                AggState::Avg { sum, count },
-                AggState::Avg {
-                    sum: other_sum,
-                    count: other_count,
-                },
-            ) => {
-                *sum += other_sum;
-                *count += other_count;
-            }
-            (
-                AggState::AvgDec { sum, count },
-                AggState::AvgDec {
-                    sum: other_sum,
-                    count: other_count,
-                },
-            ) => {
-                *sum += *other_sum;
-                *count += other_count;
-            }
-            (AggState::Min(a), AggState::Min(b)) => {
-                if let Some(v) = b {
-                    if a.as_ref()
-                        .is_none_or(|cur| v.total_cmp(cur) == Ordering::Less)
-                    {
-                        *a = Some(v.clone());
-                    }
-                }
-            }
-            (AggState::Max(a), AggState::Max(b)) => {
-                if let Some(v) = b {
-                    if a.as_ref()
-                        .is_none_or(|cur| v.total_cmp(cur) == Ordering::Greater)
-                    {
-                        *a = Some(v.clone());
-                    }
-                }
-            }
-            _ => panic!("merging mismatched aggregate states"),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The executor
 // ---------------------------------------------------------------------------
 
-/// Incremental execution state for one compiled query over one engine's
-/// tables.
-pub struct ExecState<'a, T: TableAccess> {
-    spec: &'a QuerySpec,
-    params: &'a [Value],
-    types: ColumnTypes,
-    builds: Vec<&'a T>,
-    join_tables: Vec<JoinTable<'a>>,
+/// Everything the fused loop writes apart from the stream sink: groups,
+/// output rows, the key interner and the work counters. Kept apart from
+/// the compiled program and the join tables so a probe can walk a table's
+/// hit slice in place while it emits.
+#[derive(Clone, Default)]
+struct Collected {
     interner: StringInterner,
     groups: FxHashMap<KeyBuf, usize>,
     group_keys: Vec<Vec<Value>>,
     group_aggs: Vec<Vec<AggState>>,
     plain_rows: Vec<Vec<Value>>,
     topn: Option<TopN>,
-    /// Take limit resolved against `params` (a plan shared across executions
-    /// may carry its Take count in a parameter slot rather than in the spec).
-    take: Option<usize>,
-    consumed_rows: u64,
     emitted_rows: u64,
     /// Deterministic work counters for this (possibly partial) state. Forks
     /// start at zero and [`ExecState::merge`] adds, so per-query totals are
     /// independent of how the scan was partitioned across workers.
     work: WorkStats,
+}
+
+/// Incremental execution state for one compiled query over one engine's
+/// tables.
+pub struct ExecState<'a, T: TableAccess> {
+    spec: &'a QuerySpec,
+    /// The spec compiled for this execution, shared by every fork.
+    program: Arc<Program<'a, T>>,
+    builds: Vec<&'a T>,
+    join_tables: Vec<JoinTable<'a>>,
+    out: Collected,
+    /// Take limit resolved against the parameters (a plan shared across
+    /// executions may carry its Take count in a parameter slot rather than
+    /// in the spec).
+    take: Option<usize>,
+    consumed_rows: u64,
     /// Streaming sink for incremental row publication, attached by
     /// [`ExecState::attach_stream_sink`] on streamable shapes only. Forks
     /// never inherit it — in a parallel run the sink lives with the ordered
@@ -944,10 +491,10 @@ pub struct ExecState<'a, T: TableAccess> {
 }
 
 impl<'a, T: TableAccess> ExecState<'a, T> {
-    /// Builds the execution state: hash tables are built from the (filtered)
-    /// build-side tables. `builds[i]` is the table bound to
+    /// Compiles the spec for this execution and builds its hash tables from
+    /// the (filtered) build-side tables. `builds[i]` is the table bound to
     /// `spec.joins[i].source`; `slot_schemas[s]` is the schema of slot `s`
-    /// (root first).
+    /// (root first). An ill-typed spec is an [`MrqError::Codegen`].
     pub fn new(
         spec: &'a QuerySpec,
         params: &'a [Value],
@@ -974,8 +521,8 @@ impl<'a, T: TableAccess> ExecState<'a, T> {
         Ok(state)
     }
 
-    /// Constructs the state without building join tables (shared by the
-    /// sequential and parallel constructors).
+    /// Compiles the program and constructs the state without building join
+    /// tables (shared by the sequential and parallel constructors).
     fn new_unbuilt(
         spec: &'a QuerySpec,
         params: &'a [Value],
@@ -999,29 +546,22 @@ impl<'a, T: TableAccess> ExecState<'a, T> {
         }
         spec.check_params(params)?;
         let take = spec.effective_take(params)?;
-        let types = ColumnTypes::new(slot_schemas);
+        let mut out = Collected::default();
+        let program = Program::compile(spec, params, slot_schemas, &mut out.interner)?;
         // OrderBy + Take over a non-grouped pipeline is fused into a bounded
         // top-N buffer; grouped queries sort their (few) groups at the end.
-        let topn = match (take, spec.is_grouped(), spec.sort.is_empty()) {
+        out.topn = match (take, spec.is_grouped(), spec.sort.is_empty()) {
             (Some(n), false, false) => Some(TopN::new(n, spec.sort.clone())),
             _ => None,
         };
         Ok(ExecState {
             spec,
-            params,
-            types,
+            program: Arc::new(program),
             builds,
             join_tables: Vec::new(),
-            interner: StringInterner::default(),
-            groups: FxHashMap::default(),
-            group_keys: Vec::new(),
-            group_aggs: Vec::new(),
-            plain_rows: Vec::new(),
-            topn,
+            out,
             take,
             consumed_rows: 0,
-            emitted_rows: 0,
-            work: WorkStats::default(),
             sink: None,
         })
     }
@@ -1034,7 +574,7 @@ impl<'a, T: TableAccess> ExecState<'a, T> {
     /// residual `QueryOutput` instead.
     pub fn streamable(&self) -> bool {
         !self.spec.is_grouped()
-            && self.topn.is_none()
+            && self.out.topn.is_none()
             && self.spec.sort.is_empty()
             && self.take.is_none()
             && self.spec.hidden_outputs == 0
@@ -1069,8 +609,8 @@ impl<'a, T: TableAccess> ExecState<'a, T> {
     /// stops publishing — the cooperative cancel checkpoint unwinds the
     /// query itself.
     pub fn flush_rows_to(&mut self, sink: &StreamSink) {
-        if !self.plain_rows.is_empty() {
-            sink.send_rows(&mut self.plain_rows);
+        if !self.out.plain_rows.is_empty() {
+            sink.send_rows(&mut self.out.plain_rows);
         }
     }
 
@@ -1080,8 +620,8 @@ impl<'a, T: TableAccess> ExecState<'a, T> {
     #[inline]
     fn flush_streamed(&mut self) {
         if let Some(sink) = &self.sink {
-            if !self.plain_rows.is_empty() {
-                sink.send_rows(&mut self.plain_rows);
+            if !self.out.plain_rows.is_empty() {
+                sink.send_rows(&mut self.out.plain_rows);
             }
         }
     }
@@ -1091,15 +631,15 @@ impl<'a, T: TableAccess> ExecState<'a, T> {
     /// Must be called before any input is consumed.
     pub fn disable_topn_fusion(&mut self) {
         assert!(
-            self.plain_rows.is_empty() && self.consumed_rows == 0,
+            self.out.plain_rows.is_empty() && self.consumed_rows == 0,
             "top-N fusion can only be toggled before consuming input"
         );
-        self.topn = None;
+        self.out.topn = None;
     }
 
     /// Whether this execution fuses OrderBy+Take into a bounded buffer.
     pub fn topn_fused(&self) -> bool {
-        self.topn.is_some()
+        self.out.topn.is_some()
     }
 
     /// Validates that a pre-built index is shaped to serve join `j`.
@@ -1129,52 +669,30 @@ impl<'a, T: TableAccess> ExecState<'a, T> {
     /// Builds the hash table for join `j` sequentially (the seed behaviour):
     /// one pass over the build side, inserting into a single map.
     fn build_join_map(&mut self, j: usize) -> FxHashMap<KeyBuf, Vec<usize>> {
-        let spec = self.spec;
-        let join = &spec.joins[j];
+        let join = &self.program.joins[j];
         let table = self.builds[j];
         let mut map: FxHashMap<KeyBuf, Vec<usize>> =
             FxHashMap::with_capacity_and_hasher(table.len(), Default::default());
         // Build-side rows are evaluated with the build slot bound; other
         // slots are irrelevant for build filters/keys.
-        let mut rows = vec![0usize; spec.joins.len() + 1];
-        'rows: for r in 0..table.len() {
-            self.work.scanned_row();
+        let mut rows = vec![0usize; self.builds.len() + 1];
+        for r in 0..table.len() {
+            self.out.work.scanned_row();
             if r.is_multiple_of(CANCEL_CHECK_ROWS) {
                 mrq_common::cancel::checkpoint();
             }
             rows[join.slot] = r;
-            let ctx = EvalCtx {
-                root: table, // never consulted: build expressions only use `join.slot`
-                builds: &self.builds,
-                rows: &rows,
-                params: self.params,
-            };
-            for f in &join.build_filters {
-                if !ctx.bool_expr(f, &self.types) {
-                    continue 'rows;
-                }
+            // The root is never consulted: build expressions only read
+            // `join.slot`.
+            let bound = Bound::new(table, &self.builds, &rows);
+            if !join.build_filter.passes(&bound) {
+                continue;
             }
-            let mut key = KeyBuf::new();
-            for k in &join.build_keys {
-                key.push(ctx.key_part(k, &self.types, &mut self.interner));
-            }
+            let key = join.build_key.encode(&bound, &mut self.out.interner);
             map.entry(key).or_default().push(r);
-            self.work.built_insert();
+            self.out.work.built_insert();
         }
         map
-    }
-
-    /// True if evaluating this build-key expression would intern a string.
-    /// String keys force the sequential build: the interner assigns ids in
-    /// first-seen order, which a parallel scan could not reproduce.
-    fn key_interns_strings(&self, expr: &ScalarExpr) -> bool {
-        match expr {
-            ScalarExpr::Column(c) => matches!(self.types.dtype(c.slot, c.col), DataType::Str),
-            ScalarExpr::Const(v) => matches!(v, Value::Str(_)),
-            ScalarExpr::Param(i) => matches!(self.params[*i], Value::Str(_)),
-            // Composite arithmetic / comparisons never produce strings.
-            _ => false,
-        }
     }
 
     /// Streams (a chunk of) the probe-side root table through the fused
@@ -1188,12 +706,11 @@ impl<'a, T: TableAccess> ExecState<'a, T> {
     /// ranges (morsels), gives each worker its own state, and merges them
     /// with [`ExecState::merge`].
     pub fn consume_range(&mut self, root: &T, range: Range<usize>) {
-        self.work.executed_morsel();
-        let join_count = self.spec.joins.len();
-        let mut rows = vec![0usize; join_count + 1];
-        'rows: for r in range {
+        self.out.work.executed_morsel();
+        let mut rows = vec![0usize; self.builds.len() + 1];
+        for r in range {
             self.consumed_rows += 1;
-            self.work.scanned_row();
+            self.out.work.scanned_row();
             if self.consumed_rows.is_multiple_of(CANCEL_CHECK_ROWS as u64) {
                 mrq_common::cancel::checkpoint();
                 // Streamed sequential runs publish at the same cadence the
@@ -1202,47 +719,42 @@ impl<'a, T: TableAccess> ExecState<'a, T> {
                 self.flush_streamed();
             }
             rows[0] = r;
-            {
-                let ctx = EvalCtx {
-                    root,
-                    builds: &self.builds,
-                    rows: &rows,
-                    params: self.params,
-                };
-                for f in &self.spec.root_filters {
-                    if !ctx.bool_expr(f, &self.types) {
-                        continue 'rows;
-                    }
-                }
+            let program = &*self.program;
+            let bound = Bound::new(root, &self.builds, &rows);
+            if !program.root_filter.passes(&bound) {
+                continue;
             }
-            self.probe_level(root, 0, &mut rows);
+            probe(
+                program,
+                &self.join_tables,
+                &self.builds,
+                root,
+                0,
+                &mut rows,
+                &mut self.out,
+            );
         }
         self.flush_streamed();
     }
 
     /// A copy of this state that shares no mutable data with the original.
     /// Parallel execution builds the join hash tables once, clones the state
-    /// per worker (a memory copy, much cheaper than re-evaluating the build
-    /// side), and merges the partial states afterwards.
+    /// per worker (the compiled program and the built tables are shared
+    /// behind an [`Arc`]), and merges the partial states afterwards.
     pub fn fork(&self) -> ExecState<'a, T> {
         ExecState {
             spec: self.spec,
-            params: self.params,
-            types: self.types.clone(),
+            program: Arc::clone(&self.program),
             builds: self.builds.clone(),
             join_tables: self.join_tables.clone(),
-            interner: self.interner.clone(),
-            groups: self.groups.clone(),
-            group_keys: self.group_keys.clone(),
-            group_aggs: self.group_aggs.clone(),
-            plain_rows: self.plain_rows.clone(),
-            topn: self.topn.clone(),
+            out: Collected {
+                // Forks start from zero so merged totals count every unit of
+                // work exactly once — the base keeps the build-phase counters.
+                work: WorkStats::default(),
+                ..self.out.clone()
+            },
             take: self.take,
             consumed_rows: self.consumed_rows,
-            emitted_rows: self.emitted_rows,
-            // Forks start from zero so merged totals count every unit of
-            // work exactly once — the base keeps the build-phase counters.
-            work: WorkStats::default(),
             // Workers buffer; only the ordered gather publishes.
             sink: None,
         }
@@ -1257,133 +769,39 @@ impl<'a, T: TableAccess> ExecState<'a, T> {
             "merging different specs"
         );
         self.consumed_rows += other.consumed_rows;
-        self.emitted_rows += other.emitted_rows;
-        self.work.add(&other.work);
+        let (out, theirs) = (&mut self.out, other.out);
+        out.emitted_rows += theirs.emitted_rows;
+        out.work.add(&theirs.work);
         if self.spec.is_grouped() {
-            for (keys, aggs) in other.group_keys.into_iter().zip(other.group_aggs) {
+            for (keys, aggs) in theirs.group_keys.into_iter().zip(theirs.group_aggs) {
                 let mut key = KeyBuf::new();
                 for value in &keys {
-                    key.push(key_part_of_value(value, &mut self.interner));
+                    key.push(key_part_of_value(value, &mut out.interner));
                 }
-                let group_idx = match self.groups.get(&key) {
+                let group_idx = match out.groups.get(&key) {
                     Some(&idx) => idx,
                     None => {
-                        let idx = self.group_keys.len();
-                        self.groups.insert(key, idx);
-                        self.group_keys.push(keys);
-                        self.group_aggs
+                        let idx = out.group_keys.len();
+                        out.groups.insert(key, idx);
+                        out.group_keys.push(keys);
+                        out.group_aggs
                             .push(self.spec.aggregates.iter().map(AggState::new).collect());
                         idx
                     }
                 };
-                for (state, partial) in self.group_aggs[group_idx].iter_mut().zip(aggs.iter()) {
+                for (state, partial) in out.group_aggs[group_idx].iter_mut().zip(aggs.iter()) {
                     state.merge(partial);
                 }
             }
         } else {
-            match (&mut self.topn, other.topn) {
+            match (&mut out.topn, theirs.topn) {
                 (Some(mine), Some(theirs)) => {
                     for row in theirs.into_sorted_rows() {
                         mine.offer(row);
                     }
                 }
-                (None, None) => self.plain_rows.extend(other.plain_rows),
+                (None, None) => out.plain_rows.extend(theirs.plain_rows),
                 _ => panic!("merging states with mismatched top-N fusion settings"),
-            }
-        }
-    }
-
-    /// Recursively probes join level `level` and emits rows at the deepest
-    /// level.
-    fn probe_level(&mut self, root: &T, level: usize, rows: &mut Vec<usize>) {
-        if level == self.spec.joins.len() {
-            self.emit(root, rows);
-            return;
-        }
-        let join = &self.spec.joins[level];
-        let mut key = KeyBuf::new();
-        {
-            let ctx = EvalCtx {
-                root,
-                builds: &self.builds,
-                rows,
-                params: self.params,
-            };
-            for k in &join.probe_keys {
-                key.push(ctx.key_part(k, &self.types, &mut self.interner));
-            }
-        }
-        self.work.probed(key.len as u64);
-        let matches = match self.join_tables[level].lookup(&key) {
-            Some(m) => m.to_vec(),
-            None => return,
-        };
-        let slot = join.slot;
-        for m in matches {
-            rows[slot] = m;
-            self.probe_level(root, level + 1, rows);
-        }
-    }
-
-    fn emit(&mut self, root: &T, rows: &[usize]) {
-        let ctx = EvalCtx {
-            root,
-            builds: &self.builds,
-            rows,
-            params: self.params,
-        };
-        for f in &self.spec.post_filters {
-            if !ctx.bool_expr(f, &self.types) {
-                return;
-            }
-        }
-        self.emitted_rows += 1;
-        self.work.materialized_row();
-        if self.spec.is_grouped() {
-            let mut key = KeyBuf::new();
-            for k in &self.spec.group_keys {
-                key.push(ctx.key_part(k, &self.types, &mut self.interner));
-            }
-            let group_idx = match self.groups.get(&key) {
-                Some(&idx) => idx,
-                None => {
-                    let idx = self.group_keys.len();
-                    self.groups.insert(key, idx);
-                    self.group_keys.push(
-                        self.spec
-                            .group_keys
-                            .iter()
-                            .map(|k| ctx.value(k, &self.types))
-                            .collect(),
-                    );
-                    self.group_aggs
-                        .push(self.spec.aggregates.iter().map(AggState::new).collect());
-                    idx
-                }
-            };
-            for (agg_spec, state) in self
-                .spec
-                .aggregates
-                .iter()
-                .zip(self.group_aggs[group_idx].iter_mut())
-            {
-                update_agg(state, agg_spec, &ctx, &self.types);
-            }
-        } else {
-            let row: Vec<Value> = self
-                .spec
-                .output
-                .iter()
-                .map(|(_, o)| match o {
-                    OutputExpr::Scalar(e) => ctx.value(e, &self.types),
-                    OutputExpr::Key(_) | OutputExpr::Agg(_) => {
-                        unreachable!("key/agg outputs require grouping")
-                    }
-                })
-                .collect();
-            match &mut self.topn {
-                Some(topn) => topn.offer(row),
-                None => self.plain_rows.push(row),
             }
         }
     }
@@ -1392,12 +810,19 @@ impl<'a, T: TableAccess> ExecState<'a, T> {
     /// hidden sort columns.
     pub fn finish(self) -> QueryOutput {
         let spec = self.spec;
-        let work = self.work;
-        let fused_topn = self.topn.is_some();
+        let Collected {
+            group_keys,
+            group_aggs,
+            plain_rows,
+            topn,
+            work,
+            ..
+        } = self.out;
+        let fused_topn = topn.is_some();
         let mut rows: Vec<Vec<Value>> = if spec.is_grouped() {
-            self.group_keys
+            group_keys
                 .iter()
-                .zip(self.group_aggs.iter())
+                .zip(group_aggs.iter())
                 .map(|(keys, aggs)| {
                     spec.output
                         .iter()
@@ -1405,17 +830,19 @@ impl<'a, T: TableAccess> ExecState<'a, T> {
                             OutputExpr::Key(i) => keys[*i].clone(),
                             OutputExpr::Agg(i) => aggs[*i].finish(),
                             OutputExpr::Scalar(_) => {
-                                unreachable!("scalar outputs are not allowed in grouped queries")
+                                unreachable!(
+                                    "the program rejects scalar outputs in grouped queries"
+                                )
                             }
                         })
                         .collect()
                 })
                 .collect()
-        } else if let Some(topn) = self.topn {
+        } else if let Some(topn) = topn {
             // Already ordered and bounded by the fused OrderBy+Take buffer.
             topn.into_sorted_rows()
         } else {
-            self.plain_rows
+            plain_rows
         };
 
         if !fused_topn && !spec.sort.is_empty() {
@@ -1453,20 +880,94 @@ impl<'a, T: TableAccess> ExecState<'a, T> {
 
     /// Number of rows that survived filters and joins so far.
     pub fn emitted_rows(&self) -> u64 {
-        self.emitted_rows
+        self.out.emitted_rows
     }
 
     /// The deterministic work counters accumulated so far. Readable between
     /// [`ExecState::consume`] calls, so callers observing a long-running or
     /// cancelled query see partial, monotonically non-decreasing stats.
     pub fn work(&self) -> &WorkStats {
-        &self.work
+        &self.out.work
     }
 
     /// Adds externally-accounted work (used by engines that do work outside
     /// the fused loops, e.g. the hybrid engine's staging copies).
     pub fn record_work(&mut self, extra: &WorkStats) {
-        self.work.add(extra);
+        self.out.work.add(extra);
+    }
+}
+
+/// Probes join level `level` for the bound rows and, at the deepest level,
+/// emits them. A probe walks the table's hit slice in place.
+fn probe<T: TableAccess>(
+    program: &Program<'_, T>,
+    tables: &[JoinTable<'_>],
+    builds: &[&T],
+    root: &T,
+    level: usize,
+    rows: &mut [usize],
+    out: &mut Collected,
+) {
+    let Some(join) = program.joins.get(level) else {
+        emit(program, builds, root, rows, out);
+        return;
+    };
+    let bound = Bound::new(root, builds, rows);
+    let key = join.probe_key.encode(&bound, &mut out.interner);
+    out.work.probed(key.len as u64);
+    let Some(hits) = tables[level].lookup(&key) else {
+        return;
+    };
+    for &hit in hits {
+        rows[join.slot] = hit;
+        probe(program, tables, builds, root, level + 1, rows, out);
+    }
+}
+
+/// Applies the post-join filters to one joined row and feeds it to its
+/// group's accumulators or to the output rows.
+fn emit<T: TableAccess>(
+    program: &Program<'_, T>,
+    builds: &[&T],
+    root: &T,
+    rows: &[usize],
+    out: &mut Collected,
+) {
+    let bound = Bound::new(root, builds, rows);
+    if !program.post_filter.passes(&bound) {
+        return;
+    }
+    out.emitted_rows += 1;
+    out.work.materialized_row();
+    match &program.emit {
+        Emit::Group {
+            key,
+            key_values,
+            accumulators,
+            initial,
+        } => {
+            let key = key.encode(&bound, &mut out.interner);
+            let group = match out.groups.entry(key) {
+                Entry::Occupied(entry) => *entry.get(),
+                Entry::Vacant(entry) => {
+                    let group = out.group_keys.len();
+                    out.group_keys
+                        .push(key_values.iter().map(|value| value(&bound)).collect());
+                    out.group_aggs.push(initial.clone());
+                    *entry.insert(group)
+                }
+            };
+            for (accumulator, state) in accumulators.iter().zip(&mut out.group_aggs[group]) {
+                accumulator.update(&bound, state);
+            }
+        }
+        Emit::Rows(outputs) => {
+            let row: Vec<Value> = outputs.iter().map(|output| output(&bound)).collect();
+            match &mut out.topn {
+                Some(topn) => topn.offer(row),
+                None => out.plain_rows.push(row),
+            }
+        }
     }
 }
 
@@ -1500,10 +1001,9 @@ impl<'a, T: TableAccess + Sync> ExecState<'a, T> {
                 state.join_tables.push(JoinTable::Indexed(index));
                 continue;
             }
-            let join = &spec.joins[j];
             let parallel = !config.is_sequential()
                 && config.partitions_for(state.builds[j].len()) > 1
-                && !join.build_keys.iter().any(|k| state.key_interns_strings(k));
+                && !state.program.joins[j].build_key.interns();
             let table = if parallel {
                 let table = state.build_join_shards(j, config);
                 // Work accounting for the fan-out is derived *after* the
@@ -1518,8 +1018,8 @@ impl<'a, T: TableAccess + Sync> ExecState<'a, T> {
                     .flat_map(|s| s.values())
                     .map(Vec::len)
                     .sum();
-                state.work.scanned_rows(state.builds[j].len() as u64);
-                state.work.built_inserts(inserts as u64);
+                state.out.work.scanned_rows(state.builds[j].len() as u64);
+                state.out.work.built_inserts(inserts as u64);
                 table
             } else {
                 BuiltJoinTable::single(state.build_join_map(j))
@@ -1531,11 +1031,10 @@ impl<'a, T: TableAccess + Sync> ExecState<'a, T> {
 
     /// The hash-partitioned parallel build for join `j`, on the shared
     /// scatter/finalise recipe ([`morsel::build_hash_shards`]). Only called
-    /// for non-string build keys (checked by the caller), so no worker ever
-    /// touches the interner.
+    /// for build keys that never intern (checked by the caller), so no
+    /// worker ever touches an interned id.
     fn build_join_shards(&self, j: usize, config: ParallelConfig) -> BuiltJoinTable {
-        let spec = self.spec;
-        let join = &spec.joins[j];
+        let join = &self.program.joins[j];
         let table = self.builds[j];
         let workers = config.partitions_for(table.len());
         let shard_count = workers.next_power_of_two();
@@ -1547,28 +1046,19 @@ impl<'a, T: TableAccess + Sync> ExecState<'a, T> {
                 // panic-isolation stack (payload capture → job abort →
                 // submitter re-raise → per-query Internal error).
                 mrq_common::fault::point_unwind("join.build.shard");
-                let mut scratch = StringInterner::default(); // never used: no string keys
-                let mut rows = vec![0usize; spec.joins.len() + 1];
-                'rows: for r in range {
+                let mut scratch = StringInterner::default(); // never used: no string reads
+                let mut rows = vec![0usize; self.builds.len() + 1];
+                for r in range {
                     if r.is_multiple_of(CANCEL_CHECK_ROWS) {
                         mrq_common::cancel::checkpoint();
                     }
                     rows[join.slot] = r;
-                    let ctx = EvalCtx {
-                        root: table, // never consulted: build expressions only use `join.slot`
-                        builds: &self.builds,
-                        rows: &rows,
-                        params: self.params,
-                    };
-                    for f in &join.build_filters {
-                        if !ctx.bool_expr(f, &self.types) {
-                            continue 'rows;
-                        }
+                    // The root is never consulted, as in the sequential build.
+                    let bound = Bound::new(table, &self.builds, &rows);
+                    if !join.build_filter.passes(&bound) {
+                        continue;
                     }
-                    let mut key = KeyBuf::new();
-                    for k in &join.build_keys {
-                        key.push(ctx.key_part(k, &self.types, &mut scratch));
-                    }
+                    let key = join.build_key.encode(&bound, &mut scratch);
                     let shard = (shard_hash(&key) >> (64 - bits)) as usize;
                     buckets[shard].push((key, r));
                 }
@@ -1576,65 +1066,6 @@ impl<'a, T: TableAccess + Sync> ExecState<'a, T> {
         BuiltJoinTable { shards, bits }
     }
 }
-
-fn update_agg<T: TableAccess>(
-    state: &mut AggState,
-    spec: &AggSpec,
-    ctx: &EvalCtx<'_, T>,
-    types: &ColumnTypes,
-) {
-    match state {
-        AggState::Count(n) => *n += 1,
-        AggState::SumI64(acc) => {
-            if let Num::I64(v) = ctx.number(spec.input.as_ref().expect("sum input"), types) {
-                *acc += v;
-            }
-        }
-        AggState::SumDec(acc) => match ctx.number(spec.input.as_ref().expect("sum input"), types) {
-            Num::Dec(d) => *acc += d,
-            Num::I64(v) => *acc += Decimal::from_int(v),
-            Num::F64(v) => *acc += Decimal::from_f64(v),
-        },
-        AggState::SumF64(acc) => {
-            *acc += ctx
-                .number(spec.input.as_ref().expect("sum input"), types)
-                .to_f64();
-        }
-        AggState::Avg { sum, count } => {
-            *sum += ctx
-                .number(spec.input.as_ref().expect("avg input"), types)
-                .to_f64();
-            *count += 1;
-        }
-        AggState::AvgDec { sum, count } => {
-            match ctx.number(spec.input.as_ref().expect("avg input"), types) {
-                Num::Dec(d) => *sum += d,
-                Num::I64(v) => *sum += Decimal::from_int(v),
-                Num::F64(v) => *sum += Decimal::from_f64(v),
-            }
-            *count += 1;
-        }
-        AggState::Min(best) => {
-            let v = ctx.value(spec.input.as_ref().expect("min input"), types);
-            if best
-                .as_ref()
-                .is_none_or(|b| v.total_cmp(b) == Ordering::Less)
-            {
-                *best = Some(v);
-            }
-        }
-        AggState::Max(best) => {
-            let v = ctx.value(spec.input.as_ref().expect("max input"), types);
-            if best
-                .as_ref()
-                .is_none_or(|b| v.total_cmp(b) == Ordering::Greater)
-            {
-                *best = Some(v);
-            }
-        }
-    }
-}
-
 /// Runs an already-built execution state over `root` with morsel-driven
 /// parallelism: the probe side is split into morsels per `config`
 /// ([`mrq_common::morsel`]) — fixed-size ranges handed out by a shared
@@ -1720,8 +1151,8 @@ pub fn execute_once<T: TableAccess>(
 mod tests {
     use super::*;
     use crate::spec::lower;
-    use mrq_common::Field;
-    use mrq_expr::{canonicalize, col, lam, lit, Query, SourceId};
+    use mrq_common::{DataType, Field};
+    use mrq_expr::{canonicalize, col, lam, lit, BinaryOp, Query, SourceId};
     use std::collections::HashMap;
 
     fn sales_schema() -> Schema {

@@ -35,6 +35,7 @@
 
 pub mod emit;
 pub mod exec;
+mod program;
 pub mod spec;
 
 pub use exec::{ExecState, QueryOutput, TableAccess};

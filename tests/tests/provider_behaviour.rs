@@ -109,3 +109,110 @@ fn simulated_cpu_cache_ranks_strategies_like_figure_14() {
         "managed object access must miss more than the flat row store ({csharp} vs {native})"
     );
 }
+
+/// Ill-typed trees are compile errors, not per-row panics: compiling the
+/// spec for an execution type-checks every expression, so each compiled
+/// strategy returns `MrqError::Codegen` from `Provider::execute`.
+#[test]
+fn ill_typed_queries_are_codegen_errors_on_every_compiled_strategy() {
+    use mrq_common::{Decimal, MrqError, ParallelConfig};
+    use mrq_expr::{builder::agg, lit, var, AggFunc, BinaryOp, Expr};
+
+    let data = small_dataset();
+    let managed = managed_provider(HeapDataset::load(&data));
+    let mut native = Provider::new();
+    for (i, table) in TABLE_NAMES.iter().enumerate() {
+        let rows = mrq_tpch::load::value_rows(&data, table);
+        native.bind_native_shared(
+            SourceId(i as u32),
+            Arc::new(RowStore::from_rows(schema_of(table), &rows)),
+        );
+    }
+    let filtered = |predicate: Expr| {
+        Query::from_source(queries::SRC_LINEITEM)
+            .where_(lam("l", predicate))
+            .select(lam("l", col("l", "l_orderkey")))
+            .into_expr()
+    };
+    let key_columns = [
+        "l_orderkey",
+        "l_partkey",
+        "l_suppkey",
+        "l_linenumber",
+        "l_returnflag",
+        "l_linestatus",
+        "l_shipmode",
+    ];
+    let cases = [
+        (
+            "arithmetic as a filter",
+            filtered(Expr::binary(
+                BinaryOp::Add,
+                col("l", "l_quantity"),
+                col("l", "l_tax"),
+            )),
+        ),
+        (
+            "a string compared with a decimal",
+            filtered(Expr::binary(
+                BinaryOp::Eq,
+                col("l", "l_shipmode"),
+                lit(Decimal::from_int(5)),
+            )),
+        ),
+        (
+            "a string in arithmetic",
+            Query::from_source(queries::SRC_LINEITEM)
+                .select(lam(
+                    "l",
+                    Expr::binary(BinaryOp::Add, col("l", "l_shipmode"), lit(1i64)),
+                ))
+                .into_expr(),
+        ),
+        (
+            "a seven-part group key",
+            Query::from_source(queries::SRC_LINEITEM)
+                .group_by(lam(
+                    "l",
+                    Expr::Constructor {
+                        name: "K".into(),
+                        fields: key_columns
+                            .iter()
+                            .map(|c| (c.to_string(), col("l", c)))
+                            .collect(),
+                    },
+                ))
+                .select(lam(
+                    "g",
+                    Expr::Constructor {
+                        name: "R".into(),
+                        fields: vec![
+                            (
+                                "k".into(),
+                                Expr::member(Expr::member(var("g"), "Key"), "l_orderkey"),
+                            ),
+                            ("n".into(), agg(AggFunc::Count, "g", None)),
+                        ],
+                    },
+                ))
+                .into_expr(),
+        ),
+    ];
+    let strategies = [
+        ("native", &native, Strategy::CompiledNative),
+        (
+            "native-parallel",
+            &native,
+            Strategy::CompiledNativeParallel(ParallelConfig::with_threads(2)),
+        ),
+        ("csharp", &managed, Strategy::CompiledCSharp),
+    ];
+    for (case, expr) in &cases {
+        for (name, provider, strategy) in &strategies {
+            match provider.execute(expr.clone(), *strategy) {
+                Err(MrqError::Codegen(_)) => {}
+                other => panic!("{case} through {name}: expected a codegen error, got {other:?}"),
+            }
+        }
+    }
+}
