@@ -17,10 +17,12 @@
 //!   executor over a [`TableAccess`] implementation. Each engine instantiates
 //!   the same fused algorithm over its own data representation (managed
 //!   objects, native row store, staged buffers), exactly as the paper's
-//!   generated C# and C code share structure but differ in data access. The
-//!   executor is incremental (build → consume → finish) so the hybrid
-//!   engine's buffered staging and the native engine's deferred execution
-//!   both map onto it.
+//!   generated C# and C code share structure but differ in data access.
+//!   Each execution first compiles the spec's expressions into closures
+//!   over that implementation, so no per-row step interprets the
+//!   expression tree. The executor is incremental (build → consume →
+//!   finish) so the hybrid engine's buffered staging and the native
+//!   engine's deferred execution both map onto it.
 //! * [`emit`] — emits the C#-like and C-like source text the paper's
 //!   provider would have compiled, and models the compilation cost the paper
 //!   reports (§7.4). We do not invoke a compiler at run time (no JIT backend
