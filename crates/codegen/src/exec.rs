@@ -544,10 +544,9 @@ impl<'a, T: TableAccess> ExecState<'a, T> {
                 indexes.len()
             )));
         }
-        spec.check_params(params)?;
-        let take = spec.effective_take(params)?;
         let mut out = Collected::default();
         let program = Program::compile(spec, params, slot_schemas, &mut out.interner)?;
+        let take = spec.effective_take(params)?;
         // OrderBy + Take over a non-grouped pipeline is fused into a bounded
         // top-N buffer; grouped queries sort their (few) groups at the end.
         out.topn = match (take, spec.is_grouped(), spec.sort.is_empty()) {
@@ -1145,6 +1144,58 @@ pub fn execute_once<T: TableAccess>(
     }
     state.consume(tables[0]);
     Ok(state.finish())
+}
+
+/// A spec compiled for evaluation row by row, outside the fused loops: the
+/// hybrid engine's managed side filters rows before staging them and, under
+/// Min transfer, builds result rows from the original objects with it. It
+/// is the same program an [`ExecState`] runs, so the two sides share one
+/// set of typing rules and errors.
+///
+/// Every method takes the tables of all slots (`tables[s]` is slot `s`,
+/// root first) and one row index per slot.
+pub struct CompiledSpec<'p, T> {
+    program: Program<'p, T>,
+    visible_outputs: usize,
+}
+
+impl<'p, T: TableAccess + 'p> CompiledSpec<'p, T> {
+    /// Compiles `spec` against `params` and the schema of every slot (root
+    /// first). An ill-typed spec or too few `params` is an error.
+    pub fn new(spec: &QuerySpec, params: &[Value], slot_schemas: &[Schema]) -> Result<Self> {
+        // No key built here is ever compared with an execution's keys.
+        let mut interner = StringInterner::default();
+        Ok(CompiledSpec {
+            program: Program::compile(spec, params, slot_schemas, &mut interner)?,
+            visible_outputs: spec.visible_outputs(),
+        })
+    }
+
+    /// Whether the root row passes the spec's root filters.
+    pub fn root_filter_passes(&self, tables: &[&T], rows: &[usize]) -> bool {
+        let bound = Bound::new(tables[0], &tables[1..], rows);
+        self.program.root_filter.passes(&bound)
+    }
+
+    /// Whether the build row of join `join` passes that join's build filters.
+    pub fn build_filter_passes(&self, join: usize, tables: &[&T], rows: &[usize]) -> bool {
+        let bound = Bound::new(tables[0], &tables[1..], rows);
+        self.program.joins[join].build_filter.passes(&bound)
+    }
+
+    /// The visible output row of a non-grouped spec for the given rows.
+    pub fn output_row(&self, tables: &[&T], rows: &[usize]) -> Result<Vec<Value>> {
+        let Emit::Rows(outputs) = &self.program.emit else {
+            return Err(MrqError::Internal(
+                "a grouped query has no per-row outputs".into(),
+            ));
+        };
+        let bound = Bound::new(tables[0], &tables[1..], rows);
+        Ok(outputs[..self.visible_outputs]
+            .iter()
+            .map(|output| output(&bound))
+            .collect())
+    }
 }
 
 #[cfg(test)]

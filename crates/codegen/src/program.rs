@@ -953,13 +953,14 @@ pub(crate) struct Program<'p, T> {
 impl<'p, T: TableAccess + 'p> Program<'p, T> {
     /// Compiles `spec` against this execution's `params` and the schema of
     /// every slot (root first). Constant string key parts are encoded with
-    /// `interner`, the execution's own.
+    /// `interner`, the execution's own. Too few `params` is an error.
     pub(crate) fn compile(
         spec: &QuerySpec,
         params: &[Value],
         slot_schemas: &[Schema],
         interner: &mut StringInterner,
     ) -> Result<Self> {
+        spec.check_params(params)?;
         let compiler = Compiler {
             params,
             slot_schemas,

@@ -35,7 +35,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use mrq_codegen::exec::{ExecState, QueryOutput, TableAccess};
+use mrq_codegen::exec::{CompiledSpec, ExecState, QueryOutput, TableAccess};
 use mrq_codegen::spec::{ColumnRef, OutputExpr, QuerySpec, ScalarExpr};
 use mrq_common::profile::{phases, CostBreakdown};
 use mrq_common::{
@@ -230,9 +230,10 @@ pub fn execute(
             tables.len()
         )));
     }
-    // Managed-side staging filters evaluate parameters before the ExecState
-    // guard runs, so under-bound prepared executions must fail here.
-    spec.check_params(params)?;
+    // The managed side: root and build filters applied before staging and,
+    // under Min transfer, the outputs rebuilt from the managed objects.
+    let schemas: Vec<Schema> = tables.iter().map(|t| t.schema().clone()).collect();
+    let managed = CompiledSpec::new(spec, params, &schemas)?;
     let mut breakdown = CostBreakdown::new();
     let min_mode = config.transfer == TransferPolicy::Min;
     // Min-mode result reconstruction from managed objects is only defined for
@@ -379,10 +380,10 @@ pub fn execute(
         let table = tables[join.slot];
         let store = breakdown.time(phases::STAGING, || {
             stage_table(
-                table,
+                tables,
+                join.slot,
                 &slots[join.slot],
-                &join.build_filters,
-                params,
+                &managed,
                 config.parallel,
             )
         });
@@ -447,46 +448,45 @@ pub fn execute(
     // fork of `state`). Staged `__idx` columns (Min transfer) hold absolute
     // row indexes, so Min-mode result reconstruction is oblivious to the
     // partitioning.
-    let run_range = |worker_state: &mut ExecState<'_, RowStore>,
-                     range: std::ops::Range<usize>|
-     -> RangeRun {
-        let mut run = RangeRun {
-            staged_bytes: 0,
-            staged_rows: 0,
-            staging_time: Duration::ZERO,
-            native_time: Duration::ZERO,
-        };
-        let chunk = match config.materialization {
-            Materialization::Full => range.len().max(1),
-            Materialization::Buffered { rows_per_buffer } => rows_per_buffer.max(1),
-        };
-        let mut cursor = range.start;
-        loop {
-            let end = (cursor + chunk).min(range.end);
-            let start = Instant::now();
-            let buffer = stage_range(root, cursor..end, root_staging, &spec.root_filters, params);
-            run.staging_time += start.elapsed();
-            run.staged_bytes = run.staged_bytes.max(buffer.payload_bytes());
-            run.staged_rows += buffer.len();
-            // Managed probe-side staging work: rows scanned from the managed
-            // collection plus rows copied into the shard. The chunked
-            // `consume` below then accounts the native scan of the staged
-            // rows itself.
-            worker_state.record_work(&WorkStats {
-                rows_scanned: (end - cursor) as u64,
-                staging_copies: buffer.len() as u64,
-                ..WorkStats::default()
-            });
-            let start = Instant::now();
-            worker_state.consume(&buffer);
-            run.native_time += start.elapsed();
-            cursor = end;
-            if cursor >= range.end {
-                break;
+    let run_range =
+        |worker_state: &mut ExecState<'_, RowStore>, range: std::ops::Range<usize>| -> RangeRun {
+            let mut run = RangeRun {
+                staged_bytes: 0,
+                staged_rows: 0,
+                staging_time: Duration::ZERO,
+                native_time: Duration::ZERO,
+            };
+            let chunk = match config.materialization {
+                Materialization::Full => range.len().max(1),
+                Materialization::Buffered { rows_per_buffer } => rows_per_buffer.max(1),
+            };
+            let mut cursor = range.start;
+            loop {
+                let end = (cursor + chunk).min(range.end);
+                let start = Instant::now();
+                let buffer = stage_range(tables, 0, cursor..end, root_staging, &managed);
+                run.staging_time += start.elapsed();
+                run.staged_bytes = run.staged_bytes.max(buffer.payload_bytes());
+                run.staged_rows += buffer.len();
+                // Managed probe-side staging work: rows scanned from the managed
+                // collection plus rows copied into the shard. The chunked
+                // `consume` below then accounts the native scan of the staged
+                // rows itself.
+                worker_state.record_work(&WorkStats {
+                    rows_scanned: (end - cursor) as u64,
+                    staging_copies: buffer.len() as u64,
+                    ..WorkStats::default()
+                });
+                let start = Instant::now();
+                worker_state.consume(&buffer);
+                run.native_time += start.elapsed();
+                cursor = end;
+                if cursor >= range.end {
+                    break;
+                }
             }
-        }
-        run
-    };
+            run
+        };
 
     // Lifecycle control: a cancelled/expired query stops between the
     // build-side staging above and the probe-side staging loop below (the
@@ -557,7 +557,7 @@ pub fn execute(
     let native_out = breakdown.time(native_phase(spec), || state.finish());
     let output = if min_mode {
         breakdown.time(phases::RETURN_RESULT, || {
-            rebuild_min_output(spec, params, tables, &min_output_slots, native_out)
+            rebuild_min_output(spec, &managed, tables, &min_output_slots, native_out)
         })?
     } else {
         breakdown.time(phases::RETURN_RESULT, || {
@@ -599,15 +599,15 @@ fn native_phase(spec: &QuerySpec) -> &'static str {
 /// the shards are appended in morsel order — so the staged store is
 /// byte-identical to a sequential pass. Sequential configs and tiny tables
 /// stage in one morsel on the calling thread.
-fn stage_table(
-    table: &HeapTable<'_>,
+fn stage_table<'h>(
+    tables: &[&HeapTable<'h>],
+    slot: usize,
     staging: &SlotStaging,
-    filters: &[ScalarExpr],
-    params: &[Value],
+    managed: &CompiledSpec<'_, HeapTable<'h>>,
     config: ParallelConfig,
 ) -> RowStore {
-    let mut shards = morsel::dispatch(table.len(), config, |_, range| {
-        stage_range(table, range, staging, filters, params)
+    let mut shards = morsel::dispatch(tables[slot].len(), config, |_, range| {
+        stage_range(tables, slot, range, staging, managed)
     })
     .into_iter();
     let mut store = shards.next().expect("at least one morsel");
@@ -617,26 +617,34 @@ fn stage_table(
     store
 }
 
-/// Stages qualifying rows of a range of a managed table into a new store.
-fn stage_range(
-    table: &HeapTable<'_>,
+/// Stages the rows of a range of slot `slot`'s managed table that pass the
+/// slot's filters (the root filters for slot 0, its join's build filters
+/// otherwise) into a new store.
+fn stage_range<'h>(
+    tables: &[&HeapTable<'h>],
+    slot: usize,
     range: std::ops::Range<usize>,
     staging: &SlotStaging,
-    filters: &[ScalarExpr],
-    params: &[Value],
+    managed: &CompiledSpec<'_, HeapTable<'h>>,
 ) -> RowStore {
+    let table = tables[slot];
     let mut store = RowStore::new(staging.schema.clone());
     let mut row_buf: Vec<Value> = vec![Value::Null; staging.schema.len()];
-    'rows: for row in range {
+    // The filters read `slot` only; the other slots' rows are never read.
+    let mut rows = vec![0usize; tables.len()];
+    for row in range {
         // Intra-morsel cancellation cadence, shared with every fused loop:
         // a no-op outside a query context.
         if row.is_multiple_of(mrq_common::cancel::CHECK_EVERY_ROWS) {
             mrq_common::cancel::checkpoint();
         }
-        for f in filters {
-            if !eval_managed_predicate(f, table, row, params) {
-                continue 'rows;
-            }
+        rows[slot] = row;
+        let passes = match slot {
+            0 => managed.root_filter_passes(tables, &rows),
+            _ => managed.build_filter_passes(slot - 1, tables, &rows),
+        };
+        if !passes {
+            continue;
         }
         for (orig, staged) in &staging.mapping {
             row_buf[*staged] = table.get_value(row, *orig);
@@ -649,116 +657,34 @@ fn stage_range(
     store
 }
 
-/// Evaluates a single-slot predicate against a managed table row. This is
-/// the "apply predicates in C#" part of the hybrid strategy.
-fn eval_managed_predicate(
-    expr: &ScalarExpr,
-    table: &HeapTable<'_>,
-    row: usize,
-    params: &[Value],
-) -> bool {
-    eval_managed_value(expr, table, row, params).as_bool()
-}
-
-fn eval_managed_value(
-    expr: &ScalarExpr,
-    table: &HeapTable<'_>,
-    row: usize,
-    params: &[Value],
-) -> Value {
-    match expr {
-        ScalarExpr::Column(c) => table.get_value(row, c.col),
-        ScalarExpr::Const(v) => v.clone(),
-        ScalarExpr::Param(i) => params[*i].clone(),
-        ScalarExpr::Binary { op, left, right } => {
-            let l = eval_managed_value(left, table, row, params);
-            let r = eval_managed_value(right, table, row, params);
-            mrq_expr::canonical::eval_binary(*op, &l, &r).unwrap_or(Value::Bool(false))
-        }
-        ScalarExpr::Unary { op, expr } => {
-            let v = eval_managed_value(expr, table, row, params);
-            mrq_expr::canonical::eval_unary(*op, &v).unwrap_or(Value::Bool(false))
-        }
-        ScalarExpr::Str { op, target, arg } => {
-            let t = eval_managed_value(target, table, row, params);
-            let a = eval_managed_value(arg, table, row, params);
-            let out = match (t.as_str(), a.as_str()) {
-                (Some(t), Some(a)) => match op {
-                    mrq_codegen::spec::StrOp::StartsWith => t.starts_with(a),
-                    mrq_codegen::spec::StrOp::EndsWith => t.ends_with(a),
-                    mrq_codegen::spec::StrOp::Contains => t.contains(a),
-                },
-                _ => false,
-            };
-            Value::Bool(out)
-        }
-    }
-}
-
 /// Min-mode result reconstruction: native execution produced, per result
 /// row, the index of the original managed object(s); the real output columns
-/// are read back from those objects.
-fn rebuild_min_output(
+/// are computed from those objects by the compiled outputs.
+fn rebuild_min_output<'h>(
     spec: &QuerySpec,
-    params: &[Value],
-    tables: &[&HeapTable<'_>],
+    managed: &CompiledSpec<'_, HeapTable<'h>>,
+    tables: &[&HeapTable<'h>],
     output_slots: &[usize],
     native_out: QueryOutput,
 ) -> Result<QueryOutput> {
     let work = native_out.work;
     let mut rows = Vec::with_capacity(native_out.rows.len());
+    // Map slot -> original row index.
+    let mut slot_rows = vec![0usize; tables.len()];
     for native_row in &native_out.rows {
-        // Map slot -> original row index.
-        let mut slot_rows = vec![0usize; spec.joins.len() + 1];
         for (pos, &slot) in output_slots.iter().enumerate() {
             slot_rows[slot] = native_row[pos]
                 .as_i64()
                 .ok_or_else(|| MrqError::Internal("missing index column".into()))?
                 as usize;
         }
-        let mut row = Vec::with_capacity(spec.visible_outputs());
-        for (_, o) in spec.output.iter().take(spec.visible_outputs()) {
-            match o {
-                OutputExpr::Scalar(e) => {
-                    row.push(eval_multi_slot_value(e, tables, &slot_rows, params))
-                }
-                _ => {
-                    return Err(MrqError::Internal(
-                        "min mode requires scalar outputs".into(),
-                    ))
-                }
-            }
-        }
-        rows.push(row);
+        rows.push(managed.output_row(tables, &slot_rows)?);
     }
     Ok(QueryOutput {
         schema: spec.output_schema.clone(),
         rows,
         work,
     })
-}
-
-fn eval_multi_slot_value(
-    expr: &ScalarExpr,
-    tables: &[&HeapTable<'_>],
-    slot_rows: &[usize],
-    params: &[Value],
-) -> Value {
-    match expr {
-        ScalarExpr::Column(c) => tables[c.slot].get_value(slot_rows[c.slot], c.col),
-        ScalarExpr::Const(v) => v.clone(),
-        ScalarExpr::Param(i) => params[*i].clone(),
-        ScalarExpr::Binary { op, left, right } => {
-            let l = eval_multi_slot_value(left, tables, slot_rows, params);
-            let r = eval_multi_slot_value(right, tables, slot_rows, params);
-            mrq_expr::canonical::eval_binary(*op, &l, &r).unwrap_or(Value::Null)
-        }
-        ScalarExpr::Unary { op, expr } => {
-            let v = eval_multi_slot_value(expr, tables, slot_rows, params);
-            mrq_expr::canonical::eval_unary(*op, &v).unwrap_or(Value::Null)
-        }
-        ScalarExpr::Str { .. } => Value::Bool(false),
-    }
 }
 
 #[cfg(test)]
