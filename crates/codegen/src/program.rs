@@ -13,9 +13,10 @@
 //! [`TableAccess`] calls a walk of its expression makes, in the same order
 //! and with the same `&&`/`||` short-circuiting; constants are folded only
 //! where that skips no read. Arithmetic keeps the tree's promotions
-//! (`Int × Decimal → Decimal`, anything with a float → `f64`, dates read as
-//! epoch days) and comparisons keep theirs (an integer meets a decimal as a
-//! decimal, a float as a float). Results, [`mrq_common::WorkStats`] and the
+//! (`Int × Decimal → Decimal`, anything with a float → `f64`,
+//! `date ± integer → date`, any other arithmetic over dates on epoch days)
+//! and comparisons keep theirs (an integer meets a decimal as a decimal, a
+//! float as a float). Results, [`mrq_common::WorkStats`] and the
 //! traced cache behaviour of every engine are therefore unchanged by
 //! compiling; only the per-row interpretation overhead goes.
 
@@ -286,8 +287,6 @@ struct Reader {
 enum IntRead {
     I64,
     I32,
-    /// A date read as epoch days (dates in arithmetic).
-    DateDays,
 }
 
 impl Reader {
@@ -349,7 +348,6 @@ impl<T: TableAccess> FromColumn<T> for i64 {
         match r.int {
             IntRead::I64 => table.get_i64(row, r.col),
             IntRead::I32 => table.get_i32(row, r.col) as i64,
-            IntRead::DateDays => table.get_date(row, r.col).epoch_days() as i64,
         }
     }
 }
@@ -616,6 +614,13 @@ enum Arith<'p, T> {
     Int(Val<'p, T, i64>),
     Dec(Val<'p, T, Decimal>),
     F64(Val<'p, T, f64>),
+    Date(Val<'p, T, Date>),
+}
+
+/// A date as epoch days, the number it is in arithmetic other than
+/// `date ± integer`.
+fn days<'p, T: TableAccess + 'p>(v: Val<'p, T, Date>) -> Val<'p, T, i64> {
+    v.map(|d: Date| d.epoch_days() as i64)
 }
 
 impl<'p, T: TableAccess + 'p> Arith<'p, T> {
@@ -624,6 +629,7 @@ impl<'p, T: TableAccess + 'p> Arith<'p, T> {
             Arith::Int(v) => v.map(|v| v as f64),
             Arith::Dec(v) => v.map(Decimal::to_f64),
             Arith::F64(v) => v,
+            Arith::Date(v) => v.map(|d: Date| d.epoch_days() as f64),
         }
     }
 
@@ -632,6 +638,7 @@ impl<'p, T: TableAccess + 'p> Arith<'p, T> {
             Arith::Int(v) => v.map(Decimal::from_int),
             Arith::Dec(v) => v,
             Arith::F64(v) => v.map(Decimal::from_f64),
+            Arith::Date(v) => v.map(|d: Date| Decimal::from_int(d.epoch_days() as i64)),
         }
     }
 
@@ -640,6 +647,7 @@ impl<'p, T: TableAccess + 'p> Arith<'p, T> {
             Arith::Int(v) => v.map(Value::Int64),
             Arith::Dec(v) => v.map(Value::Decimal),
             Arith::F64(v) => v.map(Value::Float64),
+            Arith::Date(v) => v.map(Value::Date),
         }
     }
 
@@ -654,6 +662,7 @@ impl<'p, T: TableAccess + 'p> Arith<'p, T> {
                 Arith::Int(v) => v.accumulate(),
                 Arith::Dec(v) => v.accumulate(),
                 Arith::F64(v) => v.accumulate(),
+                Arith::Date(v) => days(v).accumulate(),
             },
         }
     }
@@ -663,6 +672,7 @@ impl<'p, T: TableAccess + 'p> Arith<'p, T> {
             Arith::Int(v) => Typed::Int(v),
             Arith::Dec(v) => Typed::Dec(v),
             Arith::F64(v) => Typed::F64(v),
+            Arith::Date(v) => Typed::Date(v),
         }
     }
 }
@@ -761,11 +771,13 @@ impl<T> Typed<'_, T> {
 }
 
 /// The operands of an arithmetic node after the tree's promotions: a
-/// float on either side makes both floats, else a decimal both decimals.
+/// float on either side makes both floats, else a decimal both decimals;
+/// a date plus or minus an integer shifts the date.
 enum Promoted<'p, T> {
     Int(Val<'p, T, i64>, Val<'p, T, i64>),
     Dec(Val<'p, T, Decimal>, Val<'p, T, Decimal>),
     F64(Val<'p, T, f64>, Val<'p, T, f64>),
+    Date(Val<'p, T, Date>, Val<'p, T, i64>),
 }
 
 fn promote<'p, T: TableAccess + 'p>(
@@ -781,6 +793,7 @@ fn promote<'p, T: TableAccess + 'p>(
             "`{op:?}` used in an arithmetic position"
         )));
     }
+    let shift = matches!(op, BinaryOp::Add | BinaryOp::Sub);
     Ok(match (l, r) {
         (l @ Arith::F64(_), r) | (l, r @ Arith::F64(_)) => {
             Promoted::F64(l.into_f64(), r.into_f64())
@@ -788,7 +801,12 @@ fn promote<'p, T: TableAccess + 'p>(
         (l @ Arith::Dec(_), r) | (l, r @ Arith::Dec(_)) => {
             Promoted::Dec(l.into_dec(), r.into_dec())
         }
+        // `date ± integer` is a date, as the lowering types it.
+        (Arith::Date(a), Arith::Int(b)) if shift => Promoted::Date(a, b),
         (Arith::Int(a), Arith::Int(b)) => Promoted::Int(a, b),
+        (Arith::Date(a), Arith::Int(b)) => Promoted::Int(days(a), b),
+        (Arith::Int(a), Arith::Date(b)) => Promoted::Int(a, days(b)),
+        (Arith::Date(a), Arith::Date(b)) => Promoted::Int(days(a), days(b)),
     })
 }
 
@@ -815,6 +833,10 @@ impl<'p, T: TableAccess + 'p> Promoted<'p, T> {
             Promoted::Int(a, b) => Arith::Int(by_op!(op, zip, a, b, i64, |x: i64, y: i64| x / y)),
             Promoted::Dec(a, b) => Arith::Dec(by_op!(op, zip, a, b, Decimal, dec_div)),
             Promoted::F64(a, b) => Arith::F64(by_op!(op, zip, a, b, f64, |x: f64, y: f64| x / y)),
+            Promoted::Date(d, n) => Arith::Date(match op {
+                BinaryOp::Add => zip(d, n, |d: Date, n: i64| d.add_days(n as i32)),
+                _ => zip(d, n, |d: Date, n: i64| d.add_days(-(n as i32))),
+            }),
         }
     }
 
@@ -1144,7 +1166,7 @@ impl Compiler<'_> {
     }
 
     /// An expression in an arithmetic position (aggregate inputs, operands
-    /// of `+ - * /`). Dates read as epoch days.
+    /// of `+ - * /`).
     fn arith<'p, T: TableAccess + 'p>(&self, expr: &ScalarExpr) -> Result<Arith<'p, T>> {
         if let Some(v) = self.constant(expr)? {
             return match v {
@@ -1152,7 +1174,7 @@ impl Compiler<'_> {
                 Value::Int64(i) => Ok(Arith::Int(Val::Const(*i))),
                 Value::Decimal(d) => Ok(Arith::Dec(Val::Const(*d))),
                 Value::Float64(f) => Ok(Arith::F64(Val::Const(*f))),
-                Value::Date(d) => Ok(Arith::Int(Val::Const(d.epoch_days() as i64))),
+                Value::Date(d) => Ok(Arith::Date(Val::Const(*d))),
                 other => Err(MrqError::Codegen(format!(
                     "value {other:?} used in arithmetic"
                 ))),
@@ -1164,7 +1186,7 @@ impl Compiler<'_> {
                 DataType::Int64 => Ok(Arith::Int(Val::Col(Reader::new(*c)))),
                 DataType::Decimal => Ok(Arith::Dec(Val::Col(Reader::new(*c)))),
                 DataType::Float64 => Ok(Arith::F64(Val::Col(Reader::new(*c)))),
-                DataType::Date => Ok(Arith::Int(Val::Col(Reader::int(*c, IntRead::DateDays)))),
+                DataType::Date => Ok(Arith::Date(Val::Col(Reader::new(*c)))),
                 other => Err(MrqError::Codegen(format!(
                     "column of type {other} used in arithmetic"
                 ))),
@@ -1179,6 +1201,7 @@ impl Compiler<'_> {
                 Arith::Int(v) => Arith::Int(v.map(|v: i64| -v)),
                 Arith::Dec(v) => Arith::Dec(v.map(|v: Decimal| -v)),
                 Arith::F64(v) => Arith::F64(v.map(|v: f64| -v)),
+                Arith::Date(v) => Arith::Int(days(v).map(|v: i64| -v)),
             }),
             other => Err(MrqError::Codegen(format!(
                 "unsupported numeric expression {other:?}"

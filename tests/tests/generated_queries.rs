@@ -10,12 +10,19 @@
 //!   the data (so predicates are neither always true nor always false), and
 //!   same-typed column-to-column comparisons, across join slots too;
 //! * mixed `Int × Decimal` arithmetic in comparisons and aggregate inputs;
+//! * `date ± integer` days against date literals and date columns;
 //! * `StartsWith`/`EndsWith`/`Contains` with arguments cut from real values;
 //! * `Sum`/`Avg`/`Min`/`Max`/`Count`, grouped by string keys on both sides
 //!   of the executor's short-string packing threshold (`l_shipmode` is at
 //!   most 7 bytes; `c_mktsegment`, reached through the Q3 join, is 8–10;
 //!   `o_orderpriority` and `l_shipinstruct` mix both), plus projections
+//!   (of columns, arithmetic, shifted dates, string methods and predicates)
 //!   with and without a fused `OrderBy`+`Take`.
+//!
+//! The hybrid runs under both transfer policies and both materialisations:
+//! under Min transfer, a projection's outputs are computed from the managed
+//! objects after the native pass, so every projected shape above reaches
+//! that path too.
 //!
 //! Every query is a pure function of its seed. A failure prints the seed
 //! and the query tree; to replay one seed alone, set [`REPLAY`] to it.
@@ -27,7 +34,7 @@
 use mrq_codegen::exec::{QueryOutput, TableAccess};
 use mrq_common::{Decimal, ParallelConfig, Value};
 use mrq_core::{Provider, Strategy};
-use mrq_engine_hybrid::HybridConfig;
+use mrq_engine_hybrid::{HybridConfig, TransferPolicy};
 use mrq_engine_native::RowStore;
 use mrq_expr::builder::agg;
 use mrq_expr::{
@@ -304,9 +311,9 @@ impl Gen<'_> {
     fn predicate(&mut self, depth: u32) -> Expr {
         let leaf = depth == 0 || self.rng.gen_bool(0.35);
         let choice = if leaf {
-            self.rng.gen_range(3..8)
+            self.rng.gen_range(3..9)
         } else {
-            self.rng.gen_range(0..8)
+            self.rng.gen_range(0..9)
         };
         match choice {
             0 => Expr::binary(
@@ -346,28 +353,52 @@ impl Gen<'_> {
                 let (a, b) = (self.column_of(Some(ty)), self.column_of(Some(ty)));
                 Expr::binary(op, col(self.var, a.name), col(self.var, b.name))
             }
+            7 => self.string_method(),
             _ => {
-                let method = self.pick(&[
-                    QueryMethod::StartsWith,
-                    QueryMethod::EndsWith,
-                    QueryMethod::Contains,
-                ]);
-                let column = self.column_of(Some(Ty::Str));
-                let text = self.fixture.sample(&mut self.rng, column);
-                let text = text.as_str().expect("string column");
-                let len = text.chars().count();
-                let take = self.rng.gen_range(0..=len.min(4));
-                let piece: String = match method {
-                    QueryMethod::StartsWith => text.chars().take(take).collect(),
-                    QueryMethod::EndsWith => text.chars().skip(len - take).collect(),
-                    _ => {
-                        let start = self.rng.gen_range(0..=len - take);
-                        text.chars().skip(start).take(take).collect()
-                    }
+                // A shifted date against a sampled date or a date column.
+                let op = self.pick(&COMPARISONS);
+                let shifted = self.date_shift();
+                let right = if self.rng.gen_bool(0.5) {
+                    let column = self.column_of(Some(Ty::Date));
+                    lit(self.fixture.sample(&mut self.rng, column))
+                } else {
+                    col(self.var, self.column_of(Some(Ty::Date)).name)
                 };
-                str_method(method, col(self.var, column.name), lit(piece))
+                self.compare(op, shifted, right)
             }
         }
+    }
+
+    /// `StartsWith`/`EndsWith`/`Contains` over a string column, with an
+    /// argument cut from one of its values.
+    fn string_method(&mut self) -> Expr {
+        let method = self.pick(&[
+            QueryMethod::StartsWith,
+            QueryMethod::EndsWith,
+            QueryMethod::Contains,
+        ]);
+        let column = self.column_of(Some(Ty::Str));
+        let text = self.fixture.sample(&mut self.rng, column);
+        let text = text.as_str().expect("string column");
+        let len = text.chars().count();
+        let take = self.rng.gen_range(0..=len.min(4));
+        let piece: String = match method {
+            QueryMethod::StartsWith => text.chars().take(take).collect(),
+            QueryMethod::EndsWith => text.chars().skip(len - take).collect(),
+            _ => {
+                let start = self.rng.gen_range(0..=len - take);
+                text.chars().skip(start).take(take).collect()
+            }
+        };
+        str_method(method, col(self.var, column.name), lit(piece))
+    }
+
+    /// A date column plus or minus up to 90 days.
+    fn date_shift(&mut self) -> Expr {
+        let column = self.column_of(Some(Ty::Date));
+        let op = self.pick(&[BinaryOp::Add, BinaryOp::Sub]);
+        let days = self.rng.gen_range(-90i64..=90);
+        Expr::binary(op, col(self.var, column.name), lit(days))
     }
 
     /// One aggregate of the group `g` over row variable `x`.
@@ -522,9 +553,11 @@ fn generate(seed: u64, fixture: &Fixture) -> Expr {
                 ("l_linenumber".to_string(), col("l", "l_linenumber")),
             ];
             for i in 0..generator.rng.gen_range(1..=3) {
-                let value = match generator.rng.gen_range(0..3) {
+                let value = match generator.rng.gen_range(0..5) {
                     0 => generator.num(2).expr("l"),
                     1 => col("l", generator.column_of(None).name),
+                    2 => generator.date_shift(),
+                    3 => generator.string_method(),
                     _ => generator.predicate(1),
                 };
                 fields.push((format!("v{i}"), value));
@@ -565,6 +598,19 @@ fn strategies(fixture: &Fixture) -> Vec<(&'static str, &Provider<'static>, Strat
             "hybrid",
             &fixture.managed,
             Strategy::Hybrid(HybridConfig::default()),
+        ),
+        (
+            "hybrid-buffered",
+            &fixture.managed,
+            Strategy::Hybrid(HybridConfig::buffered()),
+        ),
+        (
+            "hybrid-min",
+            &fixture.managed,
+            Strategy::Hybrid(HybridConfig {
+                transfer: TransferPolicy::Min,
+                ..HybridConfig::default()
+            }),
         ),
     ]
 }

@@ -15,6 +15,7 @@ use mrq_common::ParallelConfig;
 use mrq_core::{Provider, Strategy};
 use mrq_engine_csharp::HeapTable;
 use mrq_engine_hybrid::{HybridConfig, Materialization, TransferPolicy};
+use mrq_expr::{col, lam, lit, str_method, Query, QueryMethod};
 use mrq_tpch::queries;
 use std::sync::Arc;
 
@@ -93,41 +94,60 @@ fn managed_strategies_match_sequential_at_every_thread_count() {
 
 /// Min-transfer hybrid staging ships sort keys plus absolute row indexes and
 /// rebuilds output columns from the original managed objects; the rebuilt
-/// rows must match the fully-staged (Max) result at every thread count.
+/// rows must match the fully-staged (Max) result at every thread count,
+/// whether an output is a plain column (the sort micro-benchmark) or a
+/// computed value such as a string method.
 #[test]
 fn min_transfer_result_construction_matches_at_every_thread_count() {
     let wb = workbench();
     let cutoff = wb.data.shipdate_for_selectivity(0.5);
-    let workload = queries::sort_micro(cutoff);
+    let starts_with_a = Query::from_source(queries::SRC_LINEITEM)
+        .order_by(lam("l", col("l", "l_orderkey")))
+        .select(lam(
+            "l",
+            str_method(QueryMethod::StartsWith, col("l", "l_shipmode"), lit("A")),
+        ))
+        .into_expr();
     let provider = wb.managed_provider();
-    let reference = provider
-        .execute(workload.clone(), Strategy::CompiledCSharp)
-        .expect("sequential reference");
-    for &threads in &THREADS {
-        for materialization in [
-            Materialization::Full,
-            Materialization::Buffered {
-                rows_per_buffer: 256,
-            },
-        ] {
-            let config = HybridConfig {
-                materialization,
-                transfer: TransferPolicy::Min,
-                ..HybridConfig::default()
+    // Each workload with the output column its rows are sorted on, if any.
+    for (workload, sort_col) in [
+        (queries::sort_micro(cutoff), Some(1)),
+        (starts_with_a, None),
+    ] {
+        let reference = provider
+            .execute(workload.clone(), Strategy::CompiledCSharp)
+            .expect("sequential reference");
+        assert!(
+            reference.rows.iter().any(|r| r[0] != reference.rows[0][0]),
+            "the first output column takes more than one value"
+        );
+        for &threads in &THREADS {
+            for materialization in [
+                Materialization::Full,
+                Materialization::Buffered {
+                    rows_per_buffer: 256,
+                },
+            ] {
+                let config = HybridConfig {
+                    materialization,
+                    transfer: TransferPolicy::Min,
+                    ..HybridConfig::default()
+                }
+                .parallel(config_for(threads));
+                let out = provider
+                    .execute(workload.clone(), Strategy::Hybrid(config))
+                    .expect("min-transfer run");
+                let context = format!("min transfer {materialization:?} at {threads} threads");
+                assert_same(&reference, &out, &context);
+                // The sort-key ordering must hold even when tie order is free.
+                let Some(sort_col) = sort_col else { continue };
+                let keys: Vec<_> = out.rows.iter().map(|r| r[sort_col].clone()).collect();
+                assert!(
+                    keys.windows(2)
+                        .all(|w| w[0].total_cmp(&w[1]) != std::cmp::Ordering::Greater),
+                    "{context}: sort keys ordered"
+                );
             }
-            .parallel(config_for(threads));
-            let out = provider
-                .execute(workload.clone(), Strategy::Hybrid(config))
-                .expect("min-transfer run");
-            let context = format!("min transfer {materialization:?} at {threads} threads");
-            assert_same(&reference, &out, &context);
-            // The sort-key ordering must hold even when tie order is free.
-            let keys: Vec<_> = out.rows.iter().map(|r| r[1].clone()).collect();
-            assert!(
-                keys.windows(2)
-                    .all(|w| w[0].total_cmp(&w[1]) != std::cmp::Ordering::Greater),
-                "{context}: sort keys ordered"
-            );
         }
     }
 }

@@ -1,10 +1,12 @@
 //! Provider-level behaviour: caching, re-binding, GC interaction and cache-simulation ordering.
 
 use mrq_bench::{fig14_cache, Workbench};
-use mrq_common::{DataType, Field, Schema, Value};
+use mrq_common::{DataType, Field, ParallelConfig, Schema, Value};
 use mrq_core::{Provider, Strategy};
+use mrq_engine_hybrid::{HybridConfig, TransferPolicy};
 use mrq_engine_native::RowStore;
 use mrq_expr::{col, lam, Query, SourceId};
+use mrq_tpch::gen::TpchData;
 use mrq_tpch::load::{schema_of, HeapDataset, TABLE_NAMES};
 use mrq_tpch::queries;
 use mrq_xtests::small_dataset;
@@ -18,6 +20,45 @@ fn managed_provider(heap_data: HeapDataset) -> Provider<'static> {
         provider.bind_managed(SourceId(i as u32), lists[i], schema_of(table));
     }
     provider
+}
+
+/// A provider over row stores of every TPC-H table.
+fn native_provider(data: &TpchData) -> Provider<'static> {
+    let mut provider = Provider::new();
+    for (i, table) in TABLE_NAMES.iter().enumerate() {
+        let rows = mrq_tpch::load::value_rows(data, table);
+        provider.bind_native_shared(
+            SourceId(i as u32),
+            Arc::new(RowStore::from_rows(schema_of(table), &rows)),
+        );
+    }
+    provider
+}
+
+/// Every compiled strategy, with the provider (`native` or `managed`) it
+/// runs on.
+fn compiled_strategies<'p>(
+    native: &'p Provider<'static>,
+    managed: &'p Provider<'static>,
+) -> [(&'static str, &'p Provider<'static>, Strategy); 5] {
+    [
+        ("native", native, Strategy::CompiledNative),
+        (
+            "native-parallel",
+            native,
+            Strategy::CompiledNativeParallel(ParallelConfig::with_threads(2)),
+        ),
+        ("csharp", managed, Strategy::CompiledCSharp),
+        ("hybrid", managed, Strategy::Hybrid(HybridConfig::default())),
+        (
+            "hybrid-min",
+            managed,
+            Strategy::Hybrid(HybridConfig {
+                transfer: TransferPolicy::Min,
+                ..HybridConfig::default()
+            }),
+        ),
+    ]
 }
 
 #[test]
@@ -115,19 +156,12 @@ fn simulated_cpu_cache_ranks_strategies_like_figure_14() {
 /// strategy returns `MrqError::Codegen` from `Provider::execute`.
 #[test]
 fn ill_typed_queries_are_codegen_errors_on_every_compiled_strategy() {
-    use mrq_common::{Decimal, MrqError, ParallelConfig};
+    use mrq_common::{Decimal, MrqError};
     use mrq_expr::{builder::agg, lit, var, AggFunc, BinaryOp, Expr};
 
     let data = small_dataset();
     let managed = managed_provider(HeapDataset::load(&data));
-    let mut native = Provider::new();
-    for (i, table) in TABLE_NAMES.iter().enumerate() {
-        let rows = mrq_tpch::load::value_rows(&data, table);
-        native.bind_native_shared(
-            SourceId(i as u32),
-            Arc::new(RowStore::from_rows(schema_of(table), &rows)),
-        );
-    }
+    let native = native_provider(&data);
     let filtered = |predicate: Expr| {
         Query::from_source(queries::SRC_LINEITEM)
             .where_(lam("l", predicate))
@@ -198,21 +232,54 @@ fn ill_typed_queries_are_codegen_errors_on_every_compiled_strategy() {
                 .into_expr(),
         ),
     ];
-    let strategies = [
-        ("native", &native, Strategy::CompiledNative),
-        (
-            "native-parallel",
-            &native,
-            Strategy::CompiledNativeParallel(ParallelConfig::with_threads(2)),
-        ),
-        ("csharp", &managed, Strategy::CompiledCSharp),
-    ];
     for (case, expr) in &cases {
-        for (name, provider, strategy) in &strategies {
-            match provider.execute(expr.clone(), *strategy) {
+        for (name, provider, strategy) in compiled_strategies(&native, &managed) {
+            match provider.execute(expr.clone(), strategy) {
                 Err(MrqError::Codegen(_)) => {}
                 other => panic!("{case} through {name}: expected a codegen error, got {other:?}"),
             }
+        }
+    }
+}
+
+/// `date ± integer` is a date on every compiled strategy, as it is in the
+/// LINQ baseline: projected, it yields `Value::Date`s, and compared with a
+/// date literal, it filters the baseline's rows.
+#[test]
+fn date_arithmetic_matches_linq_on_every_compiled_strategy() {
+    use mrq_common::Date;
+    use mrq_expr::{lit, BinaryOp, Expr};
+
+    let data = small_dataset();
+    let managed = managed_provider(HeapDataset::load(&data));
+    let native = native_provider(&data);
+    let next_day = || Expr::binary(BinaryOp::Add, col("l", "l_shipdate"), lit(1i64));
+    let projected = Query::from_source(queries::SRC_LINEITEM)
+        .select(lam("l", next_day()))
+        .into_expr();
+    let filtered = Query::from_source(queries::SRC_LINEITEM)
+        .where_(lam(
+            "l",
+            Expr::binary(BinaryOp::Gt, next_day(), lit(Date::from_ymd(1996, 1, 1))),
+        ))
+        .select(lam("l", col("l", "l_orderkey")))
+        .into_expr();
+    for (case, expr, rows) in [
+        ("projection", projected, data.lineitem.len()),
+        ("filter", filtered, 5_097),
+    ] {
+        let linq = managed
+            .execute(expr.clone(), Strategy::LinqToObjects)
+            .unwrap();
+        assert_eq!(linq.rows.len(), rows, "{case} through linq");
+        if case == "projection" {
+            assert!(matches!(linq.rows[0][0], Value::Date(_)), "a shifted date");
+        }
+        for (name, provider, strategy) in compiled_strategies(&native, &managed) {
+            let out = provider
+                .execute(expr.clone(), strategy)
+                .unwrap_or_else(|e| panic!("{case} through {name}: {e}"));
+            assert_eq!(out, linq, "{case} through {name}");
         }
     }
 }
