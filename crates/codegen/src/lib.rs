@@ -10,9 +10,9 @@
 //!   the flattened, fused description of the query (scan, filters per
 //!   source, left-deep hash joins, group-by keys, aggregates, sort keys,
 //!   take, output columns), with every column reference resolved to a
-//!   `(table slot, column index)` pair. This corresponds to the paper's
-//!   expression-tree → code-tree translation plus the §6.2 object/native
-//!   layout mapping.
+//!   `(table slot, column index)` pair and every node typed by
+//!   `mrq_expr::types`. This is the paper's expression-tree → code-tree
+//!   translation plus the §6.2 object/native layout mapping.
 //! * [`exec`] — the *compiled query templates*: a generic, monomorphic
 //!   executor over a [`TableAccess`] implementation. Each engine instantiates
 //!   the same fused algorithm over its own data representation (managed
@@ -21,8 +21,8 @@
 //!   Each execution first compiles the spec's expressions into closures
 //!   over that implementation, so no per-row step interprets the
 //!   expression tree. The executor is incremental (build → consume →
-//!   finish) so the hybrid engine's buffered staging and the native
-//!   engine's deferred execution both map onto it.
+//!   finish) so the hybrid engine's buffered staging and streamed results
+//!   both map onto it.
 //! * [`emit`] — emits the C#-like and C-like source text the paper's
 //!   provider would have compiled, and models the compilation cost the paper
 //!   reports (§7.4). We do not invoke a compiler at run time (no JIT backend

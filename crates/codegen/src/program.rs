@@ -2,29 +2,31 @@
 //! closures that are monomorphic over one engine's [`TableAccess`].
 //!
 //! [`Program::compile`] runs once per execution, against that execution's
-//! parameters and slot schemas. It type-checks every expression, resolves
+//! parameters and slot schemas. It types every node through `mrq_expr`'s
+//! type table ([`binary_type`], [`unary_type`], [`method_type`]), resolves
 //! each column read to the typed getter of its column, and folds constants
 //! and parameters into the closures, so the fused loop in
 //! [`crate::exec`] never inspects an expression node, a [`DataType`] or a
-//! parameter while it scans. An ill-typed tree is an
-//! [`MrqError::Codegen`] here instead of a panic on every row.
+//! parameter while it scans. The table decides which operand types an
+//! operator takes and what it returns; this module only builds the closure
+//! for each pair the table allows, and an ill-typed tree is the table's
+//! [`MrqError::Codegen`] here instead of a panic on every row. A zero
+//! integer or decimal divisor ends the query through
+//! [`mrq_common::abort_query`].
 //!
 //! **What stays the same as evaluating the tree.** Each closure makes the
 //! [`TableAccess`] calls a walk of its expression makes, in the same order
 //! and with the same `&&`/`||` short-circuiting; constants are folded only
-//! where that skips no read. Arithmetic keeps the tree's promotions
-//! (`Int × Decimal → Decimal`, anything with a float → `f64`,
-//! `date ± integer → date`, any other arithmetic over dates on epoch days)
-//! and comparisons keep theirs (an integer meets a decimal as a decimal, a
-//! float as a float). Results, [`mrq_common::WorkStats`] and the
+//! where that skips no read. Results, [`mrq_common::WorkStats`] and the
 //! traced cache behaviour of every engine are therefore unchanged by
 //! compiling; only the per-row interpretation overhead goes.
 
 use crate::exec::TableAccess;
 use crate::spec::{AggSpec, ColumnRef, OutputExpr, QuerySpec, ScalarExpr, StrOp};
+use mrq_common::error::{abort_query, division_by_zero};
 use mrq_common::hash::FxHashMap;
 use mrq_common::{DataType, Date, Decimal, MrqError, Result, Schema, Value};
-use mrq_expr::{AggFunc, BinaryOp, UnaryOp};
+use mrq_expr::{binary_type, method_type, numeric_type, unary_type, AggFunc, BinaryOp};
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -599,7 +601,8 @@ fn zip_str<'p, T: TableAccess + 'p>(
     })
 }
 
-/// An operand in a comparison or key position, typed at compile time.
+/// A compiled expression of the type the type table gave it. Every
+/// integer is computed as an `i64`; a string is a constant or a column.
 enum Typed<'p, T> {
     Int(Val<'p, T, i64>),
     Dec(Val<'p, T, Decimal>),
@@ -609,45 +612,73 @@ enum Typed<'p, T> {
     Str(StrVal),
 }
 
-/// A value in an arithmetic position.
-enum Arith<'p, T> {
-    Int(Val<'p, T, i64>),
-    Dec(Val<'p, T, Decimal>),
-    F64(Val<'p, T, f64>),
-    Date(Val<'p, T, Date>),
-}
+impl<'p, T: TableAccess + 'p> Typed<'p, T> {
+    /// A constant or parameter, folded into the closures that read it.
+    fn constant(v: &Value) -> Result<Self> {
+        Ok(match v {
+            Value::Bool(b) => Typed::Bool(Val::Const(*b)),
+            Value::Int32(i) => Typed::Int(Val::Const(*i as i64)),
+            Value::Int64(i) => Typed::Int(Val::Const(*i)),
+            Value::Decimal(d) => Typed::Dec(Val::Const(*d)),
+            Value::Float64(f) => Typed::F64(Val::Const(*f)),
+            Value::Date(d) => Typed::Date(Val::Const(*d)),
+            Value::Str(s) => Typed::Str(StrVal::Const(Arc::clone(s))),
+            Value::Null => return Err(MrqError::Codegen("untyped null constant".into())),
+        })
+    }
 
-/// A date as epoch days, the number it is in arithmetic other than
-/// `date ± integer`.
-fn days<'p, T: TableAccess + 'p>(v: Val<'p, T, Date>) -> Val<'p, T, i64> {
-    v.map(|d: Date| d.epoch_days() as i64)
-}
+    /// A read of column `c`, through the typed getter of its type.
+    fn column(c: ColumnRef, dtype: DataType) -> Self {
+        match dtype {
+            DataType::Bool => Typed::Bool(Val::Col(Reader::new(c))),
+            DataType::Int32 => Typed::Int(Val::Col(Reader::int(c, IntRead::I32))),
+            DataType::Int64 => Typed::Int(Val::Col(Reader::new(c))),
+            DataType::Decimal => Typed::Dec(Val::Col(Reader::new(c))),
+            DataType::Float64 => Typed::F64(Val::Col(Reader::new(c))),
+            DataType::Date => Typed::Date(Val::Col(Reader::new(c))),
+            DataType::Str => Typed::Str(StrVal::Col(Reader::new(c))),
+        }
+    }
 
-impl<'p, T: TableAccess + 'p> Arith<'p, T> {
-    fn into_f64(self) -> Val<'p, T, f64> {
+    /// The type the table sees (integers are `Int64` once computed).
+    fn dtype(&self) -> DataType {
         match self {
-            Arith::Int(v) => v.map(|v| v as f64),
-            Arith::Dec(v) => v.map(Decimal::to_f64),
-            Arith::F64(v) => v,
-            Arith::Date(v) => v.map(|d: Date| d.epoch_days() as f64),
+            Typed::Int(_) => DataType::Int64,
+            Typed::Dec(_) => DataType::Decimal,
+            Typed::F64(_) => DataType::Float64,
+            Typed::Date(_) => DataType::Date,
+            Typed::Bool(_) => DataType::Bool,
+            Typed::Str(_) => DataType::Str,
         }
     }
 
     fn into_dec(self) -> Val<'p, T, Decimal> {
         match self {
-            Arith::Int(v) => v.map(Decimal::from_int),
-            Arith::Dec(v) => v,
-            Arith::F64(v) => v.map(Decimal::from_f64),
-            Arith::Date(v) => v.map(|d: Date| Decimal::from_int(d.epoch_days() as i64)),
+            Typed::Int(v) => v.map(Decimal::from_int),
+            Typed::Dec(v) => v,
+            Typed::F64(v) => v.map(Decimal::from_f64),
+            _ => unreachable!("typed as a number by the type table"),
+        }
+    }
+
+    fn into_f64(self) -> Val<'p, T, f64> {
+        match self {
+            Typed::Int(v) => v.map(|v| v as f64),
+            Typed::Dec(v) => v.map(Decimal::to_f64),
+            Typed::F64(v) => v,
+            _ => unreachable!("typed as a number by the type table"),
         }
     }
 
     fn into_value(self) -> Val<'p, T, Value> {
         match self {
-            Arith::Int(v) => v.map(Value::Int64),
-            Arith::Dec(v) => v.map(Value::Decimal),
-            Arith::F64(v) => v.map(Value::Float64),
-            Arith::Date(v) => v.map(Value::Date),
+            Typed::Int(v) => v.map(Value::Int64),
+            Typed::Dec(v) => v.map(Value::Decimal),
+            Typed::F64(v) => v.map(Value::Float64),
+            Typed::Date(v) => v.map(Value::Date),
+            Typed::Bool(v) => v.map(Value::Bool),
+            Typed::Str(StrVal::Const(s)) => Val::Const(Value::Str(s)),
+            Typed::Str(StrVal::Col(r)) => Val::Col(r),
         }
     }
 
@@ -655,24 +686,13 @@ impl<'p, T: TableAccess + 'p> Arith<'p, T> {
     /// accumulates. An integer sum takes integers only: it reads any other
     /// input and drops it, as the tree did.
     fn accumulate_into(self, state: &AggState) -> Accumulate<'p, T> {
-        match state {
-            AggState::SumDec(_) | AggState::AvgDec { .. } => self.into_dec().accumulate(),
-            AggState::SumF64(_) | AggState::Avg { .. } => self.into_f64().accumulate(),
-            _ => match self {
-                Arith::Int(v) => v.accumulate(),
-                Arith::Dec(v) => v.accumulate(),
-                Arith::F64(v) => v.accumulate(),
-                Arith::Date(v) => days(v).accumulate(),
-            },
-        }
-    }
-
-    fn into_typed(self) -> Typed<'p, T> {
-        match self {
-            Arith::Int(v) => Typed::Int(v),
-            Arith::Dec(v) => Typed::Dec(v),
-            Arith::F64(v) => Typed::F64(v),
-            Arith::Date(v) => Typed::Date(v),
+        match (state, self) {
+            (AggState::SumDec(_) | AggState::AvgDec { .. }, v) => v.into_dec().accumulate(),
+            (AggState::SumF64(_) | AggState::Avg { .. }, v) => v.into_f64().accumulate(),
+            (_, Typed::Int(v)) => v.accumulate(),
+            (_, Typed::Dec(v)) => v.accumulate(),
+            (_, Typed::F64(v)) => v.accumulate(),
+            (_, other) => other.into_value().accumulate(),
         }
     }
 }
@@ -729,89 +749,29 @@ fn ordered_str<'p, T: TableAccess + 'p>(op: BinaryOp, l: StrVal, r: StrVal) -> V
     }
 }
 
-/// A comparison (`op.is_comparison()`) between two typed operands.
-fn compare<'p, T: TableAccess + 'p>(
-    op: BinaryOp,
-    l: Typed<'p, T>,
-    r: Typed<'p, T>,
-) -> Result<Val<'p, T, bool>> {
-    use Typed::*;
-    Ok(match (l, r) {
-        (Int(a), Int(b)) => ordered(op, a, b),
-        (Dec(a), Dec(b)) => ordered(op, a, b),
-        (Dec(a), Int(b)) => ordered(op, a, b.map(Decimal::from_int)),
-        (Int(a), Dec(b)) => ordered(op, a.map(Decimal::from_int), b),
-        (F64(a), F64(b)) => ordered(op, a, b),
-        (F64(a), Int(b)) => ordered(op, a, b.map(|v| v as f64)),
-        (Int(a), F64(b)) => ordered(op, a.map(|v| v as f64), b),
-        (Date(a), Date(b)) => ordered(op, a, b),
-        (Bool(a), Bool(b)) => ordered(op, a, b),
-        (Str(a), Str(b)) => ordered_str(op, a, b),
-        (l, r) => {
-            return Err(MrqError::Codegen(format!(
-                "comparison between incompatible operand types ({} {op:?} {})",
-                l.type_name(),
-                r.type_name()
-            )))
-        }
-    })
-}
-
-impl<T> Typed<'_, T> {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Typed::Int(_) => "integer",
-            Typed::Dec(_) => "decimal",
-            Typed::F64(_) => "float",
-            Typed::Date(_) => "date",
-            Typed::Bool(_) => "bool",
-            Typed::Str(_) => "string",
-        }
-    }
-}
-
-/// The operands of an arithmetic node after the tree's promotions: a
-/// float on either side makes both floats, else a decimal both decimals;
-/// a date plus or minus an integer shifts the date.
-enum Promoted<'p, T> {
+/// The two numeric operands of a comparison or arithmetic node, converted
+/// to the type they meet in (`mrq_expr::numeric_type`).
+enum Pair<'p, T> {
     Int(Val<'p, T, i64>, Val<'p, T, i64>),
     Dec(Val<'p, T, Decimal>, Val<'p, T, Decimal>),
     F64(Val<'p, T, f64>, Val<'p, T, f64>),
-    Date(Val<'p, T, Date>, Val<'p, T, i64>),
 }
 
-fn promote<'p, T: TableAccess + 'p>(
-    op: BinaryOp,
-    l: Arith<'p, T>,
-    r: Arith<'p, T>,
-) -> Result<Promoted<'p, T>> {
-    if !matches!(
-        op,
-        BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div
-    ) {
-        return Err(MrqError::Codegen(format!(
-            "`{op:?}` used in an arithmetic position"
-        )));
+/// Integer division; a zero divisor ends the query.
+#[inline]
+fn int_div(x: i64, y: i64) -> i64 {
+    if y == 0 {
+        abort_query(division_by_zero());
     }
-    let shift = matches!(op, BinaryOp::Add | BinaryOp::Sub);
-    Ok(match (l, r) {
-        (l @ Arith::F64(_), r) | (l, r @ Arith::F64(_)) => {
-            Promoted::F64(l.into_f64(), r.into_f64())
-        }
-        (l @ Arith::Dec(_), r) | (l, r @ Arith::Dec(_)) => {
-            Promoted::Dec(l.into_dec(), r.into_dec())
-        }
-        // `date ± integer` is a date, as the lowering types it.
-        (Arith::Date(a), Arith::Int(b)) if shift => Promoted::Date(a, b),
-        (Arith::Int(a), Arith::Int(b)) => Promoted::Int(a, b),
-        (Arith::Date(a), Arith::Int(b)) => Promoted::Int(days(a), b),
-        (Arith::Int(a), Arith::Date(b)) => Promoted::Int(a, days(b)),
-        (Arith::Date(a), Arith::Date(b)) => Promoted::Int(days(a), days(b)),
-    })
+    x / y
 }
 
-/// Decimal division, through floats as the tree divided.
+/// Decimal division, through floats as the tree divided; a zero divisor
+/// ends the query.
 fn dec_div(a: Decimal, b: Decimal) -> Decimal {
+    if b == Decimal::ZERO {
+        abort_query(division_by_zero());
+    }
     Decimal::from_f64(a.to_f64() / b.to_f64())
 }
 
@@ -827,16 +787,28 @@ macro_rules! by_op {
     };
 }
 
-impl<'p, T: TableAccess + 'p> Promoted<'p, T> {
-    fn eval(self, op: BinaryOp) -> Arith<'p, T> {
+impl<'p, T: TableAccess + 'p> Pair<'p, T> {
+    fn new(to: DataType, l: Typed<'p, T>, r: Typed<'p, T>) -> Self {
+        match (to, l, r) {
+            (DataType::Int64, Typed::Int(a), Typed::Int(b)) => Pair::Int(a, b),
+            (DataType::Decimal, l, r) => Pair::Dec(l.into_dec(), r.into_dec()),
+            (_, l, r) => Pair::F64(l.into_f64(), r.into_f64()),
+        }
+    }
+
+    fn compare(self, op: BinaryOp) -> Val<'p, T, bool> {
         match self {
-            Promoted::Int(a, b) => Arith::Int(by_op!(op, zip, a, b, i64, |x: i64, y: i64| x / y)),
-            Promoted::Dec(a, b) => Arith::Dec(by_op!(op, zip, a, b, Decimal, dec_div)),
-            Promoted::F64(a, b) => Arith::F64(by_op!(op, zip, a, b, f64, |x: f64, y: f64| x / y)),
-            Promoted::Date(d, n) => Arith::Date(match op {
-                BinaryOp::Add => zip(d, n, |d: Date, n: i64| d.add_days(n as i32)),
-                _ => zip(d, n, |d: Date, n: i64| d.add_days(-(n as i32))),
-            }),
+            Pair::Int(a, b) => ordered(op, a, b),
+            Pair::Dec(a, b) => ordered(op, a, b),
+            Pair::F64(a, b) => ordered(op, a, b),
+        }
+    }
+
+    fn eval(self, op: BinaryOp) -> Typed<'p, T> {
+        match self {
+            Pair::Int(a, b) => Typed::Int(by_op!(op, zip, a, b, i64, int_div)),
+            Pair::Dec(a, b) => Typed::Dec(by_op!(op, zip, a, b, Decimal, dec_div)),
+            Pair::F64(a, b) => Typed::F64(by_op!(op, zip, a, b, f64, |x: f64, y: f64| x / y)),
         }
     }
 
@@ -844,18 +816,52 @@ impl<'p, T: TableAccess + 'p> Promoted<'p, T> {
     /// has the type `state` accumulates.
     fn accumulate(self, op: BinaryOp, state: &AggState) -> Accumulate<'p, T> {
         match (self, state) {
-            (Promoted::Int(a, b), AggState::SumI64(_)) => {
-                by_op!(op, zip_fold, a, b, i64, |x: i64, y: i64| x / y)
-            }
-            (Promoted::Dec(a, b), AggState::SumDec(_) | AggState::AvgDec { .. }) => {
+            (Pair::Int(a, b), AggState::SumI64(_)) => by_op!(op, zip_fold, a, b, i64, int_div),
+            (Pair::Dec(a, b), AggState::SumDec(_) | AggState::AvgDec { .. }) => {
                 by_op!(op, zip_fold, a, b, Decimal, dec_div)
             }
-            (Promoted::F64(a, b), AggState::SumF64(_) | AggState::Avg { .. }) => {
+            (Pair::F64(a, b), AggState::SumF64(_) | AggState::Avg { .. }) => {
                 by_op!(op, zip_fold, a, b, f64, |x: f64, y: f64| x / y)
             }
             (other, state) => other.eval(op).accumulate_into(state),
         }
     }
+}
+
+/// `l op r` over two compiled operands, of the type the type table gives
+/// their types. The table decides which pairs are legal; the arms below only
+/// build the closure for each legal pair.
+fn binary<'p, T: TableAccess + 'p>(
+    op: BinaryOp,
+    l: Typed<'p, T>,
+    r: Typed<'p, T>,
+) -> Result<Typed<'p, T>> {
+    let out = binary_type(op, l.dtype(), r.dtype())?;
+    let meet = numeric_type(l.dtype(), r.dtype());
+    Ok(match (l, r) {
+        (Typed::Bool(l), Typed::Bool(r)) if op == BinaryOp::And => Typed::Bool(and(l, r)),
+        (Typed::Bool(l), Typed::Bool(r)) if op == BinaryOp::Or => Typed::Bool(or(l, r)),
+        (l, r) if op.is_comparison() => Typed::Bool(match (meet, l, r) {
+            (Some(to), l, r) => Pair::new(to, l, r).compare(op),
+            (None, Typed::Date(a), Typed::Date(b)) => ordered(op, a, b),
+            (None, Typed::Bool(a), Typed::Bool(b)) => ordered(op, a, b),
+            (None, Typed::Str(a), Typed::Str(b)) => ordered_str(op, a, b),
+            _ => unreachable!("comparison typed by the type table"),
+        }),
+        (Typed::Date(a), Typed::Date(b)) => Typed::Int(zip(a, b, |a: Date, b: Date| {
+            a.epoch_days() as i64 - b.epoch_days() as i64
+        })),
+        (Typed::Date(d), Typed::Int(n)) if op == BinaryOp::Sub => {
+            Typed::Date(zip(d, n, |d: Date, n: i64| d.add_days(-(n as i32))))
+        }
+        (Typed::Date(d), Typed::Int(n)) => {
+            Typed::Date(zip(d, n, |d: Date, n: i64| d.add_days(n as i32)))
+        }
+        (Typed::Int(n), Typed::Date(d)) => {
+            Typed::Date(zip(n, d, |n: i64, d: Date| d.add_days(n as i32)))
+        }
+        (l, r) => Pair::new(out, l, r).eval(op),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1082,152 +1088,68 @@ impl Compiler<'_> {
     ) -> Result<Filter<'p, T>> {
         let mut predicates = Vec::new();
         for f in filters {
-            match self.boolean(f)? {
-                Val::Const(true) => {}
-                other => predicates.push(other.into_fn()),
+            match self.typed(f)? {
+                Typed::Bool(Val::Const(true)) => {}
+                Typed::Bool(other) => predicates.push(other.into_fn()),
+                other => {
+                    return Err(MrqError::Codegen(format!(
+                        "a filter must be Bool, found {}",
+                        other.dtype()
+                    )))
+                }
             }
         }
         Ok(Filter { predicates })
     }
 
-    /// An expression in a boolean position (a filter, a logical operand).
-    fn boolean<'p, T: TableAccess + 'p>(&self, expr: &ScalarExpr) -> Result<Val<'p, T, bool>> {
+    /// Compiles an expression, typing every operator through the type
+    /// table.
+    fn typed<'p, T: TableAccess + 'p>(&self, expr: &ScalarExpr) -> Result<Typed<'p, T>> {
         if let Some(v) = self.constant(expr)? {
-            return Ok(Val::Const(v.as_bool()));
+            return Typed::constant(v);
         }
         match expr {
-            ScalarExpr::Binary { op, left, right } => match op {
-                BinaryOp::And => Ok(and(self.boolean(left)?, self.boolean(right)?)),
-                BinaryOp::Or => Ok(or(self.boolean(left)?, self.boolean(right)?)),
-                cmp if cmp.is_comparison() => {
-                    compare(*cmp, self.operand(left)?, self.operand(right)?)
-                }
-                other => Err(MrqError::Codegen(format!(
-                    "arithmetic expression (`{other:?}`) used in a boolean position"
-                ))),
-            },
-            ScalarExpr::Unary {
-                op: UnaryOp::Not,
-                expr,
-            } => Ok(self.boolean(expr)?.map(|v: bool| !v)),
-            ScalarExpr::Str { op, target, arg } => {
-                match (self.operand::<T>(target)?, self.operand::<T>(arg)?) {
-                    (Typed::Str(t), Typed::Str(a)) => Ok(match op {
-                        StrOp::StartsWith => zip_str(t, a, |t, a| t.starts_with(a)),
-                        StrOp::EndsWith => zip_str(t, a, |t, a| t.ends_with(a)),
-                        StrOp::Contains => zip_str(t, a, |t, a| t.contains(a)),
-                    }),
-                    (t, a) => Err(MrqError::Codegen(format!(
-                        "`{op:?}` over {} and {} operands; both must be strings",
-                        t.type_name(),
-                        a.type_name()
-                    ))),
-                }
-            }
-            ScalarExpr::Column(c) => match self.dtype(*c)? {
-                DataType::Bool => Ok(Val::Col(Reader::new(*c))),
-                other => Err(MrqError::Codegen(format!(
-                    "column of type {other} used in a boolean position"
-                ))),
-            },
-            other => Err(MrqError::Codegen(format!(
-                "unsupported boolean expression {other:?}"
-            ))),
-        }
-    }
-
-    /// An operand of a comparison or a key part.
-    fn operand<'p, T: TableAccess + 'p>(&self, expr: &ScalarExpr) -> Result<Typed<'p, T>> {
-        if let Some(v) = self.constant(expr)? {
-            return Ok(match v {
-                Value::Bool(b) => Typed::Bool(Val::Const(*b)),
-                Value::Int32(i) => Typed::Int(Val::Const(*i as i64)),
-                Value::Int64(i) => Typed::Int(Val::Const(*i)),
-                Value::Decimal(d) => Typed::Dec(Val::Const(*d)),
-                Value::Float64(f) => Typed::F64(Val::Const(*f)),
-                Value::Date(d) => Typed::Date(Val::Const(*d)),
-                Value::Str(s) => Typed::Str(StrVal::Const(Arc::clone(s))),
-                Value::Null => Typed::Bool(Val::Const(false)),
-            });
-        }
-        match expr {
-            ScalarExpr::Column(c) => Ok(match self.dtype(*c)? {
-                DataType::Bool => Typed::Bool(Val::Col(Reader::new(*c))),
-                DataType::Int32 => Typed::Int(Val::Col(Reader::int(*c, IntRead::I32))),
-                DataType::Int64 => Typed::Int(Val::Col(Reader::new(*c))),
-                DataType::Decimal => Typed::Dec(Val::Col(Reader::new(*c))),
-                DataType::Float64 => Typed::F64(Val::Col(Reader::new(*c))),
-                DataType::Date => Typed::Date(Val::Col(Reader::new(*c))),
-                DataType::Str => Typed::Str(StrVal::Col(Reader::new(*c))),
-            }),
-            // Composite arithmetic inside a comparison: a number.
-            other => Ok(self.arith(other)?.into_typed()),
-        }
-    }
-
-    /// An expression in an arithmetic position (aggregate inputs, operands
-    /// of `+ - * /`).
-    fn arith<'p, T: TableAccess + 'p>(&self, expr: &ScalarExpr) -> Result<Arith<'p, T>> {
-        if let Some(v) = self.constant(expr)? {
-            return match v {
-                Value::Int32(i) => Ok(Arith::Int(Val::Const(*i as i64))),
-                Value::Int64(i) => Ok(Arith::Int(Val::Const(*i))),
-                Value::Decimal(d) => Ok(Arith::Dec(Val::Const(*d))),
-                Value::Float64(f) => Ok(Arith::F64(Val::Const(*f))),
-                Value::Date(d) => Ok(Arith::Date(Val::Const(*d))),
-                other => Err(MrqError::Codegen(format!(
-                    "value {other:?} used in arithmetic"
-                ))),
-            };
-        }
-        match expr {
-            ScalarExpr::Column(c) => match self.dtype(*c)? {
-                DataType::Int32 => Ok(Arith::Int(Val::Col(Reader::int(*c, IntRead::I32)))),
-                DataType::Int64 => Ok(Arith::Int(Val::Col(Reader::new(*c)))),
-                DataType::Decimal => Ok(Arith::Dec(Val::Col(Reader::new(*c)))),
-                DataType::Float64 => Ok(Arith::F64(Val::Col(Reader::new(*c)))),
-                DataType::Date => Ok(Arith::Date(Val::Col(Reader::new(*c)))),
-                other => Err(MrqError::Codegen(format!(
-                    "column of type {other} used in arithmetic"
-                ))),
-            },
+            ScalarExpr::Column(c) => Ok(Typed::column(*c, self.dtype(*c)?)),
             ScalarExpr::Binary { op, left, right } => {
-                Ok(promote(*op, self.arith(left)?, self.arith(right)?)?.eval(*op))
+                binary(*op, self.typed(left)?, self.typed(right)?)
             }
-            ScalarExpr::Unary {
-                op: UnaryOp::Neg,
-                expr,
-            } => Ok(match self.arith(expr)? {
-                Arith::Int(v) => Arith::Int(v.map(|v: i64| -v)),
-                Arith::Dec(v) => Arith::Dec(v.map(|v: Decimal| -v)),
-                Arith::F64(v) => Arith::F64(v.map(|v: f64| -v)),
-                Arith::Date(v) => Arith::Int(days(v).map(|v: i64| -v)),
-            }),
-            other => Err(MrqError::Codegen(format!(
-                "unsupported numeric expression {other:?}"
-            ))),
+            ScalarExpr::Unary { op, expr } => {
+                let v = self.typed(expr)?;
+                unary_type(*op, v.dtype())?;
+                Ok(match v {
+                    Typed::Bool(v) => Typed::Bool(v.map(|v: bool| !v)),
+                    Typed::Int(v) => Typed::Int(v.map(|v: i64| -v)),
+                    Typed::Dec(v) => Typed::Dec(v.map(|v: Decimal| -v)),
+                    Typed::F64(v) => Typed::F64(v.map(|v: f64| -v)),
+                    _ => unreachable!("operand typed by the type table"),
+                })
+            }
+            ScalarExpr::Str { op, target, arg } => {
+                let (t, a) = (self.typed::<T>(target)?, self.typed::<T>(arg)?);
+                method_type(op.method(), t.dtype(), a.dtype())?;
+                let (Typed::Str(t), Typed::Str(a)) = (t, a) else {
+                    unreachable!("operands typed by the type table")
+                };
+                Ok(Typed::Bool(match op {
+                    StrOp::StartsWith => zip_str(t, a, |t, a| t.starts_with(a)),
+                    StrOp::EndsWith => zip_str(t, a, |t, a| t.ends_with(a)),
+                    StrOp::Contains => zip_str(t, a, |t, a| t.contains(a)),
+                }))
+            }
+            ScalarExpr::Const(_) | ScalarExpr::Param(_) => unreachable!("folded above"),
         }
     }
 
     /// An expression whose result is a [`Value`] (outputs, group key
-    /// values, `Min`/`Max` inputs).
+    /// values, `Min`/`Max` inputs). A column keeps its own type.
     fn value<'p, T: TableAccess + 'p>(&self, expr: &ScalarExpr) -> Result<Val<'p, T, Value>> {
-        if let Some(v) = self.constant(expr)? {
-            return Ok(Val::Const(v.clone()));
-        }
         match expr {
             ScalarExpr::Column(c) => {
                 self.dtype(*c)?;
                 Ok(Val::Col(Reader::new(*c)))
             }
-            ScalarExpr::Str { .. }
-            | ScalarExpr::Unary {
-                op: UnaryOp::Not, ..
-            } => Ok(self.boolean(expr)?.map(Value::Bool)),
-            ScalarExpr::Binary { op, .. } if op.is_comparison() || op.is_logical() => {
-                Ok(self.boolean(expr)?.map(Value::Bool))
-            }
-            other => Ok(self.arith(other)?.into_value()),
+            ScalarExpr::Const(v) => Ok(Val::Const(v.clone())),
+            other => Ok(self.typed(other)?.into_value()),
         }
     }
 
@@ -1236,12 +1158,6 @@ impl Compiler<'_> {
         parts: &[ScalarExpr],
         interner: &mut StringInterner,
     ) -> Result<Key<'p, T>> {
-        if parts.len() > MAX_KEY_PARTS {
-            return Err(MrqError::Codegen(format!(
-                "a key has {} parts; at most {MAX_KEY_PARTS} are supported",
-                parts.len()
-            )));
-        }
         let word = |v: Val<'p, T, u64>| match v {
             Val::Const(w) => KeyPart::Const(w),
             Val::Fn(f) => KeyPart::Word(f),
@@ -1250,7 +1166,7 @@ impl Compiler<'_> {
         let parts = parts
             .iter()
             .map(|part| {
-                Ok(match self.operand(part)? {
+                Ok(match self.typed(part)? {
                     Typed::Int(Val::Col(r)) => KeyPart::Int(r),
                     Typed::Date(Val::Col(r)) => KeyPart::Date(r),
                     Typed::Str(StrVal::Col(r)) => KeyPart::Str(r),
@@ -1280,9 +1196,16 @@ impl Compiler<'_> {
         Ok(Accumulator::Fold(match (&state, input) {
             (AggState::Min(_) | AggState::Max(_), _) => self.value(input)?.accumulate(),
             (_, ScalarExpr::Binary { op, left, right }) => {
-                promote(*op, self.arith(left)?, self.arith(right)?)?.accumulate(*op, &state)
+                let (l, r) = (self.typed(left)?, self.typed(right)?);
+                let out = binary_type(*op, l.dtype(), r.dtype())?;
+                if out.is_numeric() && l.dtype().is_numeric() && r.dtype().is_numeric() {
+                    // Numeric arithmetic: the operation and the fold fuse.
+                    Pair::new(out, l, r).accumulate(*op, &state)
+                } else {
+                    binary(*op, l, r)?.accumulate_into(&state)
+                }
             }
-            _ => self.arith(input)?.accumulate_into(&state),
+            _ => self.typed(input)?.accumulate_into(&state),
         }))
     }
 }

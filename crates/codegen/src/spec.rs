@@ -6,9 +6,11 @@
 //! into at most one pipeline per blocking operator, and joins become
 //! left-deep hash joins with their build-side filters attached.
 
+use crate::program::MAX_KEY_PARTS;
 use mrq_common::{DataType, MrqError, Result, Schema, Value};
 use mrq_expr::{
-    AggFunc, BinaryOp, CanonicalQuery, Expr, QueryMethod, SortDirection, SourceId, UnaryOp,
+    binary_type, method_type, unary_type, AggFunc, BinaryOp, CanonicalQuery, Expr, QueryMethod,
+    SortDirection, SourceId, UnaryOp,
 };
 use std::collections::HashMap;
 
@@ -44,6 +46,17 @@ pub enum StrOp {
     EndsWith,
     /// `Contains`
     Contains,
+}
+
+impl StrOp {
+    /// The query method this operator lowers.
+    pub fn method(self) -> QueryMethod {
+        match self {
+            StrOp::StartsWith => QueryMethod::StartsWith,
+            StrOp::EndsWith => QueryMethod::EndsWith,
+            StrOp::Contains => QueryMethod::Contains,
+        }
+    }
 }
 
 /// A scalar expression over resolved column references. This is what the
@@ -418,6 +431,8 @@ enum Binding {
 struct Lowering<'a> {
     catalog: &'a dyn Catalog,
     params: &'a [Value],
+    /// The schema of every slot bound so far, root first.
+    slot_schemas: Vec<Schema>,
     spec: QuerySpec,
     binding: Binding,
     /// Sort keys requested before the final projection (e.g. `OrderBy`
@@ -429,7 +444,9 @@ struct Lowering<'a> {
     grouped_row_map: Option<FieldMap>,
 }
 
-/// Lowers a canonical query into a [`QuerySpec`].
+/// Lowers a canonical query into a [`QuerySpec`], typing every filter,
+/// key, aggregate and output through `mrq_expr`'s type table: an ill-typed
+/// statement is an [`MrqError::Codegen`] here, before any strategy runs.
 ///
 /// Returns [`MrqError::Unsupported`] for query shapes outside the compiled
 /// subset (nested reference navigation, arbitrary method calls, grouping of
@@ -477,6 +494,7 @@ pub fn lower(query: &CanonicalQuery, catalog: &dyn Catalog) -> Result<QuerySpec>
     let mut lowering = Lowering {
         catalog,
         params: &query.params,
+        slot_schemas: vec![root_schema],
         spec: QuerySpec {
             root,
             root_filters: Vec::new(),
@@ -506,7 +524,7 @@ pub fn lower(query: &CanonicalQuery, catalog: &dyn Catalog) -> Result<QuerySpec>
 
 impl<'a> Lowering<'a> {
     fn slot_count(&self) -> usize {
-        self.spec.joins.len() + 1
+        self.slot_schemas.len()
     }
 
     fn apply(&mut self, node: &Expr) -> Result<()> {
@@ -551,7 +569,7 @@ impl<'a> Lowering<'a> {
                 ))
             }
         };
-        let predicate = self.lower_scalar(body, &[(param, &map)])?;
+        let predicate = self.lower_filter(body, &[(param, &map)])?;
         let mut conjuncts = Vec::new();
         split_conjuncts(predicate, &mut conjuncts);
         for c in conjuncts {
@@ -580,6 +598,7 @@ impl<'a> Lowering<'a> {
             .schema(build_source)
             .ok_or_else(|| MrqError::Codegen(format!("no schema bound for {build_source:?}")))?;
         let slot = self.slot_count();
+        self.slot_schemas.push(build_schema.clone());
         let build_map: FieldMap = build_schema
             .fields()
             .iter()
@@ -593,7 +612,7 @@ impl<'a> Lowering<'a> {
             .collect();
         let mut build_filters = Vec::new();
         for (param, body) in &build_filter_lambdas {
-            let filter = self.lower_scalar(body, &[(param, &build_map)])?;
+            let filter = self.lower_filter(body, &[(param, &build_map)])?;
             split_conjuncts(filter, &mut build_filters);
         }
 
@@ -609,6 +628,14 @@ impl<'a> Lowering<'a> {
             return Err(MrqError::Codegen(
                 "join key selectors must produce the same, non-zero number of keys".into(),
             ));
+        }
+        self.check_key(&probe_keys)?;
+        for (probe, build) in probe_keys.iter().zip(&build_keys) {
+            binary_type(
+                BinaryOp::Eq,
+                self.scalar_type(probe)?,
+                self.scalar_type(build)?,
+            )?;
         }
 
         // Result selector: outer => inner => body.
@@ -672,6 +699,7 @@ impl<'a> Lowering<'a> {
             }
         };
         self.spec.group_keys = keys.iter().map(|(_, e)| e.clone()).collect();
+        self.check_key(&self.spec.group_keys)?;
         // Remember the row field map so aggregate selectors inside the
         // following Select can be lowered.
         self.binding = Binding::Grouped { keys };
@@ -795,17 +823,7 @@ impl<'a> Lowering<'a> {
                         }
                         None => None,
                     };
-                    let dtype = self.aggregate_type(func, input.as_ref())?;
-                    let input_dtype = match &input {
-                        Some(e) => Some(self.scalar_type(e)?),
-                        None => None,
-                    };
-                    let candidate = AggSpec {
-                        func,
-                        input,
-                        dtype,
-                        input_dtype,
-                    };
+                    let candidate = self.aggregate(func, input)?;
                     // Duplicate-aggregate elimination (§2.3): identical
                     // aggregate computations (same function over the same
                     // selector) are computed once and shared by every output
@@ -902,18 +920,9 @@ impl<'a> Lowering<'a> {
             }
             None => None,
         };
-        let dtype = self.aggregate_type(func, input.as_ref())?;
-        let input_dtype = match &input {
-            Some(e) => Some(self.scalar_type(e)?),
-            None => None,
-        };
-        self.spec.aggregates.push(AggSpec {
-            func,
-            input,
-            dtype,
-            input_dtype,
-        });
-        self.output_types.push(dtype);
+        let aggregate = self.aggregate(func, input)?;
+        self.output_types.push(aggregate.dtype);
+        self.spec.aggregates.push(aggregate);
         self.spec
             .output
             .push((format!("{func:?}").to_lowercase(), OutputExpr::Agg(0)));
@@ -1060,21 +1069,33 @@ impl<'a> Lowering<'a> {
 
     // -- typing ---------------------------------------------------------------
 
+    /// A filter body, which must be `Bool`.
+    fn lower_filter(&self, body: &Expr, env: &[(&str, &FieldMap)]) -> Result<ScalarExpr> {
+        let filter = self.lower_scalar(body, env)?;
+        match self.scalar_type(&filter)? {
+            DataType::Bool => Ok(filter),
+            other => Err(MrqError::Codegen(format!(
+                "a filter must be Bool, found {other}: {body}"
+            ))),
+        }
+    }
+
+    /// Types every part of a group or join key and bounds its arity.
+    fn check_key(&self, parts: &[ScalarExpr]) -> Result<()> {
+        if parts.len() > MAX_KEY_PARTS {
+            return Err(MrqError::Codegen(format!(
+                "a key has {} parts; at most {MAX_KEY_PARTS} are supported",
+                parts.len()
+            )));
+        }
+        parts.iter().try_for_each(|p| self.scalar_type(p).map(drop))
+    }
+
+    /// The type of a scalar expression: columns and parameters by their
+    /// bound types, every operator through the type table.
     fn scalar_type(&self, expr: &ScalarExpr) -> Result<DataType> {
         match expr {
-            ScalarExpr::Column(c) => {
-                // Column types are resolved against the source schemas.
-                let source = if c.slot == 0 {
-                    self.spec.root
-                } else {
-                    self.spec.joins[c.slot - 1].source
-                };
-                let schema = self
-                    .catalog
-                    .schema(source)
-                    .ok_or_else(|| MrqError::Codegen(format!("no schema for {source:?}")))?;
-                Ok(schema.field(c.col).dtype)
-            }
+            ScalarExpr::Column(c) => Ok(self.slot_schemas[c.slot].field(c.col).dtype),
             ScalarExpr::Const(v) => v
                 .dtype()
                 .ok_or_else(|| MrqError::Codegen("untyped null constant".into())),
@@ -1084,43 +1105,37 @@ impl<'a> Lowering<'a> {
                 .and_then(Value::dtype)
                 .ok_or_else(|| MrqError::Codegen(format!("parameter {i} out of range"))),
             ScalarExpr::Binary { op, left, right } => {
-                if op.is_comparison() || op.is_logical() {
-                    return Ok(DataType::Bool);
-                }
-                let l = self.scalar_type(left)?;
-                let r = self.scalar_type(right)?;
-                Ok(promote(l, r))
+                binary_type(*op, self.scalar_type(left)?, self.scalar_type(right)?)
             }
-            ScalarExpr::Unary { op, expr } => match op {
-                UnaryOp::Not => Ok(DataType::Bool),
-                UnaryOp::Neg => self.scalar_type(expr),
-            },
-            ScalarExpr::Str { .. } => Ok(DataType::Bool),
+            ScalarExpr::Unary { op, expr } => unary_type(*op, self.scalar_type(expr)?),
+            ScalarExpr::Str { op, target, arg } => method_type(
+                op.method(),
+                self.scalar_type(target)?,
+                self.scalar_type(arg)?,
+            ),
         }
     }
 
-    fn aggregate_type(&self, func: AggFunc, input: Option<&ScalarExpr>) -> Result<DataType> {
-        match func {
-            AggFunc::Count => Ok(DataType::Int64),
-            AggFunc::Average => Ok(DataType::Float64),
-            AggFunc::Sum | AggFunc::Min | AggFunc::Max => {
-                let input = input
-                    .ok_or_else(|| MrqError::Codegen(format!("{func:?} requires a selector")))?;
-                self.scalar_type(input)
+    /// One aggregate, typed: `Count` is `Int64` and `Average` `Float64`;
+    /// `Sum`, `Min` and `Max` have their input's type. `Sum` and `Average`
+    /// add their inputs, so `+` must take the input's type twice.
+    fn aggregate(&self, func: AggFunc, input: Option<ScalarExpr>) -> Result<AggSpec> {
+        let input_dtype = input.as_ref().map(|e| self.scalar_type(e)).transpose()?;
+        let dtype = match (func, input_dtype) {
+            (AggFunc::Count, _) => DataType::Int64,
+            (_, None) => return Err(MrqError::Codegen(format!("{func:?} requires a selector"))),
+            (AggFunc::Sum, Some(t)) => binary_type(BinaryOp::Add, t, t).map(|_| t)?,
+            (AggFunc::Average, Some(t)) => {
+                binary_type(BinaryOp::Add, t, t).map(|_| DataType::Float64)?
             }
-        }
-    }
-}
-
-/// Numeric type promotion for arithmetic.
-fn promote(l: DataType, r: DataType) -> DataType {
-    use DataType::*;
-    match (l, r) {
-        (Date, Int32) | (Date, Int64) => Date,
-        (Float64, _) | (_, Float64) => Float64,
-        (Decimal, _) | (_, Decimal) => Decimal,
-        (Int64, _) | (_, Int64) => Int64,
-        _ => l,
+            (_, Some(t)) => t,
+        };
+        Ok(AggSpec {
+            func,
+            input,
+            dtype,
+            input_dtype,
+        })
     }
 }
 

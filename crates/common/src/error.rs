@@ -73,6 +73,24 @@ impl fmt::Display for MrqError {
 
 impl std::error::Error for MrqError {}
 
+/// The error a query ends with when an integer or decimal division meets a
+/// zero divisor, on every strategy (C# throws `DivideByZeroException`
+/// there).
+pub fn division_by_zero() -> MrqError {
+    MrqError::Internal("division by zero".into())
+}
+
+/// Ends the running query with `error` from code that cannot return one (a
+/// compiled per-row closure, the baseline's evaluator). It unwinds, without
+/// running the panic hook, to the provider's query boundary, which ends the
+/// query with `error` itself. Kept out of line: its callers are per-row
+/// code.
+#[cold]
+#[inline(never)]
+pub fn abort_query(error: MrqError) -> ! {
+    std::panic::resume_unwind(Box::new(error))
+}
+
 /// Extract a human-readable message from a panic payload.
 ///
 /// `std::panic::catch_unwind` hands back a `Box<dyn Any + Send>`; in

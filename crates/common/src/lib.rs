@@ -61,7 +61,7 @@ pub mod workcount;
 pub use admission::{AdmissionConfig, AdmissionGate, AdmissionStats};
 pub use date::Date;
 pub use decimal::Decimal;
-pub use error::{panic_message, MrqError, Result};
+pub use error::{abort_query, panic_message, MrqError, Result};
 pub use morsel::ParallelConfig;
 pub use qos::{QosClass, QosWeights};
 pub use schema::{Field, Schema};

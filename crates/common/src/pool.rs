@@ -111,6 +111,7 @@
 //! gracefully on drop: accepted tickets are drained, then workers exit and
 //! are joined — nothing accepted is abandoned.
 
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
@@ -142,9 +143,9 @@ struct MorselJob {
     /// retire unrun) and the submitting call re-raises the captured
     /// payload.
     failed: AtomicBool,
-    /// The first panicking morsel's payload message (first panic wins;
-    /// later ones are retired morsels anyway).
-    panic_msg: Mutex<Option<String>>,
+    /// The first panicking morsel's payload (first panic wins; later ones
+    /// are retired morsels anyway).
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
     /// The query context every morsel runs under (its sink removed): the
     /// class the tickets are queued (and requeued) under, and the token
     /// that, once tripped, retires claimed morsels without running them.
@@ -214,10 +215,9 @@ impl MorselJob {
                 // (and, through it, any registered waker) is released as
                 // soon as the last in-flight morsel retires.
                 if !payload.is::<CancelReason>() {
-                    let message = crate::error::panic_message(payload);
-                    let mut slot = self.panic_msg.lock().unwrap_or_else(|e| e.into_inner());
+                    let mut slot = self.panic.lock().unwrap_or_else(|e| e.into_inner());
                     if slot.is_none() {
-                        *slot = Some(message);
+                        *slot = Some(payload);
                     }
                     drop(slot);
                     self.failed.store(true, Ordering::Release);
@@ -512,7 +512,7 @@ impl WorkerPool {
             cursor: AtomicUsize::new(0),
             pending: AtomicUsize::new(total),
             failed: AtomicBool::new(false),
-            panic_msg: Mutex::new(None),
+            panic: Mutex::new(None),
             context,
             done: Mutex::new(false),
             done_cv: Condvar::new(),
@@ -538,18 +538,19 @@ impl WorkerPool {
         }
         drop(done);
         if job.failed.load(Ordering::Acquire) {
-            let message = job
-                .panic_msg
+            let payload = job
+                .panic
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .take()
-                .unwrap_or_else(|| "a pool worker panicked while running a morsel".to_string());
-            // Re-raise with the *original* payload message so callers (and
-            // the serving layer's query-boundary catch) see what actually
-            // went wrong, not a generic pool message. `resume_unwind` skips
-            // the panic hook — the original panic already printed through
-            // it at the catch site's thread.
-            std::panic::resume_unwind(Box::new(message));
+                .unwrap_or_else(|| Box::new("a pool worker panicked while running a morsel"));
+            // Re-raise the *original* payload so callers (and the serving
+            // layer's query-boundary catch) see what actually went wrong,
+            // not a generic pool message; an `abort_query` error arrives as
+            // it was raised. `resume_unwind` skips the panic hook — the
+            // original panic already printed through it at the catch site's
+            // thread.
+            std::panic::resume_unwind(payload);
         }
     }
 
@@ -681,7 +682,7 @@ mod tests {
             cursor: AtomicUsize::new(0),
             pending: AtomicUsize::new(4),
             failed: AtomicBool::new(false),
-            panic_msg: Mutex::new(None),
+            panic: Mutex::new(None),
             context: None,
             done: Mutex::new(false),
             done_cv: Condvar::new(),
@@ -690,7 +691,12 @@ mod tests {
         assert!(job.failed.load(Ordering::Acquire));
         assert_eq!(hits.load(Ordering::Relaxed), 1, "morsels 2 and 3 retired");
         assert_eq!(
-            job.panic_msg.lock().unwrap().as_deref(),
+            job.panic
+                .lock()
+                .unwrap()
+                .take()
+                .map(crate::error::panic_message)
+                .as_deref(),
             Some("shard 1 exploded")
         );
         assert!(

@@ -650,7 +650,7 @@ impl<'a> Provider<'a> {
             schemas,
         };
         let catalog = ProviderCatalog { provider: self };
-        let compiled = catch_unwind(AssertUnwindSafe(|| {
+        let plan = query_boundary(|| {
             self.plan_cache.get_or_insert_with(&key, || {
                 fault::point("plancache.insert")?;
                 let start = Instant::now();
@@ -665,11 +665,8 @@ impl<'a> Provider<'a> {
                     generation_time: start.elapsed(),
                 }))
             })
-        }));
-        match compiled {
-            Ok(plan) => Ok((canonical, plan?)),
-            Err(payload) => Err(MrqError::Internal(panic_message(payload))),
-        }
+        })?;
+        Ok((canonical, plan))
     }
 
     /// Returns the generated source for a statement (the paper's listings).
@@ -763,9 +760,9 @@ impl<'a> Provider<'a> {
         )
     }
 
-    /// The shared tail of [`Provider::execute`] and the prepared-query path:
-    /// an already-lowered plan with resolved parameters, run through result
-    /// recycling when enabled.
+    /// The shared tail of [`Provider::execute`], the prepared-query path and
+    /// submitted queries: an already-lowered plan with resolved parameters,
+    /// run through result recycling when enabled.
     fn execute_plan(
         &self,
         shape_hash: u64,
@@ -995,9 +992,9 @@ impl<'a> Provider<'a> {
 
     /// Runs one submitted query on the calling (pool-worker) thread under
     /// its [`QueryContext`]: the pre-dispatch token check, the context
-    /// scope, and the query-boundary catch that turns checkpoint unwinds
-    /// into their lifecycle errors and engine panics into
-    /// [`MrqError::Internal`] — a panicking query must still complete its
+    /// scope, and the dispatch fault point, then the compile and the
+    /// execution's tail, which each catch their own unwinds. Nothing
+    /// unwinds out of here — a panicking query must still complete its
     /// latch, or a joining client (or registered waker) would wait forever.
     ///
     /// When the context holds a sink, streamable shapes publish row
@@ -1016,28 +1013,18 @@ impl<'a> Provider<'a> {
         }
         // The scope threads the token, class and sink to every engine and
         // morsel fan-out below; a tripped checkpoint unwinds with the
-        // reason, caught here at the query boundary.
-        match catch_unwind(AssertUnwindSafe(|| {
-            fault::point("pool.dispatch")?;
-            context::scope(query.clone(), || match job {
+        // reason to the execution's query boundary.
+        context::scope(query.clone(), || {
+            query_boundary(|| fault::point("pool.dispatch"))?;
+            match job {
                 Job::Statement(expr) => self.execute(expr, strategy),
                 Job::Prepared {
                     shape_hash,
                     plan,
                     params,
                 } => self.execute_plan(shape_hash, &plan.spec, &params, strategy),
-            })
-        })) {
-            Ok(result) => result,
-            Err(payload) => Err(match payload.downcast::<CancelReason>() {
-                Ok(reason) => MrqError::from(*reason),
-                // Engine panics — and panics re-raised by the pool's
-                // morsel-failure path — surface as a per-query error that
-                // keeps the *original* payload message, so the client
-                // learns what actually broke, not just that something did.
-                Err(payload) => MrqError::Internal(panic_message(payload)),
-            }),
-        }
+            }
+        })
     }
 
     /// The one spawn path behind every `submit` and `submit_stream` front
@@ -1152,14 +1139,16 @@ impl<'a> Provider<'a> {
         })
     }
 
-    /// Executes an already-lowered spec with bound parameters.
+    /// Executes an already-lowered spec with bound parameters: the tail
+    /// every execution front end shares, run inside the query boundary, so
+    /// no panic or abort unwinds out of it.
     pub fn execute_compiled(
         &self,
         spec: &QuerySpec,
         params: &[Value],
         strategy: Strategy,
     ) -> Result<QueryOutput> {
-        let output = self.execute_compiled_inner(spec, params, strategy)?;
+        let output = query_boundary(|| self.execute_compiled_inner(spec, params, strategy))?;
         self.record_work(&output.work);
         Ok(output)
     }
@@ -1259,6 +1248,24 @@ impl Default for Provider<'static> {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// The query boundary, the one place the provider catches an unwind: a
+/// tripped checkpoint becomes its lifecycle error, an
+/// [`mrq_common::abort_query`] (a zero divisor) the error it carries, and
+/// any other panic — an engine's, or one the pool re-raises from a morsel —
+/// [`MrqError::Internal`] with the *original* payload message, so the
+/// caller learns what actually broke, not just that something did.
+fn query_boundary<R>(run: impl FnOnce() -> Result<R>) -> Result<R> {
+    catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        Err(match payload.downcast::<CancelReason>() {
+            Ok(reason) => MrqError::from(*reason),
+            Err(payload) => match payload.downcast::<MrqError>() {
+                Ok(error) => *error,
+                Err(payload) => MrqError::Internal(panic_message(payload)),
+            },
+        })
+    })
 }
 
 struct ProviderCatalog<'p, 'a> {

@@ -23,7 +23,7 @@
 use mrq_codegen::exec::{QueryOutput, TableAccess};
 use mrq_codegen::spec::{AggSpec, OutputExpr, QuerySpec, ScalarExpr, StrOp};
 use mrq_common::hash::FxHashMap;
-use mrq_common::{DataType, MrqError, Result, Value, WorkCounters};
+use mrq_common::{abort_query, DataType, MrqError, Result, Value, WorkCounters};
 use mrq_expr::AggFunc;
 use std::cell::Cell;
 use std::rc::Rc;
@@ -52,7 +52,9 @@ type Pipe<'a> = Box<dyn Iterator<Item = Item> + 'a>;
 
 /// Interprets a scalar expression against one pipeline element, boxing the
 /// result as a [`Value`] — the per-element delegate-invocation overhead of
-/// the baseline.
+/// the baseline. An operator computes the type `mrq_expr`'s type table
+/// gives it; one that fails (a zero divisor) ends the query, as the
+/// delegate's exception would.
 fn eval<T: TableAccess>(expr: &ScalarExpr, tables: &[&T], item: &Item, params: &[Value]) -> Value {
     match expr {
         ScalarExpr::Column(c) => tables[c.slot].get_value(item.row(c.slot), c.col),
@@ -61,11 +63,11 @@ fn eval<T: TableAccess>(expr: &ScalarExpr, tables: &[&T], item: &Item, params: &
         ScalarExpr::Binary { op, left, right } => {
             let l = eval(left, tables, item, params);
             let r = eval(right, tables, item, params);
-            mrq_expr::canonical::eval_binary(*op, &l, &r).unwrap_or(Value::Null)
+            mrq_expr::canonical::eval_binary(*op, &l, &r).unwrap_or_else(|e| abort_query(e))
         }
         ScalarExpr::Unary { op, expr } => {
             let v = eval(expr, tables, item, params);
-            mrq_expr::canonical::eval_unary(*op, &v).unwrap_or(Value::Null)
+            mrq_expr::canonical::eval_unary(*op, &v).unwrap_or_else(|e| abort_query(e))
         }
         ScalarExpr::Str { op, target, arg } => {
             let t = eval(target, tables, item, params);

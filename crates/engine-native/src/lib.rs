@@ -5,14 +5,15 @@
 //! consecutive in memory, field access is an offset into the current row,
 //! strings are flat byte ranges, and deferred execution is driven through a
 //! context struct whose `EvaluateQuery` function is called once per result
-//! element.
+//! element. MRQ's deferred consumer is the provider's `QueryStream`, which
+//! hands out row batches while the query runs, for every strategy.
 //!
 //! This crate provides that representation ([`RowStore`]: a packed row-major
-//! byte buffer with a string arena) plus the deferred-execution wrapper
-//! ([`QueryContext`]). The fused algorithm itself is the shared compiled
-//! template of [`mrq_codegen::exec`], instantiated here over flat buffers —
-//! mirroring how the generated C of the paper shares its structure with the
-//! generated C# but reads a row store instead of chasing object references.
+//! byte buffer with a string arena). The fused algorithm itself is the
+//! shared compiled template of [`mrq_codegen::exec`], instantiated here over
+//! flat buffers — mirroring how the generated C of the paper shares its
+//! structure with the generated C# but reads a row store instead of chasing
+//! object references.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -333,65 +334,6 @@ pub fn execute(spec: &QuerySpec, params: &[Value], tables: &[&RowStore]) -> Resu
     execute_once(spec, params, tables, &schemas)
 }
 
-/// The deferred-execution context of §5.1.
-///
-/// The paper's generated C exposes `EvaluateQuery(Context*)`, called once per
-/// result element so only the consumed part of a query is paid for and state
-/// survives across the managed/native boundary. [`QueryContext`] mirrors
-/// that: construction performs no work; the first [`QueryContext::next`] call
-/// runs the blocking part of the query; each subsequent call returns one
-/// result row and counts one boundary crossing.
-pub struct QueryContext {
-    output: Option<QueryOutput>,
-    cursor: usize,
-    boundary_calls: u64,
-    pending: Box<dyn FnOnce() -> Result<QueryOutput>>,
-}
-
-impl QueryContext {
-    /// Creates a context whose work runs lazily on first use.
-    pub fn new(run: impl FnOnce() -> Result<QueryOutput> + 'static) -> Self {
-        QueryContext {
-            output: None,
-            cursor: 0,
-            boundary_calls: 0,
-            pending: Box::new(run),
-        }
-    }
-
-    /// Returns the next result row, running the query on first call.
-    /// (Deliberately named after the paper's per-result `EvaluateQuery`
-    /// cursor call rather than implementing `Iterator`, which cannot
-    /// return `Result`.)
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Result<Option<Vec<Value>>> {
-        self.boundary_calls += 1;
-        if self.output.is_none() {
-            let run = std::mem::replace(&mut self.pending, Box::new(|| unreachable!()));
-            self.output = Some(run()?);
-        }
-        let out = self.output.as_ref().expect("initialised above");
-        if self.cursor < out.rows.len() {
-            let row = out.rows[self.cursor].clone();
-            self.cursor += 1;
-            Ok(Some(row))
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// Number of managed→native boundary crossings so far (the per-result
-    /// call cost discussed in §7.2).
-    pub fn boundary_calls(&self) -> u64 {
-        self.boundary_calls
-    }
-
-    /// The result schema (available after the first `next`).
-    pub fn schema(&self) -> Option<&Schema> {
-        self.output.as_ref().map(|o| &o.schema)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,32 +484,6 @@ mod tests {
             assert_eq!(total, Decimal::from_int(60));
         }
         assert_eq!(tracer.events_of(AccessKind::NativeRead), 3);
-    }
-
-    #[test]
-    fn query_context_defers_execution_and_counts_boundary_calls() {
-        let mut catalog = HashMap::new();
-        catalog.insert(SourceId(0), schema());
-        let canon = canonicalize(
-            Query::from_source(SourceId(0))
-                .select(lam("s", col("s", "id")))
-                .into_expr(),
-        );
-        let spec = lower(&canon, &catalog).unwrap();
-        let s = store();
-        let mut ctx = QueryContext::new(move || {
-            let spec = spec;
-            let canon = canon;
-            execute(&spec, &canon.params, &[&s])
-        });
-        assert_eq!(ctx.boundary_calls(), 0);
-        let mut ids = Vec::new();
-        while let Some(row) = ctx.next().unwrap() {
-            ids.push(row[0].clone());
-        }
-        assert_eq!(ids, vec![Value::Int64(1), Value::Int64(2), Value::Int64(3)]);
-        // One call per result element plus the final empty call.
-        assert_eq!(ctx.boundary_calls(), 4);
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! the literal values into a parameter vector.
 
 use crate::tree::{BinaryOp, Expr, UnaryOp};
-use mrq_common::{Decimal, Value};
+use crate::types::{binary_type, numeric_type, unary_type};
+use mrq_common::error::division_by_zero;
+use mrq_common::{DataType, Decimal, MrqError, Result, Value};
 
 /// A query in canonical form: the parameterised tree plus the extracted
 /// parameter bindings for this particular instance.
@@ -29,20 +31,22 @@ pub struct CanonicalQuery {
 ///
 /// Folding is conservative: only arithmetic, comparisons and boolean
 /// connectives over literal constants are evaluated. Anything touching a
-/// parameter, member access or source survives untouched.
+/// parameter, member access or source survives untouched, and so does a
+/// node whose evaluation fails (an ill-typed node, a zero divisor): the
+/// lowering reports the first, each execution the second.
 pub fn fold_constants(expr: Expr) -> Expr {
     expr.transform(&mut |node| match node {
         Expr::Binary { op, left, right } => match (left.as_ref(), right.as_ref()) {
             (Expr::Constant(l), Expr::Constant(r)) => match eval_binary(op, l, r) {
-                Some(v) => Expr::Constant(v),
-                None => Expr::Binary { op, left, right },
+                Ok(v) => Expr::Constant(v),
+                Err(_) => Expr::Binary { op, left, right },
             },
             _ => Expr::Binary { op, left, right },
         },
         Expr::Unary { op, expr } => match expr.as_ref() {
             Expr::Constant(v) => match eval_unary(op, v) {
-                Some(folded) => Expr::Constant(folded),
-                None => Expr::Unary { op, expr },
+                Ok(folded) => Expr::Constant(folded),
+                Err(_) => Expr::Unary { op, expr },
             },
             _ => Expr::Unary { op, expr },
         },
@@ -50,134 +54,110 @@ pub fn fold_constants(expr: Expr) -> Expr {
     })
 }
 
-/// Evaluates a binary operator over two constants, if defined.
-pub fn eval_binary(op: BinaryOp, left: &Value, right: &Value) -> Option<Value> {
+fn dtype(value: &Value) -> Result<DataType> {
+    value
+        .dtype()
+        .ok_or_else(|| MrqError::Codegen("untyped null constant".into()))
+}
+
+/// `value`, of a numeric type, as a value of the numeric type `to`.
+fn numeric(value: &Value, to: DataType) -> Value {
+    match to {
+        DataType::Int64 => value.as_i64().map(Value::Int64),
+        DataType::Decimal => value.as_decimal().map(Value::Decimal),
+        _ => value.as_f64().map(Value::Float64),
+    }
+    .expect("operand typed by the type table")
+}
+
+/// Evaluates `left op right` to a value of the type [`binary_type`] gives
+/// the operands' types, or that type error. A zero integer or decimal
+/// divisor is [`division_by_zero`]; float division is IEEE.
+pub fn eval_binary(op: BinaryOp, left: &Value, right: &Value) -> Result<Value> {
     use BinaryOp::*;
-    // An integer meeting a decimal is promoted to a decimal, the typing the
-    // lowering (`promote`) and the compiled executor apply.
-    if let (Value::Decimal(_), Value::Int32(_) | Value::Int64(_))
-    | (Value::Int32(_) | Value::Int64(_), Value::Decimal(_)) = (left, right)
-    {
-        let (l, r) = (left.as_decimal()?, right.as_decimal()?);
-        return eval_binary(op, &Value::Decimal(l), &Value::Decimal(r));
+    let (l, r) = (dtype(left)?, dtype(right)?);
+    let out = binary_type(op, l, r)?;
+    if let Some(t) = numeric_type(l, r).filter(|_| l != r) {
+        // Two numeric types meet in the wider one.
+        return eval_binary(op, &numeric(left, t), &numeric(right, t));
     }
-    if op.is_comparison() {
-        // Comparable only when the dynamic types are compatible.
-        if !comparable(left, right) {
-            return None;
+    let int = |v: &Value| v.as_i64().expect("typed as an integer");
+    Ok(match (op, left, right) {
+        (And, a, b) => Value::Bool(a.as_bool() && b.as_bool()),
+        (Or, a, b) => Value::Bool(a.as_bool() || b.as_bool()),
+        (op, a, b) if op.is_comparison() => {
+            let ord = a.total_cmp(b);
+            Value::Bool(match op {
+                Eq => ord.is_eq(),
+                Ne => ord.is_ne(),
+                Lt => ord.is_lt(),
+                Le => ord.is_le(),
+                Gt => ord.is_gt(),
+                _ => ord.is_ge(),
+            })
         }
-        let ord = left.total_cmp(right);
-        let out = match op {
-            Eq => ord.is_eq(),
-            Ne => !ord.is_eq(),
-            Lt => ord.is_lt(),
-            Le => ord.is_le(),
-            Gt => ord.is_gt(),
-            Ge => ord.is_ge(),
-            _ => unreachable!(),
-        };
-        return Some(Value::Bool(out));
-    }
-    if op.is_logical() {
-        return match (left, right, op) {
-            (Value::Bool(a), Value::Bool(b), And) => Some(Value::Bool(*a && *b)),
-            (Value::Bool(a), Value::Bool(b), Or) => Some(Value::Bool(*a || *b)),
-            _ => None,
-        };
-    }
-    // Arithmetic.
-    match (left, right) {
-        (Value::Int64(a), Value::Int64(b)) => arith_i64(op, *a, *b).map(Value::Int64),
-        (Value::Int32(a), Value::Int32(b)) => {
-            arith_i64(op, *a as i64, *b as i64).map(|v| Value::Int32(v as i32))
+        (_, Value::Date(a), Value::Date(b)) => {
+            Value::Int64(a.epoch_days() as i64 - b.epoch_days() as i64)
         }
-        (Value::Int32(a), Value::Int64(b)) => arith_i64(op, *a as i64, *b).map(Value::Int64),
-        (Value::Int64(a), Value::Int32(b)) => arith_i64(op, *a, *b as i64).map(Value::Int64),
-        (Value::Decimal(a), Value::Decimal(b)) => arith_decimal(op, *a, *b).map(Value::Decimal),
-        (Value::Float64(a), Value::Float64(b)) => arith_f64(op, *a, *b).map(Value::Float64),
-        // Date arithmetic: date ± integer days (TPC-H Q1's `date - 90`).
-        (Value::Date(d), Value::Int64(n)) => match op {
-            Add => Some(Value::Date(d.add_days(*n as i32))),
-            Sub => Some(Value::Date(d.add_days(-(*n as i32)))),
-            _ => None,
-        },
-        (Value::Date(d), Value::Int32(n)) => match op {
-            Add => Some(Value::Date(d.add_days(*n))),
-            Sub => Some(Value::Date(d.add_days(-*n))),
-            _ => None,
-        },
-        _ => None,
-    }
+        (op, Value::Date(d), n) | (op, n, Value::Date(d)) => {
+            let days = int(n) as i32;
+            Value::Date(d.add_days(if op == Sub { -days } else { days }))
+        }
+        (op, Value::Int32(_) | Value::Int64(_), _) => {
+            Value::Int64(arith_i64(op, int(left), int(right))?)
+        }
+        (op, Value::Decimal(a), Value::Decimal(b)) => Value::Decimal(arith_decimal(op, *a, *b)?),
+        (op, Value::Float64(a), Value::Float64(b)) => Value::Float64(arith_f64(op, *a, *b)),
+        _ => unreachable!("{out} computed from {l} and {r}"),
+    })
 }
 
-/// Evaluates a unary operator over a constant, if defined.
-pub fn eval_unary(op: UnaryOp, value: &Value) -> Option<Value> {
-    match (op, value) {
-        (UnaryOp::Not, Value::Bool(b)) => Some(Value::Bool(!b)),
-        (UnaryOp::Neg, Value::Int32(v)) => Some(Value::Int32(-v)),
-        (UnaryOp::Neg, Value::Int64(v)) => Some(Value::Int64(-v)),
-        (UnaryOp::Neg, Value::Decimal(d)) => Some(Value::Decimal(-*d)),
-        (UnaryOp::Neg, Value::Float64(v)) => Some(Value::Float64(-v)),
-        _ => None,
+/// Evaluates `op value` to a value of the type [`unary_type`] gives, or
+/// that type error.
+pub fn eval_unary(op: UnaryOp, value: &Value) -> Result<Value> {
+    let out = unary_type(op, dtype(value)?)?;
+    if op == UnaryOp::Not {
+        return Ok(Value::Bool(!value.as_bool()));
     }
+    Ok(match numeric(value, out) {
+        Value::Int64(v) => Value::Int64(v.wrapping_neg()),
+        Value::Decimal(d) => Value::Decimal(-d),
+        v => Value::Float64(-v.as_f64().expect("typed as Float64")),
+    })
 }
 
-fn comparable(a: &Value, b: &Value) -> bool {
-    match (a.dtype(), b.dtype()) {
-        (Some(x), Some(y)) => {
-            x == y
-                || (x.is_numeric() && y.is_numeric())
-                || matches!(
-                    (a, b),
-                    (
-                        Value::Int32(_) | Value::Int64(_),
-                        Value::Int32(_) | Value::Int64(_)
-                    )
-                )
-        }
-        _ => false,
-    }
+fn overflow(symbol: &str) -> MrqError {
+    MrqError::Internal(format!("`{symbol}` overflowed"))
 }
 
-fn arith_i64(op: BinaryOp, a: i64, b: i64) -> Option<i64> {
+/// C#'s default unchecked integer arithmetic, which is also what the
+/// compiled closures compute in a release build.
+fn arith_i64(op: BinaryOp, a: i64, b: i64) -> Result<i64> {
+    Ok(match op {
+        BinaryOp::Add => a.wrapping_add(b),
+        BinaryOp::Sub => a.wrapping_sub(b),
+        BinaryOp::Mul => a.wrapping_mul(b),
+        _ if b == 0 => return Err(division_by_zero()),
+        _ => a.checked_div(b).ok_or_else(|| overflow(op.symbol()))?,
+    })
+}
+
+fn arith_decimal(op: BinaryOp, a: Decimal, b: Decimal) -> Result<Decimal> {
     match op {
-        BinaryOp::Add => a.checked_add(b),
-        BinaryOp::Sub => a.checked_sub(b),
-        BinaryOp::Mul => a.checked_mul(b),
-        BinaryOp::Div => {
-            if b == 0 {
-                None
-            } else {
-                Some(a / b)
-            }
-        }
-        _ => None,
+        BinaryOp::Add => Ok(a + b),
+        BinaryOp::Sub => Ok(a - b),
+        BinaryOp::Mul => a.checked_mul(b).ok_or_else(|| overflow(op.symbol())),
+        _ if b == Decimal::ZERO => Err(division_by_zero()),
+        _ => Ok(Decimal::from_f64(a.to_f64() / b.to_f64())),
     }
 }
 
-fn arith_decimal(op: BinaryOp, a: Decimal, b: Decimal) -> Option<Decimal> {
+fn arith_f64(op: BinaryOp, a: f64, b: f64) -> f64 {
     match op {
-        BinaryOp::Add => Some(a + b),
-        BinaryOp::Sub => Some(a - b),
-        BinaryOp::Mul => a.checked_mul(b),
-        BinaryOp::Div => {
-            if b == Decimal::ZERO {
-                None
-            } else {
-                Some(Decimal::from_f64(a.to_f64() / b.to_f64()))
-            }
-        }
-        _ => None,
-    }
-}
-
-fn arith_f64(op: BinaryOp, a: f64, b: f64) -> Option<f64> {
-    match op {
-        BinaryOp::Add => Some(a + b),
-        BinaryOp::Sub => Some(a - b),
-        BinaryOp::Mul => Some(a * b),
-        BinaryOp::Div => Some(a / b),
-        _ => None,
+        BinaryOp::Add => a + b,
+        BinaryOp::Sub => a - b,
+        BinaryOp::Mul => a * b,
+        _ => a / b,
     }
 }
 
@@ -236,6 +216,12 @@ mod tests {
             }
             other => panic!("unexpected shape {other:?}"),
         }
+        // `integer + date` shifts too; `date − date` counts days.
+        let (early, late) = (Date::from_ymd(1998, 9, 2), Date::from_ymd(1998, 12, 1));
+        let shifted = Expr::binary(BinaryOp::Add, lit(90i64), lit(early));
+        assert_eq!(fold_constants(shifted), lit(late));
+        let days = Expr::binary(BinaryOp::Sub, lit(late), lit(early));
+        assert_eq!(fold_constants(days), lit(90i64));
     }
 
     #[test]
@@ -248,26 +234,36 @@ mod tests {
     fn logical_and_comparison_folding() {
         assert_eq!(
             eval_binary(BinaryOp::And, &Value::Bool(true), &Value::Bool(false)),
-            Some(Value::Bool(false))
+            Ok(Value::Bool(false))
         );
         assert_eq!(
             eval_binary(BinaryOp::Lt, &Value::Int64(1), &Value::Int64(2)),
-            Some(Value::Bool(true))
+            Ok(Value::Bool(true))
         );
         assert_eq!(
             eval_binary(BinaryOp::Eq, &Value::str("a"), &Value::str("a")),
-            Some(Value::Bool(true))
+            Ok(Value::Bool(true))
         );
-        // Incompatible types refuse to fold rather than guessing.
+        // Incompatible types are the type table's error.
         assert_eq!(
             eval_binary(BinaryOp::Eq, &Value::str("a"), &Value::Int64(1)),
-            None
+            Err(MrqError::Codegen(
+                "`==` is not defined over Str and Int64".into()
+            ))
         );
-        // Division by zero refuses to fold (the engine will surface the error
-        // at run time exactly like the interpreted path would).
+        // A zero divisor is an error, and folding leaves the node to fail
+        // at run time on every strategy alike.
+        for zero in [Value::Int32(0), Value::Decimal(Decimal::ZERO)] {
+            assert_eq!(
+                eval_binary(BinaryOp::Div, &Value::Int64(1), &zero),
+                Err(division_by_zero())
+            );
+            let node = Expr::binary(BinaryOp::Div, lit(1i64), Expr::Constant(zero));
+            assert_eq!(fold_constants(node.clone()), node);
+        }
         assert_eq!(
-            eval_binary(BinaryOp::Div, &Value::Int64(1), &Value::Int64(0)),
-            None
+            eval_binary(BinaryOp::Div, &Value::Float64(1.0), &Value::Int64(0)),
+            Ok(Value::Float64(f64::INFINITY))
         );
     }
 
@@ -277,20 +273,34 @@ mod tests {
         let price = Value::Decimal(Decimal::new(1, 25));
         assert_eq!(
             eval_binary(BinaryOp::Mul, &two, &price),
-            Some(Value::Decimal(Decimal::new(2, 50)))
+            Ok(Value::Decimal(Decimal::new(2, 50)))
         );
         assert_eq!(
             eval_binary(BinaryOp::Sub, &price, &Value::Int64(1)),
-            Some(Value::Decimal(Decimal::new(0, 25)))
+            Ok(Value::Decimal(Decimal::new(0, 25)))
         );
         // Comparisons are numeric, not by type rank.
         assert_eq!(
             eval_binary(BinaryOp::Gt, &price, &Value::Int64(1)),
-            Some(Value::Bool(true))
+            Ok(Value::Bool(true))
         );
         assert_eq!(
             eval_binary(BinaryOp::Lt, &Value::Int64(2), &price),
-            Some(Value::Bool(false))
+            Ok(Value::Bool(false))
+        );
+        assert_eq!(
+            eval_binary(BinaryOp::Lt, &Value::Float64(1.2), &price),
+            Ok(Value::Bool(true))
+        );
+        // Integer arithmetic is Int64, whatever the operands' widths, and
+        // unchecked, as in C#.
+        assert!(matches!(
+            eval_binary(BinaryOp::Add, &two, &two),
+            Ok(Value::Int64(4))
+        ));
+        assert_eq!(
+            eval_binary(BinaryOp::Mul, &Value::Int64(i64::MAX), &two),
+            Ok(Value::Int64(-2))
         );
     }
 
@@ -298,13 +308,13 @@ mod tests {
     fn unary_folding() {
         assert_eq!(
             eval_unary(UnaryOp::Not, &Value::Bool(true)),
-            Some(Value::Bool(false))
+            Ok(Value::Bool(false))
         );
         assert_eq!(
             eval_unary(UnaryOp::Neg, &Value::Int64(5)),
-            Some(Value::Int64(-5))
+            Ok(Value::Int64(-5))
         );
-        assert_eq!(eval_unary(UnaryOp::Not, &Value::Int64(5)), None);
+        assert!(eval_unary(UnaryOp::Not, &Value::Int64(5)).is_err());
     }
 
     #[test]

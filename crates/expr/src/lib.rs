@@ -17,7 +17,9 @@
 //! [`Expr`] is the tree, [`Query`] is the fluent builder standing in for the
 //! C# query syntax, and [`canonical`] contains constant folding and parameter
 //! extraction, whose [`CanonicalQuery`] (structural hash plus parameterised
-//! tree) keys the provider's plan cache (`mrq_core::PlanCache`).
+//! tree) keys the provider's plan cache (`mrq_core::PlanCache`). [`types`]
+//! is the one type table every place that types an operator asks, standing
+//! in for the typing the C# compiler does before the provider sees a tree.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -26,8 +28,10 @@ pub mod builder;
 pub mod canonical;
 pub mod optimize;
 pub mod tree;
+pub mod types;
 
 pub use builder::{and_all, col, lam, lit, member, param, str_method, var, Query};
 pub use canonical::{canonicalize, fold_constants, CanonicalQuery};
 pub use optimize::{optimize, Optimized, OptimizerConfig, Rewrite};
 pub use tree::{AggFunc, BinaryOp, Expr, QueryMethod, SortDirection, SourceId, UnaryOp};
+pub use types::{binary_type, method_type, numeric_type, unary_type};

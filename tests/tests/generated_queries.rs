@@ -10,14 +10,19 @@
 //!   the data (so predicates are neither always true nor always false), and
 //!   same-typed column-to-column comparisons, across join slots too;
 //! * mixed `Int × Decimal` arithmetic in comparisons and aggregate inputs;
-//! * `date ± integer` days against date literals and date columns;
+//! * `date ± integer` and `integer + date` against date literals and date
+//!   columns, and `date − date` days against sampled day counts;
 //! * `StartsWith`/`EndsWith`/`Contains` with arguments cut from real values;
 //! * `Sum`/`Avg`/`Min`/`Max`/`Count`, grouped by string keys on both sides
 //!   of the executor's short-string packing threshold (`l_shipmode` is at
 //!   most 7 bytes; `c_mktsegment`, reached through the Q3 join, is 8–10;
 //!   `o_orderpriority` and `l_shipinstruct` mix both), plus projections
-//!   (of columns, arithmetic, shifted dates, string methods and predicates)
-//!   with and without a fused `OrderBy`+`Take`.
+//!   (of columns, arithmetic, shifted dates, day counts, string methods and
+//!   predicates) with and without a fused `OrderBy`+`Take`;
+//! * a seeded tenth of ill-typed queries (`date + date`, `decimal ± date`,
+//!   `−date`, a date compared with an integer, a number under `&&` or `!`):
+//!   every strategy, the LINQ baseline included, must refuse each with the
+//!   identical `MrqError::Codegen`.
 //!
 //! The hybrid runs under both transfer policies and both materialisations:
 //! under Min transfer, a projection's outputs are computed from the managed
@@ -32,7 +37,7 @@
 //! matrix runs the suite at its own degree of parallelism.
 
 use mrq_codegen::exec::{QueryOutput, TableAccess};
-use mrq_common::{Decimal, ParallelConfig, Value};
+use mrq_common::{Decimal, MrqError, ParallelConfig, Value};
 use mrq_core::{Provider, Strategy};
 use mrq_engine_hybrid::{HybridConfig, TransferPolicy};
 use mrq_engine_native::RowStore;
@@ -311,9 +316,9 @@ impl Gen<'_> {
     fn predicate(&mut self, depth: u32) -> Expr {
         let leaf = depth == 0 || self.rng.gen_bool(0.35);
         let choice = if leaf {
-            self.rng.gen_range(3..9)
+            self.rng.gen_range(3..10)
         } else {
-            self.rng.gen_range(0..9)
+            self.rng.gen_range(0..10)
         };
         match choice {
             0 => Expr::binary(
@@ -354,6 +359,12 @@ impl Gen<'_> {
                 Expr::binary(op, col(self.var, a.name), col(self.var, b.name))
             }
             7 => self.string_method(),
+            8 => {
+                // Days between two dates against a sampled day count.
+                let op = self.pick(&COMPARISONS);
+                let (lag, days) = self.date_lag();
+                self.compare(op, lag, lit(days))
+            }
             _ => {
                 // A shifted date against a sampled date or a date column.
                 let op = self.pick(&COMPARISONS);
@@ -393,12 +404,94 @@ impl Gen<'_> {
         str_method(method, col(self.var, column.name), lit(piece))
     }
 
-    /// A date column plus or minus up to 90 days.
+    fn date_column(&mut self) -> Expr {
+        col(self.var, self.column_of(Some(Ty::Date)).name)
+    }
+
+    /// A date column shifted by up to 90 days: `date ± k` or `k + date`.
     fn date_shift(&mut self) -> Expr {
-        let column = self.column_of(Some(Ty::Date));
-        let op = self.pick(&[BinaryOp::Add, BinaryOp::Sub]);
-        let days = self.rng.gen_range(-90i64..=90);
-        Expr::binary(op, col(self.var, column.name), lit(days))
+        let date = self.date_column();
+        let days = lit(self.rng.gen_range(-90i64..=90));
+        match self.rng.gen_range(0..3) {
+            0 => Expr::binary(BinaryOp::Add, date, days),
+            1 => Expr::binary(BinaryOp::Sub, date, days),
+            _ => Expr::binary(BinaryOp::Add, days, date),
+        }
+    }
+
+    /// `a − b` over two date columns, and the days between a sampled `a`
+    /// and a sampled `b`.
+    fn date_lag(&mut self) -> (Expr, i64) {
+        let (a, b) = (
+            self.column_of(Some(Ty::Date)),
+            self.column_of(Some(Ty::Date)),
+        );
+        let mut days = |c: Column| {
+            let value = self.fixture.sample(&mut self.rng, c);
+            value.as_date().expect("date column").epoch_days() as i64
+        };
+        let lag = days(a) - days(b);
+        let expr = Expr::binary(BinaryOp::Sub, col(self.var, a.name), col(self.var, b.name));
+        (expr, lag)
+    }
+
+    /// A predicate the type table rejects.
+    fn ill_typed(&mut self) -> Expr {
+        let op = self.pick(&COMPARISONS);
+        let number = |g: &mut Self| {
+            let ty = g.pick(&[Ty::Int, Ty::Dec]);
+            col(g.var, g.column_of(Some(ty)).name)
+        };
+        match self.rng.gen_range(0..6) {
+            0 => {
+                let sum = Expr::binary(BinaryOp::Add, self.date_column(), self.date_column());
+                Expr::binary(op, sum, self.date_column())
+            }
+            1 => {
+                let arith = self.pick(&[BinaryOp::Add, BinaryOp::Sub]);
+                let decimal = col(self.var, self.column_of(Some(Ty::Dec)).name);
+                let mixed = Expr::binary(arith, decimal, self.date_column());
+                let date = self.date_column();
+                self.compare(op, mixed, date)
+            }
+            2 => {
+                let negated = Expr::Unary {
+                    op: UnaryOp::Neg,
+                    expr: Box::new(self.date_column()),
+                };
+                Expr::binary(op, negated, self.date_column())
+            }
+            3 => {
+                let days = if self.rng.gen_bool(0.5) {
+                    col(self.var, self.column_of(Some(Ty::Int)).name)
+                } else {
+                    lit(self.rng.gen_range(0i64..10_000))
+                };
+                let date = self.date_column();
+                self.compare(op, date, days)
+            }
+            4 => {
+                let operand = number(self);
+                let predicate = self.predicate(0);
+                self.compare(BinaryOp::And, operand, predicate)
+            }
+            _ => Expr::Unary {
+                op: UnaryOp::Not,
+                expr: Box::new(number(self)),
+            },
+        }
+    }
+
+    /// A filter of `depth`; when `ill_typed`, one ill-typed predicate is
+    /// joined into it.
+    fn filter(&mut self, depth: u32, ill_typed: bool) -> Expr {
+        let filter = self.predicate(depth);
+        if !ill_typed {
+            return filter;
+        }
+        let bad = self.ill_typed();
+        let op = self.pick(&[BinaryOp::And, BinaryOp::Or]);
+        self.compare(op, filter, bad)
     }
 
     /// One aggregate of the group `g` over row variable `x`.
@@ -516,17 +609,20 @@ fn grouped(generator: &mut Gen<'_>, query: Query, keys: &[&str]) -> Query {
 
 /// The query for one seed: a filtered, grouped lineitem scan; the grouped
 /// Q3 join with a generated post-join filter; or a filtered projection
-/// (ordered by its unique key, sometimes with a fused `Take`).
-fn generate(seed: u64, fixture: &Fixture) -> Expr {
+/// (ordered by its unique key, sometimes with a fused `Take`). A tenth of
+/// the seeds put an ill-typed predicate into the first filter, which the
+/// returned flag reports.
+fn generate(seed: u64, fixture: &Fixture) -> (Expr, bool) {
     let mut generator = Gen {
         rng: SmallRng::seed_from_u64(seed),
         fixture,
         columns: LINEITEM.to_vec(),
         var: "l",
     };
-    match generator.rng.gen_range(0..3) {
+    let ill_typed = generator.rng.gen_bool(0.1);
+    let query = match generator.rng.gen_range(0..3) {
         0 => {
-            let filter = generator.predicate(3);
+            let filter = generator.filter(3, ill_typed);
             let keys = generator.pick(LINEITEM_KEYS);
             generator.var = "y";
             grouped(
@@ -536,7 +632,7 @@ fn generate(seed: u64, fixture: &Fixture) -> Expr {
             )
         }
         1 => {
-            let filter = generator.predicate(2);
+            let filter = generator.filter(2, ill_typed);
             let mut query = q3_join(filter);
             generator.columns.extend_from_slice(JOINED);
             generator.var = "y";
@@ -547,17 +643,18 @@ fn generate(seed: u64, fixture: &Fixture) -> Expr {
             grouped(&mut generator, query, keys)
         }
         _ => {
-            let filter = generator.predicate(3);
+            let filter = generator.filter(3, ill_typed);
             let mut fields = vec![
                 ("l_orderkey".to_string(), col("l", "l_orderkey")),
                 ("l_linenumber".to_string(), col("l", "l_linenumber")),
             ];
             for i in 0..generator.rng.gen_range(1..=3) {
-                let value = match generator.rng.gen_range(0..5) {
+                let value = match generator.rng.gen_range(0..6) {
                     0 => generator.num(2).expr("l"),
                     1 => col("l", generator.column_of(None).name),
                     2 => generator.date_shift(),
-                    3 => generator.string_method(),
+                    3 => generator.date_lag().0,
+                    4 => generator.string_method(),
                     _ => generator.predicate(1),
                 };
                 fields.push((format!("v{i}"), value));
@@ -581,8 +678,8 @@ fn generate(seed: u64, fixture: &Fixture) -> Expr {
             }
             query
         }
-    }
-    .into_expr()
+    };
+    (query.into_expr(), ill_typed)
 }
 
 fn strategies(fixture: &Fixture) -> Vec<(&'static str, &Provider<'static>, Strategy)> {
@@ -615,28 +712,41 @@ fn strategies(fixture: &Fixture) -> Vec<(&'static str, &Provider<'static>, Strat
     ]
 }
 
-fn check(seed: u64, fixture: &Fixture) -> Result<QueryOutput, String> {
-    let expr = generate(seed, fixture);
+/// The head of a result, for failure messages.
+fn summary(result: &Result<QueryOutput, MrqError>) -> String {
+    match result {
+        Ok(out) => format!(
+            "{} rows: {:?}",
+            out.rows.len(),
+            &out.rows[..out.rows.len().min(5)]
+        ),
+        Err(e) => format!("error: {e}"),
+    }
+}
+
+/// Runs one seed on every strategy. A well-typed query must return LINQ's
+/// rows everywhere (`Some` of them); an ill-typed one LINQ's
+/// `MrqError::Codegen` everywhere (`None`).
+fn check(seed: u64, fixture: &Fixture) -> Result<Option<QueryOutput>, String> {
+    let (expr, ill_typed) = generate(seed, fixture);
     let context = |what: String| format!("seed {seed:#x}: {what}\nquery: {expr}");
     let oracle = fixture
         .managed
-        .execute(expr.clone(), Strategy::LinqToObjects)
-        .map_err(|e| context(format!("linq failed: {e}")))?;
+        .execute(expr.clone(), Strategy::LinqToObjects);
+    if ill_typed != matches!(oracle, Err(MrqError::Codegen(_))) {
+        return Err(context(format!("linq: {}", summary(&oracle))));
+    }
     for (name, provider, strategy) in strategies(fixture) {
-        let out = provider
-            .execute(expr.clone(), strategy)
-            .map_err(|e| context(format!("{name} failed: {e}")))?;
+        let out = provider.execute(expr.clone(), strategy);
         if out != oracle {
             return Err(context(format!(
-                "{name} disagrees with linq\n  linq ({} rows): {:?}\n  {name} ({} rows): {:?}",
-                oracle.rows.len(),
-                &oracle.rows[..oracle.rows.len().min(5)],
-                out.rows.len(),
-                &out.rows[..out.rows.len().min(5)],
+                "{name} disagrees with linq\n  linq: {}\n  {name}: {}",
+                summary(&oracle),
+                summary(&out),
             )));
         }
     }
-    Ok(oracle)
+    Ok(oracle.ok())
 }
 
 /// Runs the seeds `FIRST_SEED + part * QUERIES / PARTS ..` of one part
@@ -656,7 +766,7 @@ fn run_part(part: u64) {
     let mut nonempty = 0;
     for &seed in &seeds {
         match check(seed, &fixture) {
-            Ok(out) => nonempty += usize::from(!out.rows.is_empty()),
+            Ok(out) => nonempty += usize::from(out.is_some_and(|out| !out.rows.is_empty())),
             Err(message) => failures.push(message),
         }
     }

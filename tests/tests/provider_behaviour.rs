@@ -151,16 +151,18 @@ fn simulated_cpu_cache_ranks_strategies_like_figure_14() {
     );
 }
 
-/// Ill-typed trees are compile errors, not per-row panics: compiling the
-/// spec for an execution type-checks every expression, so each compiled
-/// strategy returns `MrqError::Codegen` from `Provider::execute`.
+/// Ill-typed trees are compile errors, not per-row panics or NULLs: the
+/// lowering types every node through `mrq_expr`'s type table, so
+/// `Provider::prepare` rejects the statement and every strategy, the LINQ
+/// baseline included, returns the same `MrqError::Codegen` from
+/// `Provider::execute`.
 #[test]
 fn ill_typed_queries_are_codegen_errors_on_every_compiled_strategy() {
     use mrq_common::{Decimal, MrqError};
-    use mrq_expr::{builder::agg, lit, var, AggFunc, BinaryOp, Expr};
+    use mrq_expr::{builder::agg, lit, var, AggFunc, BinaryOp, Expr, UnaryOp};
 
     let data = small_dataset();
-    let managed = managed_provider(HeapDataset::load(&data));
+    let managed = managed_provider(HeapDataset::load(&data)).into_shared();
     let native = native_provider(&data);
     let filtered = |predicate: Expr| {
         Query::from_source(queries::SRC_LINEITEM)
@@ -168,6 +170,12 @@ fn ill_typed_queries_are_codegen_errors_on_every_compiled_strategy() {
             .select(lam("l", col("l", "l_orderkey")))
             .into_expr()
     };
+    let projected = |value: Expr| {
+        Query::from_source(queries::SRC_LINEITEM)
+            .select(lam("l", value))
+            .into_expr()
+    };
+    let binary = |op, left: &str, right: Expr| Expr::binary(op, col("l", left), right);
     let key_columns = [
         "l_orderkey",
         "l_partkey",
@@ -180,28 +188,61 @@ fn ill_typed_queries_are_codegen_errors_on_every_compiled_strategy() {
     let cases = [
         (
             "arithmetic as a filter",
-            filtered(Expr::binary(
-                BinaryOp::Add,
-                col("l", "l_quantity"),
-                col("l", "l_tax"),
-            )),
+            filtered(binary(BinaryOp::Add, "l_quantity", col("l", "l_tax"))),
         ),
         (
             "a string compared with a decimal",
-            filtered(Expr::binary(
+            filtered(binary(
                 BinaryOp::Eq,
-                col("l", "l_shipmode"),
+                "l_shipmode",
                 lit(Decimal::from_int(5)),
             )),
         ),
         (
             "a string in arithmetic",
-            Query::from_source(queries::SRC_LINEITEM)
-                .select(lam(
-                    "l",
-                    Expr::binary(BinaryOp::Add, col("l", "l_shipmode"), lit(1i64)),
-                ))
-                .into_expr(),
+            projected(binary(BinaryOp::Add, "l_shipmode", lit(1i64))),
+        ),
+        (
+            "a date compared with an integer",
+            filtered(binary(BinaryOp::Gt, "l_shipdate", lit(5i64))),
+        ),
+        (
+            "an integer under `!`",
+            filtered(Expr::Unary {
+                op: UnaryOp::Not,
+                expr: Box::new(col("l", "l_linenumber")),
+            }),
+        ),
+        (
+            "an integer under `&&`",
+            filtered(binary(BinaryOp::And, "l_linenumber", lit(true))),
+        ),
+        (
+            "date + date",
+            projected(binary(
+                BinaryOp::Add,
+                "l_shipdate",
+                col("l", "l_commitdate"),
+            )),
+        ),
+        (
+            "-date",
+            projected(Expr::Unary {
+                op: UnaryOp::Neg,
+                expr: Box::new(col("l", "l_shipdate")),
+            }),
+        ),
+        (
+            "decimal + date",
+            projected(binary(BinaryOp::Add, "l_quantity", col("l", "l_shipdate"))),
+        ),
+        (
+            "integer - date",
+            projected(Expr::binary(
+                BinaryOp::Sub,
+                lit(1i64),
+                col("l", "l_shipdate"),
+            )),
         ),
         (
             "a seven-part group key",
@@ -233,18 +274,24 @@ fn ill_typed_queries_are_codegen_errors_on_every_compiled_strategy() {
         ),
     ];
     for (case, expr) in &cases {
+        let error = match managed.execute(expr.clone(), Strategy::LinqToObjects) {
+            Err(error @ MrqError::Codegen(_)) => error,
+            other => panic!("{case} through linq: expected a codegen error, got {other:?}"),
+        };
         for (name, provider, strategy) in compiled_strategies(&native, &managed) {
-            match provider.execute(expr.clone(), strategy) {
-                Err(MrqError::Codegen(_)) => {}
-                other => panic!("{case} through {name}: expected a codegen error, got {other:?}"),
-            }
+            let out = provider.execute(expr.clone(), strategy);
+            assert_eq!(out.err(), Some(error.clone()), "{case} through {name}");
         }
+        let prepared = managed.prepare(expr.clone(), Strategy::CompiledCSharp);
+        assert_eq!(prepared.err(), Some(error), "{case} at prepare");
     }
 }
 
-/// `date ± integer` is a date on every compiled strategy, as it is in the
-/// LINQ baseline: projected, it yields `Value::Date`s, and compared with a
-/// date literal, it filters the baseline's rows.
+/// Date and integer arithmetic follow one type table on every strategy:
+/// `date ± integer` and `integer + date` are dates, `date − date` is
+/// `Int64` days and integer arithmetic is `Int64`, in the output schema and
+/// in every value, through LINQ and each compiled strategy alike; compared
+/// with a literal, a shifted date filters the baseline's rows.
 #[test]
 fn date_arithmetic_matches_linq_on_every_compiled_strategy() {
     use mrq_common::Date;
@@ -254,32 +301,139 @@ fn date_arithmetic_matches_linq_on_every_compiled_strategy() {
     let managed = managed_provider(HeapDataset::load(&data));
     let native = native_provider(&data);
     let next_day = || Expr::binary(BinaryOp::Add, col("l", "l_shipdate"), lit(1i64));
-    let projected = Query::from_source(queries::SRC_LINEITEM)
-        .select(lam("l", next_day()))
-        .into_expr();
-    let filtered = Query::from_source(queries::SRC_LINEITEM)
-        .where_(lam(
-            "l",
-            Expr::binary(BinaryOp::Gt, next_day(), lit(Date::from_ymd(1996, 1, 1))),
-        ))
-        .select(lam("l", col("l", "l_orderkey")))
-        .into_expr();
-    for (case, expr, rows) in [
-        ("projection", projected, data.lineitem.len()),
-        ("filter", filtered, 5_097),
+    let projected = |value: Expr| {
+        Query::from_source(queries::SRC_LINEITEM)
+            .select(lam("l", value))
+            .into_expr()
+    };
+    let filtered = |predicate: Expr| {
+        Query::from_source(queries::SRC_LINEITEM)
+            .where_(lam("l", predicate))
+            .select(lam("l", col("l", "l_orderkey")))
+            .into_expr()
+    };
+    let columns = |op, left: &str, right: &str| Expr::binary(op, col("l", left), col("l", right));
+    let lag = || columns(BinaryOp::Sub, "l_shipdate", "l_commitdate");
+    let all = data.lineitem.len();
+    for (case, expr, rows, dtype) in [
+        ("date + 1", projected(next_day()), Some(all), DataType::Date),
+        (
+            "1 + date",
+            projected(Expr::binary(
+                BinaryOp::Add,
+                lit(1i64),
+                col("l", "l_shipdate"),
+            )),
+            Some(all),
+            DataType::Date,
+        ),
+        ("date - date", projected(lag()), Some(all), DataType::Int64),
+        (
+            "int32 + int32",
+            projected(columns(BinaryOp::Add, "l_linenumber", "l_linenumber")),
+            Some(all),
+            DataType::Int64,
+        ),
+        (
+            "date + 1 > date",
+            filtered(Expr::binary(
+                BinaryOp::Gt,
+                next_day(),
+                lit(Date::from_ymd(1996, 1, 1)),
+            )),
+            Some(5_097),
+            DataType::Int64,
+        ),
+        (
+            "date - date > 0",
+            filtered(Expr::binary(BinaryOp::Gt, lag(), lit(0i64))),
+            None,
+            DataType::Int64,
+        ),
     ] {
         let linq = managed
             .execute(expr.clone(), Strategy::LinqToObjects)
             .unwrap();
-        assert_eq!(linq.rows.len(), rows, "{case} through linq");
-        if case == "projection" {
-            assert!(matches!(linq.rows[0][0], Value::Date(_)), "a shifted date");
+        match rows {
+            Some(rows) => assert_eq!(linq.rows.len(), rows, "{case} through linq"),
+            None => assert!(!linq.rows.is_empty(), "{case} through linq"),
         }
-        for (name, provider, strategy) in compiled_strategies(&native, &managed) {
-            let out = provider
-                .execute(expr.clone(), strategy)
-                .unwrap_or_else(|e| panic!("{case} through {name}: {e}"));
+        assert_eq!(linq.schema.field(0).dtype, dtype, "{case}: schema");
+        for (name, out) in std::iter::once(("linq", Ok(linq.clone()))).chain(
+            compiled_strategies(&native, &managed)
+                .map(|(name, provider, strategy)| (name, provider.execute(expr.clone(), strategy))),
+        ) {
+            let out = out.unwrap_or_else(|e| panic!("{case} through {name}: {e}"));
             assert_eq!(out, linq, "{case} through {name}");
+            // `Value`'s equality is numeric across integer widths, so the
+            // variant is checked on its own.
+            assert!(
+                out.rows.iter().all(|row| row[0].dtype() == Some(dtype)),
+                "{case} through {name}: {:?}",
+                out.rows[0][0]
+            );
         }
+    }
+}
+
+/// A zero integer or decimal divisor ends the query with one error on
+/// every strategy, the LINQ baseline included, as C# throws
+/// `DivideByZeroException`; nothing panics out of `Provider::execute`, and
+/// a submitted query ends with the same error. Float division stays IEEE.
+#[test]
+fn division_by_zero_is_one_error_on_every_strategy() {
+    use mrq_common::error::division_by_zero;
+    use mrq_common::Decimal;
+    use mrq_core::QueryOptions;
+    use mrq_expr::{lit, BinaryOp, Expr};
+
+    let data = small_dataset();
+    let managed = managed_provider(HeapDataset::load(&data)).into_shared();
+    let native = native_provider(&data);
+    let projected = |value: Expr| {
+        Query::from_source(queries::SRC_LINEITEM)
+            .select(lam("l", value))
+            .into_expr()
+    };
+    let divided = |left: Expr, right: Expr| projected(Expr::binary(BinaryOp::Div, left, right));
+    let cases = [
+        ("int", divided(col("l", "l_linenumber"), lit(0i64))),
+        (
+            "decimal",
+            divided(col("l", "l_quantity"), lit(Decimal::ZERO)),
+        ),
+        ("constant", divided(lit(1i64), lit(0i64))),
+    ];
+    for (case, expr) in &cases {
+        let linq = managed.execute(expr.clone(), Strategy::LinqToObjects);
+        assert_eq!(linq.err(), Some(division_by_zero()), "{case} through linq");
+        for (name, provider, strategy) in compiled_strategies(&native, &managed) {
+            let out = provider.execute(expr.clone(), strategy);
+            assert_eq!(out.err(), Some(division_by_zero()), "{case} through {name}");
+        }
+        let submitted = managed
+            .submit(
+                expr.clone(),
+                Strategy::CompiledCSharp,
+                QueryOptions::default(),
+            )
+            .join();
+        assert_eq!(
+            submitted.err(),
+            Some(division_by_zero()),
+            "{case} submitted"
+        );
+    }
+    let float = divided(col("l", "l_quantity"), lit(0.0f64));
+    let linq = managed
+        .execute(float.clone(), Strategy::LinqToObjects)
+        .unwrap();
+    assert_eq!(linq.rows[0][0], Value::Float64(f64::INFINITY));
+    for (name, provider, strategy) in compiled_strategies(&native, &managed) {
+        assert_eq!(
+            provider.execute(float.clone(), strategy).unwrap(),
+            linq,
+            "{name}"
+        );
     }
 }

@@ -479,6 +479,40 @@ fn protocol_violation_gets_an_error_frame_then_eof() {
     }
 }
 
+/// PREPARE types the statement: an ill-typed one is refused with a
+/// `Codegen` error frame carrying `Provider::prepare`'s own error, and the
+/// connection goes on serving the next request.
+#[test]
+fn prepare_rejects_an_ill_typed_statement_and_the_connection_serves_on() {
+    use mrq_common::MrqError;
+    use mrq_expr::{col, lam, lit, BinaryOp, Query};
+
+    let provider = native_provider(parallel(1));
+    let strategy = Strategy::CompiledNative;
+    let ill_typed = Query::from_source(queries::SRC_LINEITEM)
+        .where_(lam(
+            "l",
+            Expr::binary(BinaryOp::Gt, col("l", "l_shipdate"), lit(5i64)),
+        ))
+        .select(lam("l", col("l", "l_orderkey")))
+        .into_expr();
+    let expected = provider
+        .prepare(ill_typed.clone(), strategy)
+        .err()
+        .expect("in-process prepare refuses the statement");
+    assert!(matches!(expected, MrqError::Codegen(_)), "{expected}");
+    let (_server, mut client) = serve(&provider);
+    match client.prepare(ill_typed, strategy) {
+        Err(ClientError::Query(error)) => assert_eq!(error, expected),
+        other => panic!("prepare over the wire: expected the codegen error, got {other:?}"),
+    }
+    let reference = provider.execute(queries::q6(), strategy).expect("q6");
+    let got = client
+        .query(queries::q6(), strategy, QueryOptions::default())
+        .expect("the connection serves the next request");
+    assert_matches_output(&got, &reference, "after the refused prepare");
+}
+
 /// Median of `samples`, in milliseconds.
 fn median_ms(mut samples: Vec<Duration>) -> f64 {
     samples.sort_unstable();
