@@ -1,16 +1,15 @@
-//! Source emission and the compilation-cost model.
+//! Source emission.
 //!
 //! The paper's provider turns the code tree into C# and/or C source text and
-//! compiles it (§4.2, §5.2). This reproduction cannot invoke a compiler at
-//! run time, so the emitted source serves two purposes: it documents exactly
-//! what would be compiled for a given query (and is exercised by tests and
-//! the examples), and its size feeds the compilation-cost model used when
-//! the harness reports generation/compilation latencies (§7.4).
+//! compiles it (§4.2, §5.2). This reproduction runs the lowered
+//! [`QuerySpec`] compiled to closures instead and invokes no compiler, so
+//! the emitted source only documents what the paper's system would compile
+//! for a query: `Provider::explain` emits it on request, and nothing on the
+//! execution path does.
 
 use crate::spec::{AggSpec, OutputExpr, QuerySpec, ScalarExpr, StrOp};
 use mrq_expr::{AggFunc, UnaryOp};
 use std::fmt::Write as _;
-use std::time::Duration;
 
 /// Which backend source language to emit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,56 +193,6 @@ pub fn emit_source(spec: &QuerySpec, backend: Backend) -> String {
     out
 }
 
-/// The compilation-cost model.
-///
-/// §7.4 reports: source generation 30–60 ms, C# compilation ≈75 ms, C
-/// compilation ≈720 ms on the paper's machine. The harness reports these
-/// figures (scaled mildly by source size) together with the *measured*
-/// lowering time, clearly labelled as modelled rather than measured, because
-/// this reproduction does not invoke an external compiler.
-#[derive(Debug, Clone, Copy)]
-pub struct CompileCostModel {
-    /// Baseline cost of generating source text.
-    pub generation: Duration,
-    /// Baseline cost of compiling managed (C#) source.
-    pub csharp_compile: Duration,
-    /// Baseline cost of compiling native (C) source into a shared library.
-    pub c_compile: Duration,
-}
-
-impl Default for CompileCostModel {
-    fn default() -> Self {
-        CompileCostModel {
-            generation: Duration::from_millis(45),
-            csharp_compile: Duration::from_millis(75),
-            c_compile: Duration::from_millis(720),
-        }
-    }
-}
-
-impl CompileCostModel {
-    /// The modelled cost of compiling the given emitted source with the
-    /// given backend. Cost grows gently with source size (the paper's
-    /// numbers are for TPC-H-sized queries, roughly 100 lines of generated
-    /// code).
-    pub fn compile_cost(&self, source: &str, backend: Backend) -> Duration {
-        let lines = source.lines().count().max(1) as f64;
-        let scale = (lines / 100.0).clamp(0.25, 4.0);
-        let base = match backend {
-            Backend::CSharp => self.csharp_compile,
-            Backend::C => self.c_compile,
-        };
-        Duration::from_secs_f64(base.as_secs_f64() * scale)
-    }
-
-    /// The modelled cost of source generation.
-    pub fn generation_cost(&self, source: &str) -> Duration {
-        let lines = source.lines().count().max(1) as f64;
-        let scale = (lines / 100.0).clamp(0.25, 4.0);
-        Duration::from_secs_f64(self.generation.as_secs_f64() * scale)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,22 +244,6 @@ mod tests {
             c.contains("ctx->param_0"),
             "parameter must be read from the context"
         );
-    }
-
-    #[test]
-    fn cost_model_orders_c_above_csharp_above_generation() {
-        let spec = spec();
-        let model = CompileCostModel::default();
-        let cs = emit_source(&spec, Backend::CSharp);
-        let c = emit_source(&spec, Backend::C);
-        let gen = model.generation_cost(&cs);
-        let cs_cost = model.compile_cost(&cs, Backend::CSharp);
-        let c_cost = model.compile_cost(&c, Backend::C);
-        assert!(gen < cs_cost, "{gen:?} vs {cs_cost:?}");
-        assert!(cs_cost < c_cost, "{cs_cost:?} vs {c_cost:?}");
-        // The ratio the paper reports: C compilation is roughly an order of
-        // magnitude more expensive than C#.
-        assert!(c_cost.as_secs_f64() / cs_cost.as_secs_f64() > 5.0);
     }
 
     #[test]

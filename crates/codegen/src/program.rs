@@ -776,14 +776,22 @@ fn dec_div(a: Decimal, b: Decimal) -> Decimal {
 }
 
 /// Applies `$zip` to the operands with the closure for `$op` over `$t`.
+/// Integer `+ − ×` wrap, as in C# and the oracle's `eval_binary`, so a debug
+/// build agrees with a release build.
 macro_rules! by_op {
-    ($op:expr, $zip:ident, $a:expr, $b:expr, $t:ty, $div:expr) => {
+    (@ $op:expr, $zip:ident, $a:expr, $b:expr, $add:expr, $sub:expr, $mul:expr, $div:expr) => {
         match $op {
-            BinaryOp::Add => $zip($a, $b, |x: $t, y: $t| x + y),
-            BinaryOp::Sub => $zip($a, $b, |x: $t, y: $t| x - y),
-            BinaryOp::Mul => $zip($a, $b, |x: $t, y: $t| x * y),
+            BinaryOp::Add => $zip($a, $b, $add),
+            BinaryOp::Sub => $zip($a, $b, $sub),
+            BinaryOp::Mul => $zip($a, $b, $mul),
             _ => $zip($a, $b, $div),
         }
+    };
+    ($op:expr, $zip:ident, $a:expr, $b:expr, i64) => {
+        by_op!(@ $op, $zip, $a, $b, i64::wrapping_add, i64::wrapping_sub, i64::wrapping_mul, int_div)
+    };
+    ($op:expr, $zip:ident, $a:expr, $b:expr, $t:ty, $div:expr) => {
+        by_op!(@ $op, $zip, $a, $b, |x: $t, y: $t| x + y, |x: $t, y: $t| x - y, |x: $t, y: $t| x * y, $div)
     };
 }
 
@@ -806,7 +814,7 @@ impl<'p, T: TableAccess + 'p> Pair<'p, T> {
 
     fn eval(self, op: BinaryOp) -> Typed<'p, T> {
         match self {
-            Pair::Int(a, b) => Typed::Int(by_op!(op, zip, a, b, i64, int_div)),
+            Pair::Int(a, b) => Typed::Int(by_op!(op, zip, a, b, i64)),
             Pair::Dec(a, b) => Typed::Dec(by_op!(op, zip, a, b, Decimal, dec_div)),
             Pair::F64(a, b) => Typed::F64(by_op!(op, zip, a, b, f64, |x: f64, y: f64| x / y)),
         }
@@ -816,7 +824,7 @@ impl<'p, T: TableAccess + 'p> Pair<'p, T> {
     /// has the type `state` accumulates.
     fn accumulate(self, op: BinaryOp, state: &AggState) -> Accumulate<'p, T> {
         match (self, state) {
-            (Pair::Int(a, b), AggState::SumI64(_)) => by_op!(op, zip_fold, a, b, i64, int_div),
+            (Pair::Int(a, b), AggState::SumI64(_)) => by_op!(op, zip_fold, a, b, i64),
             (Pair::Dec(a, b), AggState::SumDec(_) | AggState::AvgDec { .. }) => {
                 by_op!(op, zip_fold, a, b, Decimal, dec_div)
             }
@@ -1118,7 +1126,7 @@ impl Compiler<'_> {
                 unary_type(*op, v.dtype())?;
                 Ok(match v {
                     Typed::Bool(v) => Typed::Bool(v.map(|v: bool| !v)),
-                    Typed::Int(v) => Typed::Int(v.map(|v: i64| -v)),
+                    Typed::Int(v) => Typed::Int(v.map(i64::wrapping_neg)),
                     Typed::Dec(v) => Typed::Dec(v.map(|v: Decimal| -v)),
                     Typed::F64(v) => Typed::F64(v.map(|v: f64| -v)),
                     _ => unreachable!("operand typed by the type table"),

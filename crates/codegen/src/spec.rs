@@ -1117,14 +1117,15 @@ impl<'a> Lowering<'a> {
     }
 
     /// One aggregate, typed: `Count` is `Int64` and `Average` `Float64`;
-    /// `Sum`, `Min` and `Max` have their input's type. `Sum` and `Average`
-    /// add their inputs, so `+` must take the input's type twice.
+    /// `Sum` has the type `+` gives its input twice (Int32 sums are Int64);
+    /// `Min` and `Max` have their input's type. `Average` adds its inputs
+    /// too, so `+` must take the input's type twice.
     fn aggregate(&self, func: AggFunc, input: Option<ScalarExpr>) -> Result<AggSpec> {
         let input_dtype = input.as_ref().map(|e| self.scalar_type(e)).transpose()?;
         let dtype = match (func, input_dtype) {
             (AggFunc::Count, _) => DataType::Int64,
             (_, None) => return Err(MrqError::Codegen(format!("{func:?} requires a selector"))),
-            (AggFunc::Sum, Some(t)) => binary_type(BinaryOp::Add, t, t).map(|_| t)?,
+            (AggFunc::Sum, Some(t)) => binary_type(BinaryOp::Add, t, t)?,
             (AggFunc::Average, Some(t)) => {
                 binary_type(BinaryOp::Add, t, t).map(|_| DataType::Float64)?
             }

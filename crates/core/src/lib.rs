@@ -16,10 +16,10 @@
 //!
 //! The provider canonicalises each statement (constant folding and parameter
 //! extraction), consults the plan cache so that repeated query patterns skip
-//! code generation (§3), lowers the tree to a fused
-//! [`QuerySpec`], emits the C#/C source that the paper's system would
-//! compile (available through [`Provider::explain`]) and dispatches to the
-//! chosen engine.
+//! lowering (§3), lowers the tree to a fused, typed [`QuerySpec`] and
+//! dispatches to the chosen engine, which runs the spec compiled to
+//! closures. The C#/C source the paper's system would compile is emitted
+//! only on request, by [`Provider::explain`].
 //!
 //! # Ownership
 //!
@@ -59,7 +59,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use mrq_codegen::emit::{emit_source, Backend, CompileCostModel};
+use mrq_codegen::emit::{emit_source, Backend};
 use mrq_codegen::exec::{QueryOutput, TableAccess};
 use mrq_codegen::spec::{lower, Catalog, QuerySpec};
 use mrq_common::cancel::{CancelReason, CancelToken};
@@ -118,9 +118,9 @@ pub use recycle::{RecycleStats, ResultCache, ResultKey};
 /// Which execution strategy to use for a statement.
 ///
 /// The strategy picks the engine a compiled plan runs on, not the plan: the
-/// lowered [`QuerySpec`] and its generated sources are the same for every
-/// strategy, so one statement executed or prepared under several strategies
-/// (and parallel configurations) shares one [`PlanCache`] entry.
+/// lowered [`QuerySpec`] is the same for every strategy, so one statement
+/// executed or prepared under several strategies (and parallel
+/// configurations) shares one [`PlanCache`] entry.
 ///
 /// [`QuerySpec`]: mrq_codegen::spec::QuerySpec
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -235,7 +235,7 @@ enum Job {
     Statement(Expr),
     Prepared {
         shape_hash: u64,
-        plan: Arc<CompiledQuery>,
+        plan: Arc<QuerySpec>,
         params: Vec<Value>,
     },
 }
@@ -281,25 +281,13 @@ impl PlanKey {
 }
 
 /// The provider's one compile cache: a sharded, bounded LRU
-/// ([`mrq_common::plancache::ShardedLru`]) from [`PlanKey`] to the compiled
-/// artefact, behind [`Provider::compile`] and so behind every statement
+/// ([`mrq_common::plancache::ShardedLru`]) from [`PlanKey`] to the lowered
+/// [`QuerySpec`], behind [`Provider::compile`] and so behind every statement
 /// front end — ad-hoc, prepared, streamed, explained. Share one across
 /// providers with [`Provider::set_plan_cache`].
-pub type PlanCache = ShardedLru<PlanKey, CompiledQuery>;
-
-/// The compiled artefact cached per query pattern.
-pub struct CompiledQuery {
-    /// The fused query description.
-    pub spec: QuerySpec,
-    /// Generated managed source (what the §4 backend would compile).
-    pub csharp_source: String,
-    /// Generated native source (what the §5/§6 backend would compile).
-    pub c_source: String,
-    /// Heuristic rewrites applied before lowering (§2.3).
-    pub rewrites: Vec<Rewrite>,
-    /// Measured lowering + emission time for this pattern.
-    pub generation_time: Duration,
-}
+///
+/// [`QuerySpec`]: mrq_codegen::spec::QuerySpec
+pub type PlanCache = ShardedLru<PlanKey, QuerySpec>;
 
 /// Aggregated provider statistics (plan-cache counters are
 /// [`Provider::plan_cache_stats`]).
@@ -321,7 +309,6 @@ pub struct Provider<'a> {
     /// expression structure + source schemas. `Arc`-shared so several
     /// providers can serve one cache ([`Provider::set_plan_cache`]).
     plan_cache: Arc<PlanCache>,
-    cost_model: CompileCostModel,
     optimizer: OptimizerConfig,
     recycling: bool,
     parallel: ParallelConfig,
@@ -402,7 +389,6 @@ impl<'a> Provider<'a> {
             heap: None,
             bindings: Vec::new(),
             plan_cache: Arc::new(PlanCache::new(PlanCacheConfig::default())),
-            cost_model: CompileCostModel::default(),
             optimizer: OptimizerConfig::default(),
             recycling: false,
             parallel: ParallelConfig::sequential(),
@@ -561,7 +547,7 @@ impl<'a> Provider<'a> {
         self.plan_cache.stats()
     }
 
-    /// Drops every compiled artefact from the plan cache (counters are
+    /// Drops every lowered plan from the plan cache (counters are
     /// preserved; plans still held by a [`PreparedQuery`] stay valid). This
     /// is the compile-every-time baseline the amortization benchmarks
     /// measure against.
@@ -619,24 +605,21 @@ impl<'a> Provider<'a> {
         }
     }
 
-    /// Compiles (or fetches from the plan cache) the artefact for a
+    /// Compiles (or fetches from the plan cache) the lowered plan for a
     /// statement: heuristic rewrites, canonicalisation, plan-cache lookup,
-    /// and on a miss lowering and source emission. Every statement front
-    /// end — [`Provider::execute`], [`Provider::prepare`], the ad-hoc
-    /// `submit`/`submit_stream` paths and the `explain` family — compiles
+    /// and on a miss lowering (which types every node). Every statement
+    /// front end — [`Provider::execute`], [`Provider::prepare`], the ad-hoc
+    /// `submit`/`submit_stream` paths and [`Provider::explain`] — compiles
     /// through here, so one shape compiles once whichever way it arrives.
     ///
     /// The cache key is the canonical structure plus the schemas of the
-    /// bound sources ([`PlanKey`]). On a hit nothing is lowered or emitted.
-    /// A miss lowers and emits outside the shard lock, and is
-    /// panic-isolated: a panic in lowering/codegen (or injected at the
-    /// `plancache.insert` fault point) becomes a clean per-statement error,
-    /// and the cache — whose shard locks recover from poisoning — keeps
-    /// serving other shapes.
-    pub fn compile(&self, expr: Expr) -> Result<(CanonicalQuery, Arc<CompiledQuery>)> {
-        let optimized = optimize(expr, self.optimizer);
-        let canonical = canonicalize(optimized.expr);
-        let rewrites = optimized.rewrites;
+    /// bound sources ([`PlanKey`]). On a hit nothing is lowered. A miss
+    /// lowers outside the shard lock, and is panic-isolated: a panic in
+    /// lowering (or injected at the `plancache.insert` fault point) becomes a
+    /// clean per-statement error, and the cache — whose shard locks recover
+    /// from poisoning — keeps serving other shapes.
+    pub fn compile(&self, expr: Expr) -> Result<(CanonicalQuery, Arc<QuerySpec>)> {
+        let canonical = canonicalize(optimize(expr, self.optimizer).expr);
         let mut schemas = Vec::new();
         for source in canonical.expr.sources() {
             schemas.push(
@@ -653,53 +636,24 @@ impl<'a> Provider<'a> {
         let plan = query_boundary(|| {
             self.plan_cache.get_or_insert_with(&key, || {
                 fault::point("plancache.insert")?;
-                let start = Instant::now();
-                let spec = lower(&canonical, &catalog)?;
-                let csharp_source = emit_source(&spec, Backend::CSharp);
-                let c_source = emit_source(&spec, Backend::C);
-                Ok::<_, MrqError>(Arc::new(CompiledQuery {
-                    spec,
-                    csharp_source,
-                    c_source,
-                    rewrites,
-                    generation_time: start.elapsed(),
-                }))
+                Ok::<_, MrqError>(Arc::new(lower(&canonical, &catalog)?))
             })
         })?;
         Ok((canonical, plan))
     }
 
-    /// Returns the generated source for a statement (the paper's listings).
+    /// Returns the source the paper's system would compile for a statement
+    /// under `backend` (its listings), emitted from the cached plan on each
+    /// call.
     pub fn explain(&self, expr: Expr, backend: Backend) -> Result<String> {
-        let (_, compiled) = self.compile(expr)?;
-        Ok(match backend {
-            Backend::CSharp => compiled.csharp_source.clone(),
-            Backend::C => compiled.c_source.clone(),
-        })
+        let (_, spec) = self.compile(expr)?;
+        Ok(emit_source(&spec, backend))
     }
 
-    /// Returns the heuristic rewrites the optimizer applied to a statement.
-    pub fn explain_rewrites(&self, expr: Expr) -> Result<Vec<Rewrite>> {
-        let (_, compiled) = self.compile(expr)?;
-        Ok(compiled.rewrites.clone())
-    }
-
-    /// The compile cost of a statement for the given backend (§7.4), as
-    /// `(generation, compile)`. Generation is the measured lowering +
-    /// emission time of the cached plan (`generation_time`) plus the
-    /// modelled [`CompileCostModel::generation_cost`] of its source;
-    /// compiler latency is [`CompileCostModel::compile_cost`], modelled
-    /// only.
-    pub fn compile_cost(&self, expr: Expr, backend: Backend) -> Result<(Duration, Duration)> {
-        let (_, compiled) = self.compile(expr)?;
-        let source = match backend {
-            Backend::CSharp => &compiled.csharp_source,
-            Backend::C => &compiled.c_source,
-        };
-        Ok((
-            compiled.generation_time + self.cost_model.generation_cost(source),
-            self.cost_model.compile_cost(source, backend),
-        ))
+    /// Returns the heuristic rewrites the optimizer applies to a statement —
+    /// the same pass [`Provider::compile`] runs first.
+    pub fn explain_rewrites(&self, expr: Expr) -> Vec<Rewrite> {
+        optimize(expr, self.optimizer).rewrites
     }
 
     /// Executes a statement immediately with the given strategy. When result
@@ -751,13 +705,8 @@ impl<'a> Provider<'a> {
     /// # Ok::<(), mrq_common::MrqError>(())
     /// ```
     pub fn execute(&self, expr: Expr, strategy: Strategy) -> Result<QueryOutput> {
-        let (canonical, compiled) = self.compile(expr)?;
-        self.execute_plan(
-            canonical.shape_hash,
-            &compiled.spec,
-            &canonical.params,
-            strategy,
-        )
+        let (canonical, spec) = self.compile(expr)?;
+        self.execute_plan(canonical.shape_hash, &spec, &canonical.params, strategy)
     }
 
     /// The shared tail of [`Provider::execute`], the prepared-query path and
@@ -1022,7 +971,7 @@ impl<'a> Provider<'a> {
                     shape_hash,
                     plan,
                     params,
-                } => self.execute_plan(shape_hash, &plan.spec, &params, strategy),
+                } => self.execute_plan(shape_hash, &plan, &params, strategy),
             }
         })
     }
@@ -1685,7 +1634,7 @@ mod tests {
                 Expr::binary(BinaryOp::Eq, col("p", "city"), lit("London")),
             ))
             .into_expr();
-        let rewrites = provider.explain_rewrites(naive.clone()).unwrap();
+        let rewrites = provider.explain_rewrites(naive.clone());
         assert!(!rewrites.is_empty());
         let optimized_out = provider
             .execute(naive.clone(), Strategy::CompiledCSharp)
@@ -1952,17 +1901,37 @@ mod tests {
     }
 
     #[test]
-    fn explain_emits_source_and_compile_cost() {
+    fn explain_emits_both_listings_in_full() {
         let provider = managed_provider();
-        let cs = provider
-            .explain(statement("London"), Backend::CSharp)
-            .unwrap();
-        assert!(cs.contains("foreach"));
-        let c = provider.explain(statement("London"), Backend::C).unwrap();
-        assert!(c.contains("EvaluateQuery"));
-        let (generation, compile) = provider
-            .compile_cost(statement("London"), Backend::C)
-            .unwrap();
-        assert!(compile > generation);
+        let csharp = "\
+// generated by the MRQ query provider (managed backend)
+public static class Executor {
+  public static IEnumerable<Result> Execute(IEnumerable<Source0> data_0, ...) {
+  foreach (var elem_0 in data_0) {
+    if (!((slot0->col1 == ctx->param_0))) continue;
+    yield return new Result { value = slot0->col2 };
+  }
+    yield break;
+  }
+}
+";
+        let c = "\
+/* generated by the MRQ query provider (native backend) */
+int EvaluateQuery(Context* ctx) {
+  for (i = ctx->curr_elem; i < ctx->input_sze; i++) {
+    if (!((slot0->col1 == ctx->param_0))) continue;
+    ctx->out_elem = (Result){ value = slot0->col2 };
+    ctx->curr_elem = i + 1;
+    return 1;
+  }
+  return 0;
+}
+";
+        for (backend, listing) in [(Backend::CSharp, csharp), (Backend::C, c)] {
+            let explained = provider.explain(statement("London"), backend).unwrap();
+            assert_eq!(explained, listing, "{backend:?}");
+        }
+        // Emission is on demand: the plan cache holds one lowered spec.
+        assert_eq!(provider.plan_cache_stats().entries, 1);
     }
 }

@@ -31,7 +31,7 @@
 //! [`PlanKey`]: crate::PlanKey
 
 use crate::stream::QueryStream;
-use crate::{CompiledQuery, Job, OwnedProvider, Provider, QueryHandle, QueryOptions, Strategy};
+use crate::{Job, OwnedProvider, Provider, QueryHandle, QueryOptions, Strategy};
 use mrq_codegen::exec::QueryOutput;
 use mrq_codegen::spec::QuerySpec;
 use mrq_common::{Result, Value};
@@ -50,7 +50,7 @@ impl<'a> Provider<'a> {
     /// become the plan's *default* bindings. The cache key is the canonical
     /// structure plus the schemas of the bound sources, so a `prepare` of a
     /// shape already prepared or executed — under any strategy — is a cache
-    /// hit that skips lowering and code generation entirely.
+    /// hit that skips lowering entirely.
     ///
     /// # Examples
     ///
@@ -88,10 +88,10 @@ impl<'a> Provider<'a> {
     where
         'a: 'static,
     {
-        let (canonical, compiled) = self.compile(expr)?;
+        let (canonical, spec) = self.compile(expr)?;
         Ok(PreparedQuery {
             provider: Arc::clone(self),
-            compiled,
+            spec,
             strategy,
             shape_hash: canonical.shape_hash,
             defaults: canonical.params,
@@ -124,7 +124,7 @@ impl<'a> Provider<'a> {
 #[derive(Clone)]
 pub struct PreparedQuery {
     provider: OwnedProvider,
-    compiled: Arc<CompiledQuery>,
+    spec: Arc<QuerySpec>,
     strategy: Strategy,
     shape_hash: u64,
     defaults: Vec<Value>,
@@ -135,7 +135,7 @@ impl PreparedQuery {
     /// supply at least this many values (an empty slice means "use the
     /// defaults").
     pub fn param_slots(&self) -> usize {
-        self.compiled.spec.param_slots
+        self.spec.param_slots
     }
 
     /// The literal values captured at prepare time, in slot order — what an
@@ -152,12 +152,7 @@ impl PreparedQuery {
     /// The lowered plan (shared with the cache; eviction never invalidates
     /// it).
     pub fn spec(&self) -> &QuerySpec {
-        &self.compiled.spec
-    }
-
-    /// The full compiled artefact, including the generated sources.
-    pub fn compiled(&self) -> &CompiledQuery {
-        &self.compiled
+        &self.spec
     }
 
     /// The parameter vector one execution uses: the caller's bindings, or
@@ -178,7 +173,7 @@ impl PreparedQuery {
     fn job(&self, bindings: &[Value]) -> Job {
         Job::Prepared {
             shape_hash: self.shape_hash,
-            plan: Arc::clone(&self.compiled),
+            plan: Arc::clone(&self.spec),
             params: self.params_for(bindings),
         }
     }
@@ -191,7 +186,7 @@ impl PreparedQuery {
     pub fn execute(&self, bindings: &[Value]) -> Result<QueryOutput> {
         self.provider.execute_plan(
             self.shape_hash,
-            &self.compiled.spec,
+            &self.spec,
             &self.params_for(bindings),
             self.strategy,
         )

@@ -351,28 +351,93 @@ fn date_arithmetic_matches_linq_on_every_compiled_strategy() {
             DataType::Int64,
         ),
     ] {
-        let linq = managed
-            .execute(expr.clone(), Strategy::LinqToObjects)
-            .unwrap();
+        let linq = matches_linq_everywhere(case, &expr, dtype, &native, &managed);
         match rows {
             Some(rows) => assert_eq!(linq.rows.len(), rows, "{case} through linq"),
             None => assert!(!linq.rows.is_empty(), "{case} through linq"),
         }
-        assert_eq!(linq.schema.field(0).dtype, dtype, "{case}: schema");
-        for (name, out) in std::iter::once(("linq", Ok(linq.clone()))).chain(
-            compiled_strategies(&native, &managed)
-                .map(|(name, provider, strategy)| (name, provider.execute(expr.clone(), strategy))),
-        ) {
-            let out = out.unwrap_or_else(|e| panic!("{case} through {name}: {e}"));
-            assert_eq!(out, linq, "{case} through {name}");
-            // `Value`'s equality is numeric across integer widths, so the
-            // variant is checked on its own.
-            assert!(
-                out.rows.iter().all(|row| row[0].dtype() == Some(dtype)),
-                "{case} through {name}: {:?}",
-                out.rows[0][0]
-            );
-        }
+    }
+}
+
+/// Runs `expr` through LINQ and every compiled strategy and asserts one
+/// result: equal rows, `dtype` as the first column's schema type and as
+/// every value's variant (`Value`'s equality is numeric across integer
+/// widths, so the variant is checked on its own). Returns LINQ's output.
+fn matches_linq_everywhere(
+    case: &str,
+    expr: &mrq_expr::Expr,
+    dtype: DataType,
+    native: &Provider<'static>,
+    managed: &Provider<'static>,
+) -> mrq_codegen::exec::QueryOutput {
+    let linq = managed
+        .execute(expr.clone(), Strategy::LinqToObjects)
+        .unwrap();
+    assert_eq!(linq.schema.field(0).dtype, dtype, "{case}: schema");
+    for (name, out) in std::iter::once(("linq", Ok(linq.clone()))).chain(
+        compiled_strategies(native, managed)
+            .map(|(name, provider, strategy)| (name, provider.execute(expr.clone(), strategy))),
+    ) {
+        let out = out.unwrap_or_else(|e| panic!("{case} through {name}: {e}"));
+        assert_eq!(out, linq, "{case} through {name}");
+        assert!(
+            out.rows.iter().all(|row| row[0].dtype() == Some(dtype)),
+            "{case} through {name}: {:?}",
+            out.rows[0][0]
+        );
+    }
+    linq
+}
+
+/// `Sum` over an Int32 input adds with `+`, so it is Int64, as `+` over two
+/// Int32s is: in the output schema and in every value, on every strategy.
+#[test]
+fn an_int32_sum_is_int64_on_every_strategy() {
+    use mrq_expr::{builder::agg, AggFunc, Expr};
+
+    let data = small_dataset();
+    let managed = managed_provider(HeapDataset::load(&data));
+    let native = native_provider(&data);
+    let sum = Query::from_source(queries::SRC_LINEITEM)
+        .group_by(lam("l", col("l", "l_returnflag")))
+        .select(lam(
+            "g",
+            Expr::Constructor {
+                name: "Row".into(),
+                fields: vec![(
+                    "lines".into(),
+                    agg(AggFunc::Sum, "g", Some(lam("x", col("x", "l_linenumber")))),
+                )],
+            },
+        ))
+        .into_expr();
+    let linq = matches_linq_everywhere("Sum(int32)", &sum, DataType::Int64, &native, &managed);
+    assert!(!linq.rows.is_empty());
+}
+
+/// Integer `+ − ×` and negation wrap on overflow, as in C# and the LINQ
+/// oracle — in a debug build too, where plain `i64` arithmetic panics.
+#[test]
+fn integer_overflow_wraps_on_every_strategy() {
+    use mrq_expr::{lit, BinaryOp, Expr, UnaryOp};
+
+    let data = small_dataset();
+    let managed = managed_provider(HeapDataset::load(&data));
+    let native = native_provider(&data);
+    let product = || Expr::binary(BinaryOp::Mul, col("l", "l_orderkey"), lit(i64::MAX / 2));
+    let negated = Expr::Unary {
+        op: UnaryOp::Neg,
+        expr: Box::new(product()),
+    };
+    for (case, value) in [
+        ("key * (MAX / 2)", product()),
+        ("-(key * (MAX / 2))", negated),
+    ] {
+        let expr = Query::from_source(queries::SRC_LINEITEM)
+            .select(lam("l", value))
+            .into_expr();
+        let linq = matches_linq_everywhere(case, &expr, DataType::Int64, &native, &managed);
+        assert_eq!(linq.rows.len(), data.lineitem.len(), "{case}");
     }
 }
 
