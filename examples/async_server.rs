@@ -175,7 +175,7 @@ fn main() {
     // Prepared-query serving: compile Q1 once into the sharded plan cache,
     // then serve each request by binding a fresh shipdate cutoff into the
     // cached plan. The handles behave exactly like ad-hoc ones — minus the
-    // per-request optimize/lower/emit pipeline.
+    // per-request optimize/lower pipeline.
     println!("prepared-query serving:");
     let prepared = provider
         .prepare(workloads[0].1.clone(), Strategy::CompiledNative)
